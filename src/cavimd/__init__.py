@@ -60,7 +60,6 @@ from .analysis import (
     SpectrumLine,
     TSResult,
     bond_force_correlation,
-    coupling_scan,
     find_transition_state,
     hessian,
     ir_spectrum,

@@ -1,5 +1,5 @@
 """Normal modes, spectra, mode occupations, bond correlations, transition
-state search, and cavity-frequency / coupling-strength scans."""
+state search, and scans over cavity conditions (frequency, coupling ratio)."""
 
 from __future__ import annotations
 
@@ -100,7 +100,7 @@ def normal_modes(
         eigenvalues=evals,
         modes=vecs,
         mode_dipole=mode_dip,
-        masses=m3 if m.size * 3 == n or m.size == n else None,
+        masses=m3,
         reference_positions=ref,
     )
 
@@ -539,9 +539,8 @@ def find_transition_state(
     mu_red = mi * mj / (mi + mj)
     omega_b_cm1 = barrier_frequency(curv, mu_red) * CM1_PER_HARTREE
 
-    mw = _model.fd_hessian(system, x) / np.sqrt(np.outer(system.masses3, system.masses3))
-    evals = np.linalg.eigvalsh(mw)
-    n_negative = int((evals < -1e-9).sum())
+    saddle_modes = normal_modes(_model.fd_hessian(system, x), system.masses)
+    n_negative = int((saddle_modes.eigenvalues < -1e-9).sum())
     return TSResult(
         geometry=x,
         barrier_ev=float(barrier_ev),
@@ -610,38 +609,16 @@ class ScanRow:
     omega_c_cm1: Optional[float]
     lambda_au: float
     ratio: float
-    n: int
+    n: int  # trajectories that succeeded, the statistics' sample size
     reaction_fraction: float
     mean_bond_bohr: float
     stderr_bond_bohr: float
 
 
-def _scan_run(system, mode, specs, setup, window_fs) -> Tuple[float, float, float, int]:
-    result = run_ensemble(
-        system,
-        mode,
-        specs,
-        positions=setup["positions"],
-        dt=setup["dt"],
-        n_steps=setup["n_steps"],
-        stride=setup.get("stride", 4),
-        threshold=setup.get("threshold"),
-        window_fs=window_fs,
-        n_workers=setup.get("n_workers", 1),
-    )
-    return (
-        result.reaction_fraction,
-        result.mean_bond_bohr,
-        result.stderr_bond_bohr,
-        result.n_trajectories,
-    )
-
-
 def resonance_scan(
     system: ModelSystem,
     specs: Sequence[SamplingSpec],
-    omega_list_cm1: Sequence[float],
-    fixed_ratio: float,
+    conditions: Sequence[Tuple[float, float]],
     *,
     positions: np.ndarray,
     dt: float,
@@ -654,74 +631,44 @@ def resonance_scan(
     window_fs: Optional[Tuple[float, float]] = None,
     n_workers: int = 1,
 ) -> List[ScanRow]:
-    """Cavity-frequency scan at a fixed coupling ratio, paired seeds per row.
+    """Ensemble statistics per cavity condition (omega_c_cm1, coupling ratio).
 
     Every table starts with the uncoupled baseline row; identical sampling
-    specs are reused for every frequency so differences are cavity-caused.
+    specs are reused for every condition so differences are cavity-caused.
+    A frequency scan holds the ratio fixed, a coupling scan the frequency.
+    `n` counts the trajectories the statistics average over (failed ones
+    are left out).
     """
-    if len(omega_list_cm1) < 1:
-        raise ValueError("at least one cavity frequency is required")
-    setup = {
-        "positions": positions,
-        "dt": dt,
-        "n_steps": n_steps,
-        "stride": stride,
-        "threshold": threshold,
-        "n_workers": n_workers,
-    }
-    rows = []
-    frac, mean, err, n = _scan_run(system, None, specs, setup, window_fs)
-    rows.append(ScanRow("baseline", None, 0.0, 0.0, n, frac, mean, err))
-    for omega_cm1 in omega_list_cm1:
+    if len(conditions) < 1:
+        raise ValueError("at least one cavity condition is required")
+
+    def row(kind, omega_cm1, lam, ratio, mode) -> ScanRow:
+        result = run_ensemble(
+            system,
+            mode,
+            specs,
+            positions=positions,
+            dt=dt,
+            n_steps=n_steps,
+            stride=stride,
+            threshold=threshold,
+            window_fs=window_fs,
+            n_workers=n_workers,
+        )
+        return ScanRow(
+            kind,
+            omega_cm1,
+            lam,
+            ratio,
+            len(result.series_index),
+            result.reaction_fraction,
+            result.mean_bond_bohr,
+            result.stderr_bond_bohr,
+        )
+
+    rows = [row("baseline", None, 0.0, 0.0, None)]
+    for omega_cm1, ratio in conditions:
         omega = omega_cm1 / CM1_PER_HARTREE
-        lam = lambda_for_ratio(fixed_ratio, omega)
-        mode = None
-        if lam > 0:
-            mode = CavityMode(
-                omega_c=omega,
-                lambda_mag=lam,
-                polarization=np.asarray(polarization, dtype=float),
-                self_polarization_on=self_polarization,
-                bilinear_on=bilinear,
-            )
-        frac, mean, err, n = _scan_run(system, mode, specs, setup, window_fs)
-        rows.append(ScanRow("scan", float(omega_cm1), float(lam), float(fixed_ratio), n, frac, mean, err))
-    return rows
-
-
-def coupling_scan(
-    system: ModelSystem,
-    specs: Sequence[SamplingSpec],
-    omega_fixed_cm1: float,
-    ratio_list: Sequence[float],
-    *,
-    positions: np.ndarray,
-    dt: float,
-    n_steps: int,
-    stride: int = 4,
-    polarization=(1.0, 0.0, 0.0),
-    bilinear: bool = True,
-    self_polarization: bool = True,
-    threshold: Optional[float] = None,
-    window_fs: Optional[Tuple[float, float]] = None,
-    n_workers: int = 1,
-) -> List[ScanRow]:
-    """Coupling-strength scan at a fixed cavity frequency (same row schema)."""
-    if len(ratio_list) < 1:
-        raise ValueError("at least one coupling ratio is required")
-    setup = {
-        "positions": positions,
-        "dt": dt,
-        "n_steps": n_steps,
-        "stride": stride,
-        "threshold": threshold,
-        "n_workers": n_workers,
-    }
-    omega = omega_fixed_cm1 / CM1_PER_HARTREE
-    rows = []
-    frac, mean, err, n = _scan_run(system, None, specs, setup, window_fs)
-    rows.append(ScanRow("baseline", None, 0.0, 0.0, n, frac, mean, err))
-    for ratio in ratio_list:
         lam = lambda_for_ratio(ratio, omega)
         mode = None
         if lam > 0:
@@ -732,8 +679,5 @@ def coupling_scan(
                 self_polarization_on=self_polarization,
                 bilinear_on=bilinear,
             )
-        frac, mean, err, n = _scan_run(system, mode, specs, setup, window_fs)
-        rows.append(
-            ScanRow("scan", float(omega_fixed_cm1), float(lam), float(ratio), n, frac, mean, err)
-        )
+        rows.append(row("scan", float(omega_cm1), float(lam), float(ratio), mode))
     return rows

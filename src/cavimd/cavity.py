@@ -18,6 +18,7 @@ square and therefore never negative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -109,13 +110,27 @@ def zero_field_init(mode: CavityMode, mu) -> PhotonState:
     return PhotonState(q=q0, p=0.0)
 
 
+def coupling_terms(mode: CavityMode, q: float, mu_eps: float) -> Tuple[float, float]:
+    """Photon acceleration and nuclear-force scale for dipole projection mu_eps = eps.mu.
+
+    The cavity force on the nuclei is -scale * D^T eps with D the constant
+    dipole gradient; this is the only place the coupling derivatives are
+    written down.
+    """
+    a_q = -mode.omega_c**2 * q
+    scale = 0.0
+    if mode.bilinear_on:
+        a_q -= mode.omega_c * mode.lambda_mag * mu_eps
+        scale += mode.omega_c * q
+    if mode.self_polarization_on:
+        scale += mode.lambda_mag * mu_eps
+    return a_q, scale * mode.lambda_mag
+
+
 def photon_force(mode: CavityMode, photon: PhotonState, mu) -> float:
     """Acceleration of the photon coordinate."""
-    acc = -mode.omega_c**2 * photon.q
-    if mode.bilinear_on:
-        mu = np.asarray(mu, dtype=float)
-        acc -= mode.omega_c * mode.lambda_mag * float(mode.polarization @ mu)
-    return acc
+    mu_eps = float(mode.polarization @ np.asarray(mu, dtype=float))
+    return coupling_terms(mode, photon.q, mu_eps)[0]
 
 
 def nuclear_cavity_force(
@@ -126,16 +141,9 @@ def nuclear_cavity_force(
     With a constant dipole gradient D this is a scalar prefactor times the
     fixed vector D^T eps.
     """
-    if mode.lambda_mag == 0.0 or not (mode.bilinear_on or mode.self_polarization_on):
-        return np.zeros(3 * system.n_particles)
-    deps = _model.dipole_gradient(system).T @ mode.polarization
-    pref = 0.0
-    if mode.bilinear_on:
-        pref += mode.omega_c * photon.q
-    if mode.self_polarization_on:
-        mu = _model.dipole(system, positions)
-        pref += mode.lambda_mag * float(mode.polarization @ mu)
-    return -pref * mode.lambda_mag * deps
+    mu_eps = float(mode.polarization @ _model.dipole(system, positions))
+    _, scale = coupling_terms(mode, photon.q, mu_eps)
+    return -scale * (_model.dipole_gradient(system).T @ mode.polarization)
 
 
 def cavity_energy(mode: CavityMode, photon: PhotonState, mu) -> float:

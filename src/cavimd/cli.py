@@ -254,30 +254,23 @@ def cmd_ensemble(config: RunConfig, outdir: Path, seed: Optional[int], threads: 
 def cmd_scan(config: RunConfig, outdir: Path, seed: Optional[int], threads: int) -> int:
     system = config.build_system()
     kwargs, specs = _ensemble_inputs(config, system, seed, threads)
-    window_fs = kwargs.pop("window_fs")
-    shared = dict(
-        positions=kwargs["positions"],
-        dt=kwargs["dt"],
-        n_steps=kwargs["n_steps"],
-        stride=kwargs["stride"],
-        polarization=np.asarray(config.cavity.polarization),
-        bilinear=config.cavity.bilinear,
-        self_polarization=config.cavity.self_polarization,
-        window_fs=window_fs,
-        n_workers=kwargs["n_workers"],
-    )
     if config.scan.omega_list_cm1 is not None:
-        rows = _analysis.resonance_scan(
-            system, specs, config.scan.omega_list_cm1, config.cavity.ratio, **shared
-        )
+        conditions = [(w, config.cavity.ratio) for w in config.scan.omega_list_cm1]
         name = "resonance_scan.csv"
     elif config.scan.ratio_list is not None:
-        rows = _analysis.coupling_scan(
-            system, specs, config.cavity.omega_c_cm1, config.scan.ratio_list, **shared
-        )
+        conditions = [(config.cavity.omega_c_cm1, r) for r in config.scan.ratio_list]
         name = "coupling_scan.csv"
     else:
         raise ConfigError("scan command needs scan.omega_list_cm1 or scan.ratio_list")
+    rows = _analysis.resonance_scan(
+        system,
+        specs,
+        conditions,
+        polarization=np.asarray(config.cavity.polarization),
+        bilinear=config.cavity.bilinear,
+        self_polarization=config.cavity.self_polarization,
+        **kwargs,
+    )
     table = [
         [
             r.kind,
@@ -541,7 +534,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
         threads = args.threads
         if threads is None:
-            threads = int(os.environ.get("CAVIMD_THREADS", "1"))
+            raw_threads = os.environ.get("CAVIMD_THREADS", "1")
+            try:
+                threads = int(raw_threads)
+            except ValueError:
+                raise ConfigError(f"CAVIMD_THREADS must be an integer, got {raw_threads!r}") from None
+        if threads < 1:
+            raise ConfigError(f"thread count must be >= 1, got {threads}")
         outdir = Path(config.outputs.directory)
         outdir.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](config, outdir, args.seed, threads)

@@ -277,6 +277,22 @@ def parse_config(text: str) -> RunConfig:
                 f"config syntax error at line {mark.line + 1}, column {mark.column + 1}: {exc}"
             ) from None
         raise ConfigError(f"config syntax error: {exc}") from None
+    try:
+        return _parse_blocks(raw)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        # a value of the wrong type, such as `n_trajectories: x`
+        raise ConfigError(f"invalid config value: {exc}") from None
+
+
+def _pair(raw, where: str) -> tuple:
+    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
+        raise ConfigError(f"{where} must be a pair, got {raw!r}")
+    return tuple(raw)
+
+
+def _parse_blocks(raw) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping of blocks")
     top_allowed = {"system", "cavity", "dynamics", "ensemble", "outputs", "spectrum", "scan", "analyze"}
@@ -315,8 +331,8 @@ def parse_config(text: str) -> RunConfig:
         sif_stretch_bohr=float(launch_block.get("sif_stretch_bohr", 0.30)),
     )
     aim_raw = ens_block.get("aim", (0, 1))
-    aim = None if aim_raw is None else (int(aim_raw[0]), int(aim_raw[1]))
-    window_raw = ens_block.get("window_fs", (0.0, 700.0))
+    aim = None if aim_raw is None else tuple(int(k) for k in _pair(aim_raw, "ensemble.aim"))
+    window_raw = _pair(ens_block.get("window_fs", (0.0, 700.0)), "ensemble.window_fs")
     ensemble = EnsembleConfig(
         temperature_K=float(ens_block.get("temperature_K", 300.0)),
         n_trajectories=int(ens_block.get("n_trajectories", 16)),
@@ -371,6 +387,8 @@ def parse_config(text: str) -> RunConfig:
     )
     if scan.omega_list_cm1 is not None and scan.ratio_list is not None:
         raise ConfigError("scan block takes omega_list_cm1 or ratio_list, not both")
+    if scan.omega_list_cm1 == () or scan.ratio_list == ():
+        raise ConfigError("scan lists must not be empty")
 
     ana_block = raw.get("analyze", {}) or {}
     _require_keys(ana_block, {"runs", "correlation_window", "bonds"}, set(), "analyze")
@@ -378,7 +396,7 @@ def parse_config(text: str) -> RunConfig:
     analyze = AnalyzeConfig(
         runs=tuple(str(r) for r in ana_block.get("runs", [])),
         correlation_window=int(ana_block.get("correlation_window", 64)),
-        bonds=tuple((int(a), int(b)) for a, b in bonds_raw),
+        bonds=tuple(tuple(int(k) for k in _pair(b, "analyze.bonds entry")) for b in bonds_raw),
     )
 
     return RunConfig(

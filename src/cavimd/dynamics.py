@@ -14,7 +14,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import model as _model
-from .cavity import CavityMode, FullState, PhotonState, cavity_energy, kinetic_energy
+from .cavity import CavityMode, FullState, PhotonState, cavity_energy, coupling_terms, kinetic_energy
 from .model import ModelSystem
 from .units import au_to_fs
 
@@ -89,18 +89,9 @@ class _Propagator:
         self.system = system
         self.mode = mode
         self.masses3 = system.masses3
-        self.charges = system.dipole.charges
-        self.d_extra = system.dipole.d_extra
-        self.coupled = mode is not None and mode.lambda_mag > 0.0
+        self.dipole = system.dipole.value
         if mode is not None:
-            self.eps = mode.polarization
-            self.deps = _model.dipole_gradient(system).T @ self.eps
-
-    def dipole(self, x: np.ndarray) -> np.ndarray:
-        mu = self.charges @ x.reshape(-1, 3)
-        if self.d_extra is not None:
-            mu = mu + self.d_extra @ x
-        return mu
+            self.deps = _model.dipole_gradient(system).T @ mode.polarization
 
     def accelerations(self, x: np.ndarray, q: float) -> Tuple[np.ndarray, float]:
         try:
@@ -113,30 +104,22 @@ class _Propagator:
         a_q = 0.0
         mode = self.mode
         if mode is not None:
-            mu_eps = float(self.eps @ self.dipole(x))
-            a_q = -mode.omega_c**2 * q
-            if self.coupled:
-                if mode.bilinear_on:
-                    a_q -= mode.omega_c * mode.lambda_mag * mu_eps
-                pref = 0.0
-                if mode.bilinear_on:
-                    pref += mode.omega_c * q
-                if mode.self_polarization_on:
-                    pref += mode.lambda_mag * mu_eps
-                if pref != 0.0:
-                    f = f - pref * mode.lambda_mag * self.deps
+            a_q, scale = coupling_terms(mode, q, float(mode.polarization @ self.dipole(x)))
+            # skipping a zero scale keeps lambda = 0 bit-identical to matter-only runs
+            if scale != 0.0:
+                f = f - scale * self.deps
         if not np.all(np.isfinite(f)) or not np.isfinite(a_q):
             raise IntegrationError(
                 "non-finite forces; offending term: " + _diagnose_nonfinite(self.system, x)
             )
         return f / self.masses3, a_q
 
-    def energies(self, x, v, q, p):
+    def energies(self, x, v, q, p, mu):
         epot = _model.potential_energy(self.system, x)
         ekin = kinetic_energy(self.system, v)
         ecav = 0.0
         if self.mode is not None:
-            ecav = cavity_energy(self.mode, PhotonState(q, p), self.dipole(x))
+            ecav = cavity_energy(self.mode, PhotonState(q, p), mu)
         return epot, ekin, ecav
 
 
@@ -144,21 +127,13 @@ def velocity_verlet_step(
     system: ModelSystem, mode: Optional[CavityMode], state: FullState, dt: float
 ) -> FullState:
     """One joint velocity-Verlet step; exactly reversible under (dt, -v, -p)."""
-    if not dt > 0:
-        raise ValueError("timestep must be positive")
-    prop = _Propagator(system, mode)
-    x = state.positions.copy()
-    v = state.velocities.copy()
-    q, p = state.photon.q, state.photon.p
-    a, a_q = prop.accelerations(x, q)
-    v_half = v + 0.5 * dt * a
-    p_half = p + 0.5 * dt * a_q
-    x = x + dt * v_half
-    q = q + dt * p_half
-    a, a_q = prop.accelerations(x, q)
-    v = v_half + 0.5 * dt * a
-    p = p_half + 0.5 * dt * a_q
-    return FullState(x, v, PhotonState(q, p), state.time + dt)
+    traj, _ = propagate(system, mode, state, dt, 1)
+    return FullState(
+        traj.positions[-1],
+        traj.velocities[-1],
+        PhotonState(traj.photon_q[-1], traj.photon_p[-1]),
+        traj.times[-1],
+    )
 
 
 def propagate(
@@ -210,8 +185,8 @@ def propagate(
         vs[frame] = v
         qs[frame] = q
         ps[frame] = p
-        epot[frame], ekin[frame], ecav[frame] = prop.energies(x, v, q, p)
         mus[frame] = prop.dipole(x)
+        epot[frame], ekin[frame], ecav[frame] = prop.energies(x, v, q, p, mus[frame])
 
     record(0, 0)
     a, a_q = prop.accelerations(x, q)

@@ -216,6 +216,13 @@ class DipoleModel:
     def total_charge(self) -> float:
         return float(self.charges.sum())
 
+    def value(self, x: np.ndarray) -> np.ndarray:
+        """Dipole at flat 3N positions `x`, without validating them (e*bohr)."""
+        mu = self.charges @ x.reshape(-1, 3)
+        if self.d_extra is not None:
+            mu = mu + self.d_extra @ x
+        return mu
+
 
 @dataclass(frozen=True)
 class ModelSystem:
@@ -308,13 +315,6 @@ def _bond_geometry(system: ModelSystem, pts: np.ndarray):
     return out
 
 
-def bond_length(system: ModelSystem, positions, bond_index: int) -> float:
-    x = _check_positions(system, positions)
-    pts = x.reshape(-1, 3)
-    b = system.bonds[bond_index]
-    return float(np.linalg.norm(pts[b.i] - pts[b.j]))
-
-
 def potential_energy(system: ModelSystem, positions) -> float:
     """Total bonded potential, zero with every bond at its rest length."""
     x = _check_positions(system, positions)
@@ -351,12 +351,7 @@ def forces(system: ModelSystem, positions) -> np.ndarray:
 
 def dipole(system: ModelSystem, positions) -> np.ndarray:
     """Molecular dipole in e*bohr."""
-    x = _check_positions(system, positions)
-    pts = x.reshape(-1, 3)
-    mu = (system.dipole.charges[:, None] * pts).sum(axis=0)
-    if system.dipole.d_extra is not None:
-        mu = mu + system.dipole.d_extra @ x
-    return mu
+    return system.dipole.value(_check_positions(system, positions))
 
 
 def dipole_gradient(system: ModelSystem) -> np.ndarray:
@@ -579,31 +574,6 @@ def _assemble_pta(curvature_min: float, curvature_ts: float, barrier: float) -> 
     )
 
 
-def _sic_mode_frequency_cm1(system: ModelSystem) -> float:
-    """Frequency of the normal mode with the largest Si-C stretch weight."""
-    hess = fd_hessian(system, system.reference_positions)
-    m3 = system.masses3
-    mw = hess / np.sqrt(np.outer(m3, m3))
-    evals, vecs = np.linalg.eigh(mw)
-    freqs = np.sign(evals) * np.sqrt(np.abs(evals)) * CM1_PER_HARTREE
-    b = system.reactive_bond
-    pts = system.reference_positions.reshape(-1, 3)
-    u = pts[b.i] - pts[b.j]
-    u /= np.linalg.norm(u)
-    mi, mj = system.particles[b.i].mass, system.particles[b.j].mass
-    mu_red = mi * mj / (mi + mj)
-    s = np.zeros(3 * system.n_particles)
-    s[3 * b.i : 3 * b.i + 3] = mu_red / mi * u
-    s[3 * b.j : 3 * b.j + 3] = -mu_red / mj * u
-    s *= np.sqrt(m3)
-    s /= np.linalg.norm(s)
-    weights = np.abs(vecs.T @ s)
-    # only consider genuine vibrations
-    weights[freqs < 1.0] = 0.0
-    k = int(np.argmax(weights))
-    return float(freqs[k])
-
-
 def build_pta_surrogate(
     mode_target_cm1: float = 856.0,
     ts_frequency_cm1: float = 86.0,
@@ -622,8 +592,17 @@ def build_pta_surrogate(
     mu_red = mi * mj / (mi + mj)
     curvature_ts = -mu_red * (ts_frequency_cm1 / CM1_PER_HARTREE) ** 2
 
+    # analysis imports this module, so its normal-mode path is bound at call time
+    from .analysis import NEAR_ZERO_CM1, sic_weighted_spectrum, system_normal_modes
+
     def mode_freq(cmin):
-        return _sic_mode_frequency_cm1(_assemble_pta(cmin, curvature_ts, barrier))
+        """Frequency of the genuine vibration with the largest Si-C stretch weight."""
+        system = _assemble_pta(cmin, curvature_ts, barrier)
+        modes = system_normal_modes(system)
+        rb = system.reactive_bond
+        weights = sic_weighted_spectrum(modes, (rb.i, rb.j))
+        weights[modes.frequencies_cm1 < NEAR_ZERO_CM1] = 0.0
+        return float(modes.frequencies_cm1[np.argmax(weights)])
 
     c0 = mu_red * (mode_target_cm1 / CM1_PER_HARTREE) ** 2
     c1 = 1.1 * c0

@@ -26,40 +26,12 @@ AUT_PER_FS = 41.341373335
 ANGSTROM_PER_BOHR = 0.529177210903
 
 
-def cm1_to_hartree(x):
-    return x / CM1_PER_HARTREE
-
-
-def hartree_to_cm1(x):
-    return x * CM1_PER_HARTREE
-
-
-def ev_to_hartree(x):
-    return x / EV_PER_HARTREE
-
-
-def hartree_to_ev(x):
-    return x * EV_PER_HARTREE
-
-
-def amu_to_emass(x):
-    return x * EMASS_PER_AMU
-
-
 def fs_to_au(x):
     return x * AUT_PER_FS
 
 
 def au_to_fs(x):
     return x / AUT_PER_FS
-
-
-def bohr_to_angstrom(x):
-    return x * ANGSTROM_PER_BOHR
-
-
-def angstrom_to_bohr(x):
-    return x / ANGSTROM_PER_BOHR
 
 
 #: conversion table recorded in run manifests

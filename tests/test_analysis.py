@@ -525,7 +525,7 @@ def test_resonance_scan_zero_ratio_equals_baseline(surrogate):
 
     s = scan_setup(surrogate)
     rows = resonance_scan(
-        surrogate, s["specs"], [300.0, 856.0], 0.0,
+        surrogate, s["specs"], [(300.0, 0.0), (856.0, 0.0)],
         positions=s["positions"], dt=s["dt"], n_steps=s["n_steps"], stride=s["stride"],
     )
     base = rows[0]
@@ -539,8 +539,8 @@ def test_resonance_scan_order_invariant(surrogate):
 
     s = scan_setup(surrogate)
     kw = dict(positions=s["positions"], dt=s["dt"], n_steps=s["n_steps"], stride=s["stride"])
-    fwd = resonance_scan(surrogate, s["specs"], [200.0, 856.0], 0.8, **kw)
-    rev = resonance_scan(surrogate, s["specs"], [856.0, 200.0], 0.8, **kw)
+    fwd = resonance_scan(surrogate, s["specs"], [(200.0, 0.8), (856.0, 0.8)], **kw)
+    rev = resonance_scan(surrogate, s["specs"], [(856.0, 0.8), (200.0, 0.8)], **kw)
     by_omega_fwd = {r.omega_c_cm1: r for r in fwd}
     by_omega_rev = {r.omega_c_cm1: r for r in rev}
     assert by_omega_fwd.keys() == by_omega_rev.keys()
@@ -550,19 +550,48 @@ def test_resonance_scan_order_invariant(surrogate):
 
 
 def test_coupling_scan_schema_matches_resonance_scan(surrogate):
-    from cavimd.analysis import coupling_scan, resonance_scan
-    import dataclasses
+    # a coupling scan is the same scan over conditions at one frequency
+    from cavimd.analysis import resonance_scan
 
     s = scan_setup(surrogate)
     kw = dict(positions=s["positions"], dt=s["dt"], n_steps=s["n_steps"], stride=s["stride"])
-    r1 = resonance_scan(surrogate, s["specs"], [856.0], 0.5, **kw)
-    r2 = coupling_scan(surrogate, s["specs"], 856.0, [0.0, 0.5], **kw)
-    fields1 = [f.name for f in dataclasses.fields(r1[0])]
-    fields2 = [f.name for f in dataclasses.fields(r2[0])]
-    assert fields1 == fields2
-    assert r1[0].kind == r2[0].kind == "baseline"
+    r1 = resonance_scan(surrogate, s["specs"], [(856.0, 0.5)], **kw)
+    r2 = resonance_scan(surrogate, s["specs"], [(856.0, 0.0), (856.0, 0.5)], **kw)
+    assert r1[0] == r2[0]
+    assert r1[0].kind == "baseline"
+    assert [r.ratio for r in r2] == [0.0, 0.0, 0.5]
     # ratio 0 row reproduces the baseline numbers
     assert r2[1].mean_bond_bohr == r2[0].mean_bond_bohr
+    assert r2[2] == r1[1]
+
+
+def test_scan_row_counts_only_succeeded_trajectories(surrogate, monkeypatch):
+    import itertools
+
+    import cavimd.ensemble as ensemble_mod
+    from cavimd import make_specs
+    from cavimd.analysis import resonance_scan
+    from cavimd.dynamics import IntegrationError
+
+    s = scan_setup(surrogate)
+    specs = make_specs(42, 3, 300.0, aim=(0, 1))
+    real_propagate = ensemble_mod.propagate
+    calls = itertools.count()
+
+    def first_of_each_ensemble_fails(*args, **kwargs):
+        # a serial run propagates the specs of each condition in order
+        if next(calls) % len(specs) == 0:
+            raise IntegrationError("injected failure")
+        return real_propagate(*args, **kwargs)
+
+    monkeypatch.setattr(ensemble_mod, "propagate", first_of_each_ensemble_fails)
+    rows = resonance_scan(
+        surrogate, specs, [(856.0, 0.5)],
+        positions=s["positions"], dt=s["dt"], n_steps=s["n_steps"], stride=s["stride"],
+    )
+    assert [r.n for r in rows] == [len(specs) - 1] * 2
+    for r in rows:
+        assert r.reaction_fraction * r.n == round(r.reaction_fraction * r.n)
 
 
 def test_run_ensemble_order_independent(surrogate):

@@ -141,6 +141,23 @@ def test_cli_scan_includes_baseline(tmp_path):
     assert len(lines) == 3
 
 
+def test_cli_coupling_scan_rows(tmp_path):
+    import csv as csvmod
+
+    extra = "scan:\n  ratio_list: [0.0, 0.5, 1.132]\n"
+    cfg = short_config(tmp_path, extra=extra, n_traj=2)
+    assert main(["scan", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    assert not (out / "resonance_scan.csv").exists()
+    with open(out / "coupling_scan.csv", newline="") as fh:
+        rows = list(csvmod.DictReader(fh))
+    assert [r["kind"] for r in rows] == ["baseline", "scan", "scan", "scan"]
+    assert [float(r["ratio"]) for r in rows[1:]] == [0.0, 0.5, 1.132]
+    assert all(float(r["omega_c_cm1"]) == 856.0 for r in rows[1:])
+    for key in ("lambda_au", "n", "reaction_fraction", "mean_sic_A", "stderr_sic_A"):
+        assert rows[1][key] == rows[0][key]
+
+
 def test_cli_spectrum_outputs(tmp_path):
     cfg = short_config(tmp_path)
     assert main(["spectrum", "--config", str(cfg)]) == 0
@@ -290,6 +307,37 @@ def test_cli_exit_code_validation_error(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text(MINIMAL + "\nbogus: 1\n")
     assert main(["ensemble", "--config", str(bad)]) == 1
+
+
+@pytest.mark.parametrize(
+    "old, new, env, flags",
+    [
+        ("n_trajectories: 3", "n_trajectories: x", None, []),
+        ("window_fs: [0.0, 50.0]", "window_fs: [0.0]", None, []),
+        ("outputs:", "analyze:\n  bonds: [[1]]\noutputs:", None, []),
+        ("omega_c_cm1: 856.0", "omega_c_cm1: abc", None, []),
+        ("outputs:", "scan:\n  omega_list_cm1: []\noutputs:", None, []),
+        ("outputs:", "scan:\n  ratio_list: []\noutputs:", None, []),
+        (None, None, "abc", []),
+        (None, None, None, ["--threads", "-2"]),
+        (None, None, None, ["--threads", "0"]),
+    ],
+)
+def test_cli_bad_input_fails_cleanly(tmp_path, monkeypatch, capsys, old, new, env, flags):
+    cfg = short_config(tmp_path)
+    if old is not None:
+        text = cfg.read_text()
+        assert old in text
+        cfg.write_text(text.replace(old, new, 1))
+    monkeypatch.delenv("CAVIMD_THREADS", raising=False)
+    if env is not None:
+        monkeypatch.setenv("CAVIMD_THREADS", env)
+    assert main(["ensemble", "--config", str(cfg), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    # rejected before anything ran or was written
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_exit_code_missing_config(tmp_path):

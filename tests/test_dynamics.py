@@ -12,7 +12,7 @@ from cavimd import (
 from cavimd.dynamics import IntegrationError, Trajectory
 from cavimd.model import DipoleModel, HarmonicBond, ModelSystem, Particle, pta_launch_positions
 from cavimd.ensemble import SamplingSpec, sample_velocities
-from cavimd.units import AUT_PER_FS, EMASS_PER_AMU, fs_to_au
+from cavimd.units import AUT_PER_FS, CM1_PER_HARTREE, EMASS_PER_AMU, fs_to_au
 
 EX = np.array([1.0, 0.0, 0.0])
 
@@ -49,6 +49,32 @@ def test_fixed_point_at_equilibrium(surrogate):
     assert np.abs(out.positions - state.positions).max() < 1e-15
     assert np.abs(out.velocities).max() < 1e-15
     assert out.time == 1.0
+
+
+@pytest.mark.parametrize("bilinear, self_polarization", [(True, True), (False, True), (True, False)])
+def test_propagator_accelerations_match_cavity_forces(surrogate, bilinear, self_polarization):
+    # ties the integrator's forces to the finite-difference-checked cavity.py path
+    from cavimd.cavity import nuclear_cavity_force, photon_force
+    from cavimd.dynamics import _Propagator
+    from cavimd.model import dipole, forces
+
+    rng = np.random.default_rng(31)
+    eps = rng.standard_normal(3)
+    mode = CavityMode(
+        omega_c=856.0 / CM1_PER_HARTREE,
+        lambda_mag=0.08,
+        polarization=eps / np.linalg.norm(eps),
+        bilinear_on=bilinear,
+        self_polarization_on=self_polarization,
+    )
+    prop = _Propagator(surrogate, mode)
+    for _ in range(25):
+        x = surrogate.reference_positions + 0.15 * rng.standard_normal(18)
+        photon = PhotonState(rng.normal(scale=20.0), rng.normal())
+        a, a_q = prop.accelerations(x, photon.q)
+        f = forces(surrogate, x) + nuclear_cavity_force(mode, photon, surrogate, x)
+        np.testing.assert_allclose(a, f / surrogate.masses3, rtol=1e-13, atol=0.0)
+        assert a_q == pytest.approx(photon_force(mode, photon, dipole(surrogate, x)), rel=1e-13)
 
 
 def test_harmonic_period():
