@@ -24,14 +24,17 @@ from .dynamics import (
     Trajectory,
     detect_reaction,
     propagate,
+    propagate_batch,
     velocity_verlet_step,
 )
 from .ensemble import (
     EnsembleResult,
     SamplingSpec,
+    launch_states,
     make_specs,
     reaction_statistics,
     resample_around,
+    run_conditions,
     run_ensemble,
     sample_velocities,
 )

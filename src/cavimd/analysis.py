@@ -10,9 +10,10 @@ import numpy as np
 from scipy.optimize import minimize
 
 from . import model as _model
-from .cavity import CavityMode, lambda_for_ratio
+from .cavity import CavityMode, lambda_for_ratio, projection
 from .dynamics import Trajectory
-from .ensemble import SamplingSpec, run_ensemble
+from .ensemble import SamplingSpec, run_conditions
+from .ensemble import run_ensemble  # noqa: F401  (bound here for wrappers such as perfbench/tracer.py)
 from .model import ModelSystem
 from .units import CM1_PER_HARTREE, EV_PER_HARTREE
 
@@ -383,18 +384,14 @@ def bond_force_correlation(
     and the bonded (matter) forces. The integrated value is the time
     average of the window statistic.
     """
-    n = trajectory.n_frames
+    pts = trajectory.positions.reshape(trajectory.n_frames, -1, 3)
+    forces = _model.forces(system, trajectory.positions).reshape(pts.shape)
 
     def projected(bond):
         i, j = bond
-        f = np.empty(n)
-        for k in range(n):
-            x = trajectory.positions[k]
-            forces = _model.forces(system, x).reshape(-1, 3)
-            d = x.reshape(-1, 3)[i] - x.reshape(-1, 3)[j]
-            u = d / np.linalg.norm(d)
-            f[k] = float((forces[i] - forces[j]) @ u)
-        return f
+        d = pts[:, i] - pts[:, j]
+        df = forces[:, i] - forces[:, j]
+        return projection(df, d) / np.sqrt(projection(d, d))
 
     fa = projected(bond_a)
     fb = projected(bond_b) if tuple(bond_b) != tuple(bond_a) else fa.copy()
@@ -534,10 +531,7 @@ def find_transition_state(
     e_p, _ = _relaxed_energy(system, x, (b.i, b.j), r_ts_val + delta)
     e_m, _ = _relaxed_energy(system, x, (b.i, b.j), r_ts_val - delta)
     curv = (e_p - 2 * e_ts + e_m) / delta**2
-    mi = system.particles[b.i].mass
-    mj = system.particles[b.j].mass
-    mu_red = mi * mj / (mi + mj)
-    omega_b_cm1 = barrier_frequency(curv, mu_red) * CM1_PER_HARTREE
+    omega_b_cm1 = barrier_frequency(curv, system.reduced_mass(b.i, b.j)) * CM1_PER_HARTREE
 
     saddle_modes = normal_modes(_model.fd_hessian(system, x), system.masses)
     n_negative = int((saddle_modes.eigenvalues < -1e-9).sum())
@@ -577,12 +571,11 @@ def _bond_projection_signed(modes: NormalModes, bond: Tuple[int, int]) -> np.nda
         raise ValueError("bond particles coincide")
     u = d / norm
     m3 = modes.masses
-    mi = m3[3 * i]
-    mj = m3[3 * j]
-    mu_red = mi * mj / (mi + mj)
+    # stretch displacement (u/m_i on i, -u/m_j on j; the reduced-mass factor
+    # cancels in the normalization) in mass-weighted coordinates
     s = np.zeros(modes.modes.shape[0])
-    s[3 * i : 3 * i + 3] = mu_red / mi * u
-    s[3 * j : 3 * j + 3] = -mu_red / mj * u
+    s[3 * i : 3 * i + 3] = u / m3[3 * i]
+    s[3 * j : 3 * j + 3] = -u / m3[3 * j]
     s *= np.sqrt(m3)
     s /= np.linalg.norm(s)
     return modes.modes.T @ s
@@ -636,37 +629,14 @@ def resonance_scan(
     Every table starts with the uncoupled baseline row; identical sampling
     specs are reused for every condition so differences are cavity-caused.
     A frequency scan holds the ratio fixed, a coupling scan the frequency.
-    `n` counts the trajectories the statistics average over (failed ones
-    are left out).
+    The baseline and every condition are propagated as one batch. `n`
+    counts the trajectories the statistics average over (failed ones are
+    left out).
     """
     if len(conditions) < 1:
         raise ValueError("at least one cavity condition is required")
-
-    def row(kind, omega_cm1, lam, ratio, mode) -> ScanRow:
-        result = run_ensemble(
-            system,
-            mode,
-            specs,
-            positions=positions,
-            dt=dt,
-            n_steps=n_steps,
-            stride=stride,
-            threshold=threshold,
-            window_fs=window_fs,
-            n_workers=n_workers,
-        )
-        return ScanRow(
-            kind,
-            omega_cm1,
-            lam,
-            ratio,
-            len(result.series_index),
-            result.reaction_fraction,
-            result.mean_bond_bohr,
-            result.stderr_bond_bohr,
-        )
-
-    rows = [row("baseline", None, 0.0, 0.0, None)]
+    rows = [("baseline", None, 0.0, 0.0)]
+    modes: List[Optional[CavityMode]] = [None]
     for omega_cm1, ratio in conditions:
         omega = omega_cm1 / CM1_PER_HARTREE
         lam = lambda_for_ratio(ratio, omega)
@@ -679,5 +649,26 @@ def resonance_scan(
                 self_polarization_on=self_polarization,
                 bilinear_on=bilinear,
             )
-        rows.append(row("scan", float(omega_cm1), float(lam), float(ratio), mode))
-    return rows
+        rows.append(("scan", float(omega_cm1), float(lam), float(ratio)))
+        modes.append(mode)
+    results = run_conditions(
+        system,
+        [(mode, specs) for mode in modes],
+        positions=positions,
+        dt=dt,
+        n_steps=n_steps,
+        stride=stride,
+        threshold=threshold,
+        window_fs=window_fs,
+        n_workers=n_workers,
+    )
+    return [
+        ScanRow(
+            *row,
+            len(result.series_index),
+            result.reaction_fraction,
+            result.mean_bond_bohr,
+            result.stderr_bond_bohr,
+        )
+        for row, result in zip(rows, results)
+    ]

@@ -13,12 +13,16 @@ lambda / sqrt(2 omega_c) is what frequency scans hold fixed. Both
 interaction terms carry switches so the self-polarization-only spectrum
 variant can be reproduced; with both on the cavity energy is a completed
 square and therefore never negative.
+
+The coupling arithmetic takes either one CavityMode with scalar photon
+coordinates or a CavityRows batch with one entry per row; the switches
+enter as 0/1 factors, so the same expressions serve both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -50,14 +54,44 @@ class CavityMode:
 
 
 @dataclass(frozen=True)
+class CavityRows:
+    """Cavity parameters of every row of a batch, one array entry per row.
+
+    A row without a cavity has omega_c = lambda_mag = 0, a zero polarization
+    and `active` False: it feels no cavity force, carries no cavity energy,
+    and its photon coordinate only drifts.
+    """
+
+    omega_c: np.ndarray
+    lambda_mag: np.ndarray
+    polarization: np.ndarray  # (B, 3)
+    self_polarization_on: np.ndarray
+    bilinear_on: np.ndarray
+    active: np.ndarray
+
+    @classmethod
+    def of(cls, modes: Sequence[Optional[CavityMode]]) -> "CavityRows":
+        off = (0.0, 0.0, np.zeros(3), False, False, False)
+        cols = zip(
+            *(
+                off
+                if m is None
+                else (m.omega_c, m.lambda_mag, m.polarization, m.self_polarization_on, m.bilinear_on, True)
+                for m in modes
+            )
+        )
+        return cls(*(np.array(c) for c in cols))
+
+
+@dataclass(frozen=True)
 class PhotonState:
-    """Classical photon phase-space point."""
+    """Classical photon phase-space point (or one per row: q and p arrays)."""
 
     q: float
     p: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.q) and np.isfinite(self.p)):
+        if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.p))):
             raise ValueError("photon state must be finite")
 
 
@@ -103,34 +137,42 @@ def lambda_for_ratio(ratio: float, omega_c: float) -> float:
     return ratio * np.sqrt(2.0 * omega_c)
 
 
+def projection(polarization, mu):
+    """eps . mu, added in a fixed order: one 3-vector pair, or one per row."""
+    eps = np.asarray(polarization, dtype=float)
+    mu = np.asarray(mu, dtype=float)
+    return eps[..., 0] * mu[..., 0] + eps[..., 1] * mu[..., 1] + eps[..., 2] * mu[..., 2]
+
+
+def dipole_direction(system: ModelSystem, polarization) -> np.ndarray:
+    """D^T eps, the gradient of eps . mu: flat 3N, or (B, 3N) for (B, 3) polarizations."""
+    grad = _model.dipole_gradient(system)
+    eps = np.asarray(polarization, dtype=float)
+    return eps[..., 0:1] * grad[0] + eps[..., 1:2] * grad[1] + eps[..., 2:3] * grad[2]
+
+
 def zero_field_init(mode: CavityMode, mu) -> PhotonState:
     """Photon displacement cancelling the initial cavity force: q0 = -lambda (eps.mu)/omega."""
-    mu = np.asarray(mu, dtype=float)
-    q0 = -mode.lambda_mag * float(mode.polarization @ mu) / mode.omega_c
+    q0 = -mode.lambda_mag * float(projection(mode.polarization, mu)) / mode.omega_c
     return PhotonState(q=q0, p=0.0)
 
 
-def coupling_terms(mode: CavityMode, q: float, mu_eps: float) -> Tuple[float, float]:
+def coupling_terms(mode, q, mu_eps):
     """Photon acceleration and nuclear-force scale for dipole projection mu_eps = eps.mu.
 
-    The cavity force on the nuclei is -scale * D^T eps with D the constant
-    dipole gradient; this is the only place the coupling derivatives are
-    written down.
+    `mode` is a CavityMode with scalar `q`, `mu_eps`, or CavityRows with one
+    entry per row. The cavity force on the nuclei is -scale * D^T eps with D
+    the constant dipole gradient; this is the only place the coupling
+    derivatives are written down.
     """
-    a_q = -mode.omega_c**2 * q
-    scale = 0.0
-    if mode.bilinear_on:
-        a_q -= mode.omega_c * mode.lambda_mag * mu_eps
-        scale += mode.omega_c * q
-    if mode.self_polarization_on:
-        scale += mode.lambda_mag * mu_eps
+    a_q = -mode.omega_c**2 * q - mode.bilinear_on * (mode.omega_c * mode.lambda_mag * mu_eps)
+    scale = mode.bilinear_on * (mode.omega_c * q) + mode.self_polarization_on * (mode.lambda_mag * mu_eps)
     return a_q, scale * mode.lambda_mag
 
 
 def photon_force(mode: CavityMode, photon: PhotonState, mu) -> float:
     """Acceleration of the photon coordinate."""
-    mu_eps = float(mode.polarization @ np.asarray(mu, dtype=float))
-    return coupling_terms(mode, photon.q, mu_eps)[0]
+    return float(coupling_terms(mode, photon.q, projection(mode.polarization, mu))[0])
 
 
 def nuclear_cavity_force(
@@ -141,26 +183,25 @@ def nuclear_cavity_force(
     With a constant dipole gradient D this is a scalar prefactor times the
     fixed vector D^T eps.
     """
-    mu_eps = float(mode.polarization @ _model.dipole(system, positions))
+    mu_eps = projection(mode.polarization, _model.dipole(system, positions))
     _, scale = coupling_terms(mode, photon.q, mu_eps)
-    return -scale * (_model.dipole_gradient(system).T @ mode.polarization)
+    return -scale * dipole_direction(system, mode.polarization)
 
 
-def cavity_energy(mode: CavityMode, photon: PhotonState, mu) -> float:
-    """Photon plus interaction energy for the current dipole."""
-    mu = np.asarray(mu, dtype=float)
-    proj = float(mode.polarization @ mu)
-    e = 0.5 * photon.p**2 + 0.5 * mode.omega_c**2 * photon.q**2
-    if mode.bilinear_on:
-        e += mode.omega_c * photon.q * mode.lambda_mag * proj
-    if mode.self_polarization_on:
-        e += 0.5 * (mode.lambda_mag * proj) ** 2
-    return e
+def cavity_energy(mode, photon: PhotonState, mu):
+    """Photon plus interaction energy for the current dipole (per row for CavityRows)."""
+    proj = projection(mode.polarization, mu)
+    q, p = photon.q, photon.p
+    e = 0.5 * p**2 + 0.5 * mode.omega_c**2 * q**2
+    e = e + mode.bilinear_on * (mode.omega_c * q * mode.lambda_mag * proj)
+    e = e + mode.self_polarization_on * (0.5 * (mode.lambda_mag * proj) ** 2)
+    return float(e) if np.ndim(e) == 0 else e
 
 
-def kinetic_energy(system: ModelSystem, velocities) -> float:
+def kinetic_energy(system: ModelSystem, velocities):
+    """0.5 m v^2 of flat velocities (a float), or per row of (B, 3N) velocities."""
     v = np.asarray(velocities, dtype=float)
-    return 0.5 * float(system.masses3 @ (v * v))
+    return 0.5 * _model.row_sums(system.masses3 * (v * v))
 
 
 def total_energy(system: ModelSystem, mode: CavityMode, state: FullState) -> float:

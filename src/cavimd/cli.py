@@ -24,11 +24,11 @@ import numpy as np
 
 from . import analysis as _analysis
 from . import model as _model
-from .cavity import CavityMode, FullState, PhotonState, zero_field_init
+from .cavity import CavityMode
 from .config import ConfigError, RunConfig, make_manifest, parse_config
 from .dynamics import IntegrationError, Trajectory, propagate
-from .ensemble import EnsembleResult, make_specs, run_ensemble
-from .model import CalibrationError, ModelSystem, dipole
+from .ensemble import EnsembleResult, launch_states, make_specs, run_ensemble
+from .model import CalibrationError, ModelSystem
 from .units import (
     ANGSTROM_PER_BOHR,
     AUT_PER_FS,
@@ -205,18 +205,9 @@ def _write_ensemble_outputs(
 def cmd_run(config: RunConfig, outdir: Path, seed: Optional[int], threads: int) -> int:
     system = config.build_system()
     kwargs, specs = _ensemble_inputs(config, system, seed, threads)
-    kwargs.pop("n_workers")
-    kwargs.pop("window_fs")
-    from .ensemble import resolve_velocities
-
-    velocities = resolve_velocities(system, specs[:1], kwargs["positions"])[0]
     mode = config.cavity.mode()
-    photon = (
-        zero_field_init(mode, dipole(system, kwargs["positions"]))
-        if mode is not None
-        else PhotonState(0.0, 0.0)
-    )
-    state = FullState(kwargs["positions"].copy(), velocities, photon)
+    # the launch and the batch step of `cavimd ensemble`, so this is its trajectory 0
+    state = launch_states(system, mode, specs[:1], kwargs["positions"])[0]
     traj, event = propagate(
         system, mode, state, kwargs["dt"], kwargs["n_steps"], kwargs["stride"]
     )
@@ -418,10 +409,9 @@ def cmd_calibrate(config: RunConfig, outdir: Path, seed: Optional[int], threads:
     system = config.build_system()
     if system.reactive_bond_index is None:
         raise ConfigError("calibrate requires a system with a reactive bond")
-    well = system.reactive_bond.well
-    mi = system.particles[system.reactive_bond.i].mass
-    mj = system.particles[system.reactive_bond.j].mass
-    mu_red = mi * mj / (mi + mj)
+    rb = system.reactive_bond
+    well = rb.well
+    mu_red = system.reduced_mass(rb.i, rb.j)
     write_json(
         outdir / "calibration.json",
         {
@@ -447,20 +437,15 @@ def cmd_model_check(config: RunConfig, outdir: Path, seed: Optional[int], thread
     x0 = system.reference_positions
     if x0 is None:
         raise ConfigError("model-check needs a reference geometry")
-    # force consistency on random displaced geometries
-    worst = 0.0
-    for _ in range(50):
-        x = x0 + 0.1 * rng.standard_normal(x0.size)
-        f = _model.forces(system, x)
-        h = 1e-4
-        fd = np.empty_like(f)
-        for k in range(x.size):
-            xp = x.copy()
-            xp[k] += h
-            xm = x.copy()
-            xm[k] -= h
-            fd[k] = -(_model.potential_energy(system, xp) - _model.potential_energy(system, xm)) / (2 * h)
-        worst = max(worst, float(np.abs(f - fd).max() / np.abs(f).max()))
+    # force consistency on random displaced geometries, each a batch row
+    xs = x0 + 0.1 * rng.standard_normal((50, x0.size))
+    f = _model.forces(system, xs)
+    h = 1e-4
+    step = h * np.eye(x0.size)
+    e_plus = _model.potential_energy(system, (xs[:, None, :] + step).reshape(-1, x0.size))
+    e_minus = _model.potential_energy(system, (xs[:, None, :] - step).reshape(-1, x0.size))
+    fd = -(e_plus - e_minus).reshape(f.shape) / (2 * h)
+    worst = float((np.abs(f - fd).max(axis=1) / np.abs(f).max(axis=1)).max())
     checks["force_fd_max_rel_err"] = worst
     checks["force_fd_ok"] = worst < 1e-6
     checks["reference_force_max"] = float(np.abs(_model.forces(system, x0)).max())
@@ -475,9 +460,7 @@ def cmd_model_check(config: RunConfig, outdir: Path, seed: Optional[int], thread
         k = int(np.argmin(np.abs(modes.frequencies_cm1 - 856.0)))
         checks["mode_856_cm1"] = float(modes.frequencies_cm1[k])
         checks["mode_856_sic_weight"] = float(weights[k])
-        mi = system.particles[rb.i].mass
-        mj = system.particles[rb.j].mass
-        checks["ts_frequency_cm1"] = rb.well.ts_frequency_cm1(mi * mj / (mi + mj))
+        checks["ts_frequency_cm1"] = rb.well.ts_frequency_cm1(system.reduced_mass(rb.i, rb.j))
         checks["barrier_eV"] = rb.well.barrier * EV_PER_HARTREE
     ok = checks["force_fd_ok"] and checks["reference_is_stationary"]
     checks["passed"] = bool(ok)

@@ -194,8 +194,8 @@ def _parse_cavity(block: dict) -> CavityConfig:
         lambda_au=float(lam),
         ratio=float(ratio),
         polarization=tuple(float(x) for x in pol),
-        bilinear=bool(block.get("bilinear", True)),
-        self_polarization=bool(block.get("self_polarization", True)),
+        bilinear=_flag(block.get("bilinear", True), "cavity.bilinear"),
+        self_polarization=_flag(block.get("self_polarization", True), "cavity.self_polarization"),
     )
 
 
@@ -227,7 +227,8 @@ def build_system(system_block: dict) -> ModelSystem:
         kind = b.get("kind")
         if kind == "harmonic":
             _require_keys(b, {"kind", "i", "j", "k", "r0"}, {"kind", "i", "j", "k", "r0"}, f"bonds[{k}]")
-            bonds.append(HarmonicBond(int(b["i"]), int(b["j"]), float(b["k"]), float(b["r0"])))
+            i, j = _integer(b["i"], f"bonds[{k}].i"), _integer(b["j"], f"bonds[{k}].j")
+            bonds.append(HarmonicBond(i, j, float(b["k"]), float(b["r0"])))
         elif kind == "reactive":
             keys = {"kind", "i", "j", "r0", "r_ts", "barrier_ev", "curvature_min", "curvature_ts"}
             _require_keys(b, keys, keys, f"bonds[{k}]")
@@ -241,13 +242,15 @@ def build_system(system_block: dict) -> ModelSystem:
             if reactive_index is not None:
                 raise ConfigError("only one reactive bond is supported")
             reactive_index = k
-            bonds.append(ReactiveBond(int(b["i"]), int(b["j"]), well))
+            i, j = _integer(b["i"], f"bonds[{k}].i"), _integer(b["j"], f"bonds[{k}].j")
+            bonds.append(ReactiveBond(i, j, well))
         else:
             raise ConfigError(f"bonds[{k}]: kind must be 'harmonic' or 'reactive'")
     couplings = []
     for k, c in enumerate(system_block.get("couplings", [])):
         _require_keys(c, {"bond_a", "bond_b", "g3"}, {"bond_a", "bond_b", "g3"}, f"couplings[{k}]")
-        couplings.append(CouplingTerm(int(c["bond_a"]), int(c["bond_b"]), float(c["g3"])))
+        a, b = (_integer(c[key], f"couplings[{k}].{key}") for key in ("bond_a", "bond_b"))
+        couplings.append(CouplingTerm(a, b, float(c["g3"])))
     charges = np.array([p.charge for p in particles])
     d_extra = None
     if system_block.get("d_extra") is not None:
@@ -286,6 +289,24 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"invalid config value: {exc}") from None
 
 
+def _flag(raw, where: str) -> bool:
+    """A YAML boolean; anything else (such as the string "false") is an error."""
+    if not isinstance(raw, (bool, np.bool_)):
+        raise ConfigError(f"{where} must be true or false, got {raw!r}")
+    return bool(raw)
+
+
+def _integer(raw, where: str) -> int:
+    """A whole number; a fractional value is an error, not truncated."""
+    if isinstance(raw, (bool, np.bool_)):
+        raise ConfigError(f"{where} must be an integer, got {raw!r}")
+    if isinstance(raw, (int, np.integer)):
+        return int(raw)
+    if isinstance(raw, float) and raw.is_integer():
+        return int(raw)
+    raise ConfigError(f"{where} must be an integer, got {raw!r}")
+
+
 def _pair(raw, where: str) -> tuple:
     if not isinstance(raw, (list, tuple)) or len(raw) != 2:
         raise ConfigError(f"{where} must be a pair, got {raw!r}")
@@ -306,7 +327,7 @@ def _parse_blocks(raw) -> RunConfig:
     dynamics = DynamicsConfig(
         dt_fs=float(dyn_block.get("dt_fs", 0.25)),
         duration_fs=float(dyn_block.get("duration_fs", 1000.0)),
-        stride=int(dyn_block.get("stride", 4)),
+        stride=_integer(dyn_block.get("stride", 4), "dynamics.stride"),
     )
     if not dynamics.dt_fs > 0:
         raise ConfigError("dt_fs must be positive")
@@ -331,12 +352,16 @@ def _parse_blocks(raw) -> RunConfig:
         sif_stretch_bohr=float(launch_block.get("sif_stretch_bohr", 0.30)),
     )
     aim_raw = ens_block.get("aim", (0, 1))
-    aim = None if aim_raw is None else tuple(int(k) for k in _pair(aim_raw, "ensemble.aim"))
+    aim = (
+        None
+        if aim_raw is None
+        else tuple(_integer(k, "ensemble.aim") for k in _pair(aim_raw, "ensemble.aim"))
+    )
     window_raw = _pair(ens_block.get("window_fs", (0.0, 700.0)), "ensemble.window_fs")
     ensemble = EnsembleConfig(
         temperature_K=float(ens_block.get("temperature_K", 300.0)),
-        n_trajectories=int(ens_block.get("n_trajectories", 16)),
-        seed=int(ens_block.get("seed", 2026)),
+        n_trajectories=_integer(ens_block.get("n_trajectories", 16), "ensemble.n_trajectories"),
+        seed=_integer(ens_block.get("seed", 2026), "ensemble.seed"),
         resample_T_K=(
             None if ens_block.get("resample_T_K") is None else float(ens_block["resample_T_K"])
         ),
@@ -395,8 +420,11 @@ def _parse_blocks(raw) -> RunConfig:
     bonds_raw = ana_block.get("bonds", [[1, 3], [1, 0]])
     analyze = AnalyzeConfig(
         runs=tuple(str(r) for r in ana_block.get("runs", [])),
-        correlation_window=int(ana_block.get("correlation_window", 64)),
-        bonds=tuple(tuple(int(k) for k in _pair(b, "analyze.bonds entry")) for b in bonds_raw),
+        correlation_window=_integer(ana_block.get("correlation_window", 64), "analyze.correlation_window"),
+        bonds=tuple(
+            tuple(_integer(k, "analyze.bonds entry") for k in _pair(b, "analyze.bonds entry"))
+            for b in bonds_raw
+        ),
     )
 
     return RunConfig(

@@ -4,18 +4,31 @@ Nuclei and photon coordinate advance in one joint symplectic step: all
 forces depend on coordinates only (positions and q), so the scheme is the
 plain velocity Verlet on the extended phase space, time reversible and
 second order. A single shared timestep is used for both subsystems.
+
+One step advances a whole batch of trajectories, each row with its own
+cavity parameters; a single trajectory is a batch of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from . import model as _model
-from .cavity import CavityMode, FullState, PhotonState, cavity_energy, coupling_terms, kinetic_energy
-from .model import ModelSystem
+from .cavity import (
+    CavityMode,
+    CavityRows,
+    FullState,
+    PhotonState,
+    cavity_energy,
+    coupling_terms,
+    dipole_direction,
+    kinetic_energy,
+    projection,
+)
+from .model import GeometryError, ModelSystem
 from .units import au_to_fs
 
 #: a bond stretched past this multiple of the barrier position counts as dissociated
@@ -70,56 +83,55 @@ class ReactionEvent:
     threshold_bohr: float
 
 
-def _diagnose_nonfinite(system: ModelSystem, x: np.ndarray) -> str:
-    """Name the first bonded term that evaluates non-finite at x."""
-    pts = x.reshape(-1, 3)
-    if not np.all(np.isfinite(x)):
-        return "coordinates"
-    for k, b in enumerate(system.bonds):
-        r = float(np.linalg.norm(pts[b.i] - pts[b.j]))
-        if not np.isfinite(b.energy(r)) or not np.isfinite(b.d1(r)):
-            return f"bond {k} ({b.kind}, particles {b.i}-{b.j}, r={r:.3g})"
-    return "coupling terms"
-
-
 class _Propagator:
-    """Shared force evaluation for single steps and full propagation."""
+    """Forces and recorded energies of a batch of rows, each with its own cavity.
 
-    def __init__(self, system: ModelSystem, mode: Optional[CavityMode]):
+    `modes` is one CavityMode (or None) for a single row with flat
+    coordinates, or a sequence with one entry per row of (B, 3N) coordinates.
+    """
+
+    def __init__(self, system: ModelSystem, modes):
         self.system = system
-        self.mode = mode
+        self.single = modes is None or isinstance(modes, CavityMode)
+        self.modes = [modes] if self.single else list(modes)
+        self.rows = CavityRows.of(self.modes)
         self.masses3 = system.masses3
         self.dipole = system.dipole.value
-        if mode is not None:
-            self.deps = _model.dipole_gradient(system).T @ mode.polarization
+        self.deps = dipole_direction(system, self.rows.polarization)
 
-    def accelerations(self, x: np.ndarray, q: float) -> Tuple[np.ndarray, float]:
+    def take(self, keep) -> "_Propagator":
+        """The propagator of the rows selected by the boolean mask `keep`."""
+        return _Propagator(self.system, [m for m, k in zip(self.modes, keep) if k])
+
+    def accelerations(self, x: np.ndarray, q):
+        """Nuclear and photon accelerations; rows whose forces fail come back non-finite."""
+        x2 = np.atleast_2d(x)
         try:
-            f = _model.forces(self.system, x)
-        except ValueError as exc:
-            raise IntegrationError(
-                f"force evaluation failed: {exc}; offending term: "
-                f"{_diagnose_nonfinite(self.system, np.asarray(x, dtype=float))}"
-            ) from None
-        a_q = 0.0
-        mode = self.mode
-        if mode is not None:
-            a_q, scale = coupling_terms(mode, q, float(mode.polarization @ self.dipole(x)))
-            # skipping a zero scale keeps lambda = 0 bit-identical to matter-only runs
-            if scale != 0.0:
-                f = f - scale * self.deps
-        if not np.all(np.isfinite(f)) or not np.isfinite(a_q):
-            raise IntegrationError(
-                "non-finite forces; offending term: " + _diagnose_nonfinite(self.system, x)
-            )
-        return f / self.masses3, a_q
+            f = _model.forces(self.system, x2)
+        except GeometryError as exc:
+            f = np.full_like(x2, np.nan)
+            ok = np.ones(len(x2), dtype=bool)
+            ok[list(exc.rows)] = False
+            if ok.any():
+                f[ok] = _model.forces(self.system, x2[ok])
+        rows = self.rows
+        a_q, scale = coupling_terms(rows, np.atleast_1d(q), projection(rows.polarization, self.dipole(x2)))
+        # scale is exactly 0 for lambda = 0 rows, which then move as matter-only ones
+        a = (f - scale[:, None] * self.deps) / self.masses3
+        return (a[0], a_q[0]) if self.single else (a, a_q)
+
+    def failure(self, x: np.ndarray) -> str:
+        """Why the forces of one row at flat positions `x` are not finite."""
+        try:
+            _model.forces(self.system, x)
+        except GeometryError as exc:
+            return f"force evaluation failed: {exc}; offending term: {_model.offending_term(self.system, x)}"
+        return "non-finite forces; offending term: " + _model.offending_term(self.system, x)
 
     def energies(self, x, v, q, p, mu):
         epot = _model.potential_energy(self.system, x)
         ekin = kinetic_energy(self.system, v)
-        ecav = 0.0
-        if self.mode is not None:
-            ecav = cavity_energy(self.mode, PhotonState(q, p), mu)
+        ecav = np.where(self.rows.active, cavity_energy(self.rows, PhotonState(q, p), mu), 0.0)
         return epot, ekin, ecav
 
 
@@ -149,7 +161,30 @@ def propagate(
 
     `monitor` is (particle_i, particle_j, threshold_bohr); by default the
     designated reactive bond is watched with its barrier position as the
-    threshold. Deterministic for identical inputs.
+    threshold. Deterministic for identical inputs, and identical to the same
+    row inside any `propagate_batch`.
+    """
+    outcome = propagate_batch(system, [mode], [state], dt, n_steps, stride, monitor)[0]
+    if isinstance(outcome, IntegrationError):
+        raise outcome
+    return outcome
+
+
+def propagate_batch(
+    system: ModelSystem,
+    modes: Sequence[Optional[CavityMode]],
+    states: Sequence[FullState],
+    dt: float,
+    n_steps: int,
+    stride: int = 1,
+    monitor: Optional[Tuple[int, int, float]] = None,
+) -> List[Union[Tuple[Trajectory, ReactionEvent], IntegrationError]]:
+    """Advance every (mode, state) row together with one array step.
+
+    Returns, per row, what `propagate` returns for it, or the
+    IntegrationError that ended it. Every operation on a row is elementwise
+    or summed in a fixed order, so a row's trajectory does not depend on the
+    batch it runs in, and a failing row leaves the others untouched.
     """
     if not dt > 0:
         raise ValueError("timestep must be positive")
@@ -157,76 +192,118 @@ def propagate(
         raise ValueError("n_steps must be >= 1")
     if stride < 1:
         raise ValueError("stride must be >= 1")
+    if len(modes) != len(states) or not states:
+        raise ValueError("need one mode per state and at least one state")
     if monitor is None and system.reactive_bond_index is not None:
         rb = system.reactive_bond
         monitor = (rb.i, rb.j, rb.r_ts)
 
-    prop = _Propagator(system, mode)
-    x = state.positions.copy()
-    v = state.velocities.copy()
-    q, p = state.photon.q, state.photon.p
-    t0 = state.time
-
+    prop = _Propagator(system, list(modes))
+    x = np.array([s.positions for s in states], dtype=float)
+    v = np.array([s.velocities for s in states], dtype=float)
+    q = np.array([s.photon.q for s in states], dtype=float)
+    p = np.array([s.photon.p for s in states], dtype=float)
+    n_rows, n3 = x.shape
     n_frames = n_steps // stride + 1
-    n3 = x.size
-    times = np.empty(n_frames)
-    xs = np.empty((n_frames, n3))
-    vs = np.empty((n_frames, n3))
-    qs = np.empty(n_frames)
-    ps = np.empty(n_frames)
-    epot = np.empty(n_frames)
-    ekin = np.empty(n_frames)
-    ecav = np.empty(n_frames)
-    mus = np.empty((n_frames, 3))
+    # one block per row, so each row's trajectory is a contiguous view
+    xs = np.empty((n_rows, n_frames, n3))
+    vs = np.empty((n_rows, n_frames, n3))
+    qs = np.empty((n_rows, n_frames))
+    ps = np.empty((n_rows, n_frames))
+    epot = np.empty((n_rows, n_frames))
+    ekin = np.empty((n_rows, n_frames))
+    ecav = np.empty((n_rows, n_frames))
+    mus = np.empty((n_rows, n_frames, 3))
+    live = np.arange(n_rows)  # batch row of each working row
+    errors = {}
 
-    def record(frame, step):
-        times[frame] = t0 + step * dt
-        xs[frame] = x
-        vs[frame] = v
-        qs[frame] = q
-        ps[frame] = p
-        mus[frame] = prop.dipole(x)
-        epot[frame], ekin[frame], ecav[frame] = prop.energies(x, v, q, p, mus[frame])
+    def record(frame):
+        xs[live, frame] = x
+        vs[live, frame] = v
+        qs[live, frame] = q
+        ps[live, frame] = p
+        mu = prop.dipole(x)
+        mus[live, frame] = mu
+        epot[live, frame], ekin[live, frame], ecav[live, frame] = prop.energies(x, v, q, p, mu)
 
-    record(0, 0)
-    a, a_q = prop.accelerations(x, q)
-    frame = 1
-    for step in range(1, n_steps + 1):
-        v_half = v + 0.5 * dt * a
-        p_half = p + 0.5 * dt * a_q
-        x = x + dt * v_half
-        q = q + dt * p_half
+    def drop_failed(a, a_q, *arrays):
+        """Record and remove the rows whose accelerations are not finite."""
+        nonlocal live, prop
+        bad = ~(np.isfinite(a).all(axis=1) & np.isfinite(a_q))
+        if not bad.any():
+            return (a, a_q) + arrays
+        for k in np.flatnonzero(bad):
+            errors[int(live[k])] = prop.failure(arrays[0][k])
+        keep = ~bad
+        live = live[keep]
+        if live.size:
+            prop = prop.take(keep)
+        return tuple(arr[keep] for arr in (a, a_q) + arrays)
+
+    half = 0.5 * dt
+    # failures are detected row by row below, so overflow on the way is expected
+    with np.errstate(over="ignore", invalid="ignore"):
+        record(0)
         a, a_q = prop.accelerations(x, q)
-        v = v_half + 0.5 * dt * a
-        p = p_half + 0.5 * dt * a_q
-        if step % stride == 0:
-            record(frame, step)
-            frame += 1
+        if not np.isfinite(a.sum() + a_q.sum()):
+            a, a_q, x, v, q, p = drop_failed(a, a_q, x, v, q, p)
+        for step in range(1, n_steps + 1):
+            if not live.size:
+                break
+            v_half = v + half * a
+            p_half = p + half * a_q
+            x = x + dt * v_half
+            q = q + dt * p_half
+            a, a_q = prop.accelerations(x, q)
+            if not np.isfinite(a.sum() + a_q.sum()):
+                a, a_q, x, q, v_half, p_half = drop_failed(a, a_q, x, q, v_half, p_half)
+                if not live.size:
+                    break
+            v = v_half + half * a
+            p = p_half + half * a_q
+            if step % stride == 0:
+                record(step // stride)
 
-    traj = Trajectory(
-        dt=dt,
-        stride=stride,
-        times=times,
-        positions=xs,
-        velocities=vs,
-        photon_q=qs,
-        photon_p=ps,
-        epot=epot,
-        ekin=ekin,
-        ecav=ecav,
-        etot=epot + ekin + ecav,
-        dipole=mus,
-    )
+    times = frame_times(dt, n_steps, stride)
+    outcomes: List[Union[Tuple[Trajectory, ReactionEvent], IntegrationError]] = []
+    for k, state in enumerate(states):
+        if k in errors:
+            outcomes.append(IntegrationError(errors[k]))
+            continue
+        traj = Trajectory(
+            dt=dt,
+            stride=stride,
+            times=state.time + times,
+            positions=xs[k],
+            velocities=vs[k],
+            photon_q=qs[k],
+            photon_p=ps[k],
+            epot=epot[k],
+            ekin=ekin[k],
+            ecav=ecav[k],
+            etot=epot[k] + ekin[k] + ecav[k],
+            dipole=mus[k],
+        )
+        outcomes.append((traj, _observe(system, traj, monitor)))
+    return outcomes
+
+
+def frame_times(dt: float, n_steps: int, stride: int) -> np.ndarray:
+    """Times (a.u., from t = 0) of the frames `propagate_batch` records."""
+    return np.arange(n_steps // stride + 1) * stride * dt
+
+
+def _observe(system: ModelSystem, traj: Trajectory, monitor) -> ReactionEvent:
+    """Set the trajectory's dissociation flag and find the monitored crossing."""
     if system.reactive_bond_index is not None:
         rb = system.reactive_bond
         traj.dissociated = bool(
             np.any(traj.bond_series(rb.i, rb.j) > DISSOCIATION_FACTOR * rb.r_ts)
         )
     if monitor is None:
-        return traj, ReactionEvent(False, None, float("inf"))
+        return ReactionEvent(False, None, float("inf"))
     i, j, threshold = monitor
-    event = detect_reaction(traj, (i, j), threshold)
-    return traj, event
+    return detect_reaction(traj, (i, j), threshold)
 
 
 def detect_reaction(

@@ -15,6 +15,7 @@ seeds as base_seed XOR trajectory index.
 from __future__ import annotations
 
 import math
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -22,9 +23,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cavity import CavityMode, FullState, PhotonState, zero_field_init
-from .dynamics import IntegrationError, ReactionEvent, Trajectory, propagate
+from .dynamics import IntegrationError, ReactionEvent, Trajectory, frame_times, propagate_batch
+from .dynamics import propagate  # noqa: F401  (bound here for wrappers such as perfbench/tracer.py)
 from .model import ModelSystem, dipole
-from .units import KB_HARTREE_PER_K
+from .units import KB_HARTREE_PER_K, au_to_fs
 
 #: identifier recorded in manifests so runs can be reproduced elsewhere
 RNG_ALGORITHM = "numpy.random.Philox (counter-based; stream key = seed XOR trajectory index)"
@@ -216,27 +218,148 @@ class Aggregates:
     per_trajectory_bohr: Tuple[float, ...]
 
 
-def _run_single(args):
-    (system, mode, positions, velocities, dt, n_steps, stride, threshold) = args
-    rb = system.reactive_bond
-    if mode is not None:
-        mu = dipole(system, positions)
-        photon = zero_field_init(mode, mu)
-    else:
+def launch_states(
+    system: ModelSystem,
+    mode: Optional[CavityMode],
+    specs: Sequence[SamplingSpec],
+    positions: np.ndarray,
+) -> List[FullState]:
+    """Initial phase-space point of every spec's trajectory at `positions`.
+
+    Velocities come from `resolve_velocities`; the photon rests in the
+    zero-field condition for the launch dipole, or at q = 0 without a cavity.
+    """
+    positions = np.asarray(positions, dtype=float)
+    if mode is None:
         photon = PhotonState(0.0, 0.0)
-    state = FullState(positions.copy(), velocities, photon, 0.0)
+    else:
+        photon = zero_field_init(mode, dipole(system, positions))
+    velocities = resolve_velocities(system, specs, positions)
+    return [FullState(positions.copy(), v, photon, 0.0) for v in velocities]
+
+
+def _run_chunk(args):
+    """Propagate one contiguous chunk of rows.
+
+    Per row: the IntegrationError that ended it, or (trajectory if kept,
+    event, monitored bond series, dissociated flag).
+    """
+    system, modes, states, dt, n_steps, stride, monitor, keep = args
+    i, j, _ = monitor
+    out = []
+    for outcome in propagate_batch(system, modes, states, dt, n_steps, stride, monitor):
+        if isinstance(outcome, IntegrationError):
+            out.append(outcome)
+        else:
+            traj, event = outcome
+            out.append((traj if keep else None, event, traj.bond_series(i, j), traj.dissociated))
+    return out
+
+
+def _propagate_rows(system, modes, states, n_workers, *args) -> list:
+    """Outcomes of every row, in order; `n_workers` > 1 runs contiguous chunks in processes."""
+    chunks = np.array_split(np.arange(len(states)), max(1, min(n_workers, len(states))))
+    jobs = [(system, modes[c[0] : c[-1] + 1], states[c[0] : c[-1] + 1], *args) for c in chunks]
+    if len(jobs) == 1:
+        parts = [_run_chunk(jobs[0])]
+    else:
+        # forked workers share the parent's pages (spawned ones took 35 % more
+        # memory on a 48-row scan) and, unlike a fork server, leave no process
+        # behind; leaving the block joins every worker
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=len(jobs), mp_context=fork) as pool:
+            parts = list(pool.map(_run_chunk, jobs))
+    return [row for part in parts for row in part]
+
+
+def run_conditions(
+    system: ModelSystem,
+    conditions: Sequence[Tuple[Optional[CavityMode], Sequence[SamplingSpec]]],
+    *,
+    positions: np.ndarray,
+    dt: float,
+    n_steps: int,
+    stride: int = 4,
+    threshold: Optional[float] = None,
+    window_fs: Optional[Tuple[float, float]] = None,
+    n_workers: int = 1,
+    keep_trajectories: bool = False,
+) -> List[EnsembleResult]:
+    """One ensemble per (mode, specs) condition, all propagated as one batch.
+
+    Every spec of every condition is one row of the batch, launched by
+    `launch_states`. `n_workers` > 1 splits the rows into at most that many
+    contiguous chunks run in worker processes, all joined before this
+    returns; the results do not depend on it, since a row's arithmetic does
+    not depend on its batch. Per-trajectory integration errors are recorded
+    on the ensemble instead of aborting the batch.
+    """
+    if len(conditions) == 0:
+        raise ValueError("at least one condition is required")
+    if any(len(specs) == 0 for _, specs in conditions):
+        raise ValueError("at least one sampling spec is required")
+    rb = system.reactive_bond
+    if threshold is None:
+        threshold = rb.r_ts
+    modes: list = []
+    states: list = []
+    for mode, specs in conditions:
+        launched = launch_states(system, mode, specs, positions)
+        modes += [mode] * len(launched)
+        states += launched
     monitor = (rb.i, rb.j, threshold)
-    traj, event = propagate(system, mode, state, dt, n_steps, stride, monitor)
-    series = traj.bond_series(rb.i, rb.j)
-    return traj, event, series
+    rows = _propagate_rows(
+        system, modes, states, n_workers, dt, n_steps, stride, monitor, keep_trajectories
+    )
+    times_fs = au_to_fs(frame_times(dt, n_steps, stride))
+    results = []
+    start = 0
+    for _, specs in conditions:
+        outcomes = rows[start : start + len(specs)]
+        start += len(specs)
+        results.append(
+            _ensemble_result(specs, outcomes, times_fs, threshold, window_fs, keep_trajectories)
+        )
+    return results
 
 
-def _run_single_safe(args):
-    # integration failures are data, not batch-fatal
-    try:
-        return _run_single(args)
-    except IntegrationError as exc:
-        return exc
+def _ensemble_result(specs, outcomes, times_fs, threshold, window_fs, keep_trajectories):
+    records: List[TrajectoryRecord] = []
+    series_rows = []
+    series_index = []
+    trajectories: List[Trajectory] = []
+    for k, (spec, outcome) in enumerate(zip(specs, outcomes)):
+        if isinstance(outcome, IntegrationError):
+            records.append(TrajectoryRecord(k, spec.seed, None, None, error=str(outcome)))
+            continue
+        traj, event, series, dissociated = outcome
+        records.append(
+            TrajectoryRecord(k, spec.seed, event, float(series.mean()), dissociated=dissociated)
+        )
+        series_rows.append(series)
+        series_index.append(k)
+        if keep_trajectories:
+            trajectories.append(traj)
+    if not series_rows:
+        raise IntegrationError(f"every trajectory in the batch failed (first: {records[0].error})")
+    if window_fs is None:
+        window_fs = (float(times_fs[0]), float(times_fs[-1]))
+    result = EnsembleResult(
+        records=records,
+        times_fs=times_fs,
+        bond_series=np.vstack(series_rows),
+        series_index=series_index,
+        threshold_bohr=threshold,
+        reaction_fraction=0.0,
+        mean_bond_bohr=0.0,
+        stderr_bond_bohr=float("nan"),
+        trajectories=trajectories if keep_trajectories else None,
+    )
+    agg = reaction_statistics(result, window_fs)
+    result.reaction_fraction = agg.reaction_fraction
+    result.mean_bond_bohr = agg.mean_bond_bohr
+    result.stderr_bond_bohr = agg.stderr_bond_bohr
+    return result
 
 
 def run_ensemble(
@@ -255,70 +378,23 @@ def run_ensemble(
 ) -> EnsembleResult:
     """One propagation per spec; aggregates over the analysis window.
 
-    The photon starts in the zero-field condition for the launch dipole.
-    Results are identical for serial and parallel execution (work items are
-    independent and gathered by index). Per-trajectory integration errors
+    The single-condition case of `run_conditions`: the photon starts in the
+    zero-field condition for the launch dipole, results are identical for
+    serial and parallel execution, and per-trajectory integration errors
     are recorded on the ensemble instead of aborting the batch.
     """
-    if len(specs) == 0:
-        raise ValueError("at least one sampling spec is required")
-    positions = np.asarray(positions, dtype=float)
-    if threshold is None:
-        threshold = system.reactive_bond.r_ts
-    velocities = resolve_velocities(system, specs, positions)
-    jobs = [
-        (system, mode, positions, velocities[k], dt, n_steps, stride, threshold)
-        for k in range(len(specs))
-    ]
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            outcomes = list(pool.map(_run_single_safe, jobs))
-    else:
-        outcomes = [_run_single_safe(job) for job in jobs]
-
-    records: List[TrajectoryRecord] = []
-    series_rows = []
-    series_index = []
-    trajectories: List[Trajectory] = []
-    times_fs = None
-    for k, (spec, outcome) in enumerate(zip(specs, outcomes)):
-        if isinstance(outcome, IntegrationError):
-            records.append(TrajectoryRecord(k, spec.seed, None, None, error=str(outcome)))
-            continue
-        traj, event, series = outcome
-        if times_fs is None:
-            times_fs = traj.times_fs
-        records.append(
-            TrajectoryRecord(
-                k, spec.seed, event, float(series.mean()), dissociated=traj.dissociated
-            )
-        )
-        series_rows.append(series)
-        series_index.append(k)
-        if keep_trajectories:
-            trajectories.append(traj)
-
-    if times_fs is None:
-        raise IntegrationError("every trajectory in the batch failed")
-    bond_series = np.vstack(series_rows)
-    if window_fs is None:
-        window_fs = (float(times_fs[0]), float(times_fs[-1]))
-    result = EnsembleResult(
-        records=records,
-        times_fs=times_fs,
-        bond_series=bond_series,
-        series_index=series_index,
-        threshold_bohr=threshold,
-        reaction_fraction=0.0,
-        mean_bond_bohr=0.0,
-        stderr_bond_bohr=float("nan"),
-        trajectories=trajectories if keep_trajectories else None,
-    )
-    agg = reaction_statistics(result, window_fs)
-    result.reaction_fraction = agg.reaction_fraction
-    result.mean_bond_bohr = agg.mean_bond_bohr
-    result.stderr_bond_bohr = agg.stderr_bond_bohr
-    return result
+    return run_conditions(
+        system,
+        [(mode, specs)],
+        positions=positions,
+        dt=dt,
+        n_steps=n_steps,
+        stride=stride,
+        threshold=threshold,
+        window_fs=window_fs,
+        n_workers=n_workers,
+        keep_trajectories=keep_trajectories,
+    )[0]
 
 
 def reaction_statistics(result: EnsembleResult, window_fs: Tuple[float, float]) -> Aggregates:

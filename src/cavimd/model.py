@@ -47,6 +47,45 @@ class Particle:
         return self.mass_amu * EMASS_PER_AMU
 
 
+#: `x_tail` of a bond without a linear tail: no stretch exceeds it, and
+#: `tail_slope * (x - x_tail)` stays finite (0 * -huge) where `inf` would not
+_NO_TAIL = float(np.finfo(float).max)
+
+
+def _poly(x, c):
+    """sum(c_n * x^n, n = 2..6) for c = (c2, ..., c6), Horner form."""
+    c2, c3, c4, c5, c6 = c
+    return x * x * (c2 + x * (c3 + x * (c4 + x * (c5 + x * c6))))
+
+
+def _poly_d1(x, d):
+    """First derivative of `_poly` for d = (2 c2, 3 c3, 4 c4, 5 c5, 6 c6)."""
+    d2, d3, d4, d5, d6 = d
+    return x * (d2 + x * (d3 + x * (d4 + x * (d5 + x * d6))))
+
+
+def _d1_coeffs(c) -> tuple:
+    c2, c3, c4, c5, c6 = c
+    return (2 * c2, 3 * c3, 4 * c4, 5 * c5, 6 * c6)
+
+
+def _well_energy(x, w) -> np.ndarray:
+    """Well polynomial in the stretch x, continued linearly past `w.x_tail`.
+
+    `w` is a ReactiveWell, or the per-bond arrays of a system's bonded terms.
+    """
+    e = np.asarray(_poly(x, w.coeffs), dtype=float)
+    np.copyto(e, w.tail_value + w.tail_slope * (x - w.x_tail), where=x > w.x_tail)
+    return e
+
+
+def _well_d1(x, w) -> np.ndarray:
+    """dV/dx of `_well_energy`."""
+    g = np.asarray(_poly_d1(x, w.d1_coeffs), dtype=float)
+    np.copyto(g, w.tail_slope, where=x > w.x_tail)
+    return g
+
+
 @dataclass(frozen=True)
 class HarmonicBond:
     """Harmonic stretch 0.5*k*(r - r0)^2 between particles i and j."""
@@ -64,14 +103,10 @@ class HarmonicBond:
         if not self.k > 0:
             raise ValueError("harmonic force constant must be positive")
 
-    def energy(self, r: float) -> float:
-        return 0.5 * self.k * (r - self.r0) ** 2
-
-    def d1(self, r: float) -> float:
-        return self.k * (r - self.r0)
-
-    def d2(self, r: float) -> float:
-        return self.k
+    @property
+    def profile(self) -> tuple:
+        """(r0, (c2..c6), x_tail, tail_value, tail_slope) of the bond potential."""
+        return self.r0, (0.5 * self.k, 0.0, 0.0, 0.0, 0.0), _NO_TAIL, 0.0, 0.0
 
 
 @dataclass(frozen=True)
@@ -81,7 +116,8 @@ class ReactiveWell:
     Polynomial sum(c_n * x^n, n = 2..6) in x = r - r0 up to the first
     inflection past the barrier, then a linear continuation so forces stay
     bounded on the dissociation side. The join sits where V'' = 0, which
-    keeps the composite curve C2.
+    keeps the composite curve C2. `energy`, `d1` and `d2` take a scalar or
+    an array of bond lengths.
     """
 
     r0: float
@@ -91,35 +127,29 @@ class ReactiveWell:
     tail_value: float
     tail_slope: float
 
-    def _poly(self, x: float) -> float:
-        c2, c3, c4, c5, c6 = self.coeffs
-        return x * x * (c2 + x * (c3 + x * (c4 + x * (c5 + x * c6))))
+    @property
+    def d1_coeffs(self) -> tuple:
+        return _d1_coeffs(self.coeffs)
 
-    def _poly_d1(self, x: float) -> float:
-        c2, c3, c4, c5, c6 = self.coeffs
-        return x * (2 * c2 + x * (3 * c3 + x * (4 * c4 + x * (5 * c5 + x * 6 * c6))))
+    def _poly(self, x):
+        return _poly(x, self.coeffs)
 
-    def _poly_d2(self, x: float) -> float:
+    def _poly_d1(self, x):
+        return _poly_d1(x, self.d1_coeffs)
+
+    def _poly_d2(self, x):
         c2, c3, c4, c5, c6 = self.coeffs
         return 2 * c2 + x * (6 * c3 + x * (12 * c4 + x * (20 * c5 + x * 30 * c6)))
 
-    def energy(self, r: float) -> float:
-        x = r - self.r0
-        if x > self.x_tail:
-            return self.tail_value + self.tail_slope * (x - self.x_tail)
-        return self._poly(x)
+    def energy(self, r):
+        return _well_energy(np.subtract(r, self.r0), self)[()]
 
-    def d1(self, r: float) -> float:
-        x = r - self.r0
-        if x > self.x_tail:
-            return self.tail_slope
-        return self._poly_d1(x)
+    def d1(self, r):
+        return _well_d1(np.subtract(r, self.r0), self)[()]
 
-    def d2(self, r: float) -> float:
-        x = r - self.r0
-        if x > self.x_tail:
-            return 0.0
-        return self._poly_d2(x)
+    def d2(self, r):
+        x = np.subtract(r, self.r0)
+        return np.where(x > self.x_tail, 0.0, self._poly_d2(x))[()]
 
     @property
     def barrier(self) -> float:
@@ -160,14 +190,11 @@ class ReactiveBond:
     def r_ts(self) -> float:
         return self.well.r_ts
 
-    def energy(self, r: float) -> float:
-        return self.well.energy(r)
-
-    def d1(self, r: float) -> float:
-        return self.well.d1(r)
-
-    def d2(self, r: float) -> float:
-        return self.well.d2(r)
+    @property
+    def profile(self) -> tuple:
+        """(r0, (c2..c6), x_tail, tail_value, tail_slope) of the bond potential."""
+        w = self.well
+        return w.r0, w.coeffs, w.x_tail, w.tail_value, w.tail_slope
 
 
 Bond = Union[HarmonicBond, ReactiveBond]
@@ -188,6 +215,32 @@ class CouplingTerm:
             raise ValueError("coupling coefficient must be finite")
 
 
+class _OrderedSum:
+    """Fixed-order sums of the terms of every row of a batch.
+
+    Term k of a row is added to column `columns[k]` of that row's `width`
+    sums; each column adds its terms strictly in k order, starting from
+    zero. A row's sums therefore never depend on the batch size, which a
+    pairwise or BLAS reduction does not promise.
+    """
+
+    def __init__(self, columns, width: int):
+        self.columns = np.asarray(columns, dtype=np.intp)
+        self.width = width
+        self._bins: dict = {}  # batch size -> bins of every term of the batch
+
+    def __call__(self, terms: np.ndarray) -> np.ndarray:
+        """(B, K) terms -> (B, width) sums."""
+        n = terms.shape[0]
+        bins = self._bins.get(n)
+        if bins is None:
+            if len(self._bins) >= 8:
+                self._bins.clear()
+            bins = self._bins[n] = (self.columns + self.width * np.arange(n)[:, None]).ravel()
+        sums = np.bincount(bins, weights=terms.ravel(), minlength=n * self.width)
+        return sums.reshape(n, self.width)
+
+
 @dataclass(frozen=True)
 class DipoleModel:
     """Fixed-partial-charge dipole mu(R) = sum_i q_i R_i (+ optional linear correction).
@@ -199,29 +252,88 @@ class DipoleModel:
 
     charges: np.ndarray
     d_extra: Optional[np.ndarray] = None
+    #: constant 3 x 3N gradient: q_i * I3 blocks plus d_extra
+    gradient: np.ndarray = field(init=False, repr=False, compare=False)
+    _sum: _OrderedSum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "charges", np.asarray(self.charges, dtype=float))
+        n = self.charges.size
+        grad = np.zeros((3, 3 * n))
+        for c in range(3):
+            grad[c, c::3] = self.charges
         if self.d_extra is not None:
             d = np.asarray(self.d_extra, dtype=float)
-            n = self.charges.size
             if d.shape != (3, 3 * n):
                 raise ValueError(f"d_extra must be 3 x {3*n}, got {d.shape}")
             block_sum = d.reshape(3, n, 3).sum(axis=1)
             if np.abs(block_sum).max() > 1e-10:
                 raise ValueError("d_extra particle blocks must sum to zero")
             object.__setattr__(self, "d_extra", d)
+            grad = grad + d
+        object.__setattr__(self, "gradient", grad)
+        # mu_c = sum_k gradient[c, k] x_k, one sum per Cartesian component
+        object.__setattr__(self, "_sum", _OrderedSum(np.repeat(np.arange(3), 3 * n), 3))
 
     @property
     def total_charge(self) -> float:
         return float(self.charges.sum())
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        """Dipole at flat 3N positions `x`, without validating them (e*bohr)."""
-        mu = self.charges @ x.reshape(-1, 3)
-        if self.d_extra is not None:
-            mu = mu + self.d_extra @ x
-        return mu
+        """Dipole at flat 3N positions, or per row of (B, 3N), without validating them (e*bohr)."""
+        rows = x.reshape(-1, x.shape[-1])
+        mu = self._sum((rows[:, None, :] * self.gradient).reshape(len(rows), -1))
+        return mu.reshape(x.shape[:-1] + (3,))
+
+
+@dataclass(frozen=True)
+class _BondedTerms:
+    """Index and coefficient arrays of the bonded potential, built once per system.
+
+    Per bond: end particles, rest length and the well profile (a harmonic
+    bond is c2 = k/2 with no tail). Per coupling: its two bonds. The `*_sum`
+    objects add the terms of one row in model order: bonds first, then
+    couplings, each in the order the system lists them.
+    """
+
+    ends: np.ndarray  # particle i of every bond, then particle j
+    all_bonded: bool  # every particle ends a bond, so a non-finite coordinate shows in r
+    r0: np.ndarray
+    coeffs: tuple
+    d1_coeffs: tuple
+    x_tail: np.ndarray
+    tail_value: np.ndarray
+    tail_slope: np.ndarray
+    pairs: np.ndarray  # bond_a, bond_b of coupling 0, then of coupling 1, ...
+    g3: np.ndarray
+    energy_sum: _OrderedSum  # every bond and coupling energy -> the row total
+    dvdr_sum: _OrderedSum  # direct dV/dr of each bond, then coupling terms in `pairs` order -> bond
+    force_sum: _OrderedSum  # (bond, end i/j, xyz) -> flat particle coordinate
+
+    @classmethod
+    def build(cls, n_particles: int, bonds, couplings) -> "_BondedTerms":
+        profiles = [b.profile for b in bonds]
+        coeffs = tuple(np.array([p[1][k] for p in profiles], dtype=float) for k in range(5))
+        ends = np.array([b.i for b in bonds] + [b.j for b in bonds], dtype=int)
+        pairs = np.array([[cp.bond_a, cp.bond_b] for cp in couplings], dtype=int).reshape(-1)
+        nb = len(bonds)
+        return cls(
+            ends=ends,
+            all_bonded=set(ends.tolist()) == set(range(n_particles)),
+            r0=np.array([p[0] for p in profiles], dtype=float),
+            coeffs=coeffs,
+            d1_coeffs=_d1_coeffs(coeffs),
+            x_tail=np.array([p[2] for p in profiles], dtype=float),
+            tail_value=np.array([p[3] for p in profiles], dtype=float),
+            tail_slope=np.array([p[4] for p in profiles], dtype=float),
+            pairs=pairs,
+            g3=np.array([cp.g3 for cp in couplings], dtype=float),
+            energy_sum=_OrderedSum(np.zeros(nb + len(couplings)), 1),
+            dvdr_sum=_OrderedSum(np.concatenate((np.arange(nb), pairs)), nb),
+            force_sum=_OrderedSum(
+                (3 * ends.reshape(2, nb).T[:, :, None] + np.arange(3)).reshape(-1), 3 * n_particles
+            ),
+        )
 
 
 @dataclass(frozen=True)
@@ -238,6 +350,7 @@ class ModelSystem:
     dipole: DipoleModel
     reactive_bond_index: Optional[int] = None
     reference_positions: Optional[np.ndarray] = None
+    terms: _BondedTerms = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "particles", tuple(self.particles))
@@ -268,6 +381,7 @@ class ModelSystem:
             if ref.shape != (3 * n,):
                 raise ValueError("reference_positions must be a flat 3N array")
             object.__setattr__(self, "reference_positions", ref)
+        object.__setattr__(self, "terms", _BondedTerms.build(n, self.bonds, self.couplings))
 
     @property
     def n_particles(self) -> int:
@@ -283,11 +397,33 @@ class ModelSystem:
         """Masses repeated per Cartesian component (3N)."""
         return np.repeat(self.masses, 3)
 
+    def reduced_mass(self, i: int, j: int) -> float:
+        """Reduced mass of particles i and j (electron masses)."""
+        mi = self.particles[i].mass
+        mj = self.particles[j].mass
+        return mi * mj / (mi + mj)
+
     @property
     def reactive_bond(self) -> ReactiveBond:
         if self.reactive_bond_index is None:
             raise ValueError("system has no reactive bond")
         return self.bonds[self.reactive_bond_index]
+
+
+class GeometryError(ValueError):
+    """Coordinates the bonded potential cannot be evaluated at.
+
+    `rows` maps each offending row of the batch (0 for a flat input) to the
+    reason; the message of a flat input is that reason alone.
+    """
+
+    def __init__(self, rows: dict, flat: bool):
+        self.rows = rows
+        if flat:
+            text = rows[0]
+        else:
+            text = "; ".join(f"row {k}: {why}" for k, why in rows.items())
+        super().__init__(text)
 
 
 def _check_positions(system: ModelSystem, positions) -> np.ndarray:
@@ -301,52 +437,129 @@ def _check_positions(system: ModelSystem, positions) -> np.ndarray:
     return x
 
 
-def _bond_geometry(system: ModelSystem, pts: np.ndarray):
-    """Per-bond (length, unit vector i<-j) for current coordinates."""
-    out = []
-    for b in system.bonds:
-        d = pts[b.i] - pts[b.j]
-        r = float(np.linalg.norm(d))
-        if r < 1e-12:
-            raise ValueError(f"particles {b.i} and {b.j} are coincident")
-        if not np.isfinite(r):
-            raise ValueError(f"non-finite distance between particles {b.i} and {b.j}")
-        out.append((r, d / r))
-    return out
+def _as_batch(system: ModelSystem, positions):
+    """(B, 3N) view of flat or batched positions, and whether the input was flat."""
+    x = np.asarray(positions, dtype=float)
+    n3 = 3 * system.n_particles
+    if x.shape == (n3,):
+        return x.reshape(1, n3), True
+    if x.ndim == 2 and x.shape[1] == n3:
+        return x, False
+    raise ValueError(
+        f"positions must be a flat array of length {n3} or a (B, {n3}) batch, got shape {x.shape}"
+    )
 
 
-def potential_energy(system: ModelSystem, positions) -> float:
-    """Total bonded potential, zero with every bond at its rest length."""
-    x = _check_positions(system, positions)
-    pts = x.reshape(-1, 3)
-    geo = _bond_geometry(system, pts)
-    e = 0.0
-    for b, (r, _) in zip(system.bonds, geo):
-        e += b.energy(r)
-    for c in system.couplings:
-        a = geo[c.bond_a][0] - system.bonds[c.bond_a].r0
-        bb = geo[c.bond_b][0] - system.bonds[c.bond_b].r0
-        e += c.g3 * (a * bb * bb + a * a * bb)
-    return float(e)
+def _bond_vectors(t: _BondedTerms, x: np.ndarray):
+    """Per row and bond: the vector particle j -> i and its length."""
+    ends = np.take(x.reshape(x.shape[0], -1, 3), t.ends, axis=1)
+    nb = t.r0.size
+    d = ends[:, :nb] - ends[:, nb:]
+    sq = d * d
+    return d, np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
+
+
+def _geometry(system: ModelSystem, x: np.ndarray, flat: bool):
+    """Bond vectors and lengths; GeometryError names every row that cannot be evaluated."""
+    t = system.terms
+    d, r = _bond_vectors(t, x)
+    if (t.all_bonded or np.isfinite(x).all()) and r.min() >= 1e-12 and r.max() < np.inf:
+        return d, r
+    rows = {}
+    for k in range(x.shape[0]):
+        if not np.isfinite(x[k]).all():
+            rows[k] = "positions contain non-finite values"
+            continue
+        for b, rb in zip(system.bonds, r[k]):
+            if rb < 1e-12:
+                rows[k] = f"particles {b.i} and {b.j} are coincident"
+            elif not np.isfinite(rb):
+                rows[k] = f"non-finite distance between particles {b.i} and {b.j}"
+            else:
+                continue
+            break
+    raise GeometryError(rows, flat)
+
+
+def _coupling_stretches(t: _BondedTerms, s: np.ndarray) -> np.ndarray:
+    """(B, couplings, 2): stretch of bond_a and of bond_b of every coupling."""
+    return np.take(s, t.pairs, axis=1).reshape(s.shape[0], -1, 2)
+
+
+def potential_energy(system: ModelSystem, positions):
+    """Total bonded potential, zero with every bond at its rest length.
+
+    A flat 3N input gives a float; a (B, 3N) batch gives one energy per row.
+    """
+    x, flat = _as_batch(system, positions)
+    t = system.terms
+    if not system.bonds:
+        e = np.zeros(x.shape[0])
+    else:
+        _, r = _geometry(system, x, flat)
+        s = r - t.r0
+        e = _well_energy(s, t)
+        if system.couplings:
+            ab = _coupling_stretches(t, s)
+            a, b = ab[..., 0], ab[..., 1]
+            e = np.concatenate((e, t.g3 * (a * b * b + a * a * b)), axis=1)
+        e = t.energy_sum(e)[:, 0]
+    return float(e[0]) if flat else e
 
 
 def forces(system: ModelSystem, positions) -> np.ndarray:
-    """Analytic -grad V, flat 3N array."""
-    x = _check_positions(system, positions)
-    pts = x.reshape(-1, 3)
-    geo = _bond_geometry(system, pts)
-    f = np.zeros_like(pts)
-    # dV/dr per bond, accumulated over direct terms and couplings
-    dvdr = np.array([b.d1(r) for b, (r, _) in zip(system.bonds, geo)])
-    for c in system.couplings:
-        a = geo[c.bond_a][0] - system.bonds[c.bond_a].r0
-        bb = geo[c.bond_b][0] - system.bonds[c.bond_b].r0
-        dvdr[c.bond_a] += c.g3 * (bb * bb + 2 * a * bb)
-        dvdr[c.bond_b] += c.g3 * (2 * a * bb + a * a)
-    for b, (r, u), g in zip(system.bonds, geo, dvdr):
-        f[b.i] -= g * u
-        f[b.j] += g * u
-    return f.reshape(-1)
+    """Analytic -grad V: flat 3N for a flat input, (B, 3N) for a batch.
+
+    Every operation is elementwise or a left-to-right sum along a row, so a
+    row's forces do not depend on the batch it is evaluated in.
+    """
+    x, flat = _as_batch(system, positions)
+    t = system.terms
+    if not system.bonds:
+        f = np.zeros_like(x)
+    else:
+        d, r = _geometry(system, x, flat)
+        s = r - t.r0
+        g = _well_d1(s, t)  # dV/dr per bond
+        if system.couplings:
+            ab = _coupling_stretches(t, s)
+            ab2 = 2 * ab[..., 0] * ab[..., 1]
+            ba = ab[..., ::-1]
+            # g3 (b^2 + 2ab) on bond_a and g3 (2ab + a^2) on bond_b, laid out like `pairs`
+            cross = t.g3[:, None] * (ab2[..., None] + ba * ba)
+            g = np.concatenate((g, cross.reshape(len(x), -1)), axis=1)
+            g = t.dvdr_sum(g)
+        gu = g[..., None] * (d / r[..., None])
+        # -gu on particle i, +gu on particle j, bond by bond
+        push = np.empty(gu.shape[:2] + (2, 3))
+        np.negative(gu, out=push[:, :, 0])
+        push[:, :, 1] = gu
+        f = t.force_sum(push.reshape(len(x), -1))
+    return f[0] if flat else f
+
+
+def row_sums(a):
+    """Left-to-right sum of a flat array (a float), or of every row of a 2-D one."""
+    a = np.asarray(a, dtype=float)
+    sums = _OrderedSum(np.zeros(a.shape[-1]), 1)(a.reshape(-1, a.shape[-1]))[:, 0]
+    return float(sums[0]) if a.ndim == 1 else sums
+
+
+def offending_term(system: ModelSystem, positions) -> str:
+    """Name the first bonded term that evaluates non-finite at flat `positions`."""
+    x = np.asarray(positions, dtype=float).reshape(1, -1)
+    if not np.all(np.isfinite(x)):
+        return "coordinates"
+    t = system.terms
+    with np.errstate(all="ignore"):
+        _, r = _bond_vectors(t, x)
+        s = r - t.r0
+        ok = np.isfinite(_well_energy(s, t))
+        ok &= np.isfinite(_well_d1(s, t))
+    for k, b in enumerate(system.bonds):
+        if not ok[0, k]:
+            return f"bond {k} ({b.kind}, particles {b.i}-{b.j}, r={r[0, k]:.3g})"
+    return "coupling terms"
 
 
 def dipole(system: ModelSystem, positions) -> np.ndarray:
@@ -356,19 +569,14 @@ def dipole(system: ModelSystem, positions) -> np.ndarray:
 
 def dipole_gradient(system: ModelSystem) -> np.ndarray:
     """Constant 3 x 3N dipole gradient: q_i * I3 blocks plus d_extra."""
-    n = system.n_particles
-    grad = np.zeros((3, 3 * n))
-    for i, q in enumerate(system.dipole.charges):
-        grad[:, 3 * i : 3 * i + 3] = q * np.eye(3)
-    if system.dipole.d_extra is not None:
-        grad = grad + system.dipole.d_extra
-    return grad
+    return system.dipole.gradient.copy()
 
 
 def fd_hessian(system: ModelSystem, positions, h: float = 1e-3, symmetrize: bool = True) -> np.ndarray:
     """Central-difference Hessian of potential_energy (symmetric 4-point stencil).
 
-    The off-diagonal stencil visits the same four displaced geometries for
+    Every displaced geometry is one row of a single batched energy call. The
+    off-diagonal stencil visits the same four displaced geometries for
     (k,l) and (l,k), so the raw asymmetry is pure summation roundoff; the
     returned matrix is (H + H^T)/2 unless `symmetrize` is disabled.
     """
@@ -376,25 +584,25 @@ def fd_hessian(system: ModelSystem, positions, h: float = 1e-3, symmetrize: bool
     if not h > 0:
         raise ValueError("finite-difference step must be positive")
     n = x.size
+    diag = np.arange(n)
+    k, l = np.triu_indices(n, 1)
+    m = k.size
+    # rows: x, then x +- h e_k, then x + (+-h e_k) + (+-h e_l) in the order ++, +-, -+, --
+    geoms = np.tile(x, (1 + 2 * n + 4 * m, 1))
+    geoms[1 + diag, diag] += h
+    geoms[1 + n + diag, diag] -= h
+    base = 1 + 2 * n
+    for q, (sk, sl) in enumerate(((h, h), (h, -h), (-h, h), (-h, -h))):
+        rows = base + q * m + np.arange(m)
+        geoms[rows, k] += sk
+        geoms[rows, l] += sl
+    e = potential_energy(system, geoms)
+    e0 = e[0]
+    epp, epm, emp, emm = e[base:].reshape(4, m)
     hess = np.empty((n, n))
-    e0 = potential_energy(system, x)
-
-    def v(*shifts):
-        xp = x.copy()
-        for idx, s in shifts:
-            xp[idx] += s
-        return potential_energy(system, xp)
-
-    for k in range(n):
-        hess[k, k] = (v((k, h)) - 2 * e0 + v((k, -h))) / h**2
-    for k in range(n):
-        for l in range(k + 1, n):
-            epp = v((k, h), (l, h))
-            epm = v((k, h), (l, -h))
-            emp = v((k, -h), (l, h))
-            emm = v((k, -h), (l, -h))
-            hess[k, l] = (epp - epm - emp + emm) / (4 * h**2)
-            hess[l, k] = (epp - emp - epm + emm) / (4 * h**2)
+    hess[diag, diag] = (e[1 : 1 + n] - 2 * e0 + e[1 + n : base]) / h**2
+    hess[k, l] = (epp - epm - emp + emm) / (4 * h**2)
+    hess[l, k] = (epp - emp - epm + emm) / (4 * h**2)
     if not np.all(np.isfinite(hess)):
         raise ValueError("non-finite Hessian entries")
     if symmetrize:
@@ -548,11 +756,13 @@ def _pta_reference_positions() -> np.ndarray:
     return pos.reshape(-1)
 
 
+_PTA_PARTICLES = tuple(
+    Particle(lbl, m, q)
+    for lbl, m, q in zip(("F", "Si", "Me", "C1", "C2", "Ph"), _PTA_MASSES_AMU, _PTA_CHARGES)
+)
+
+
 def _assemble_pta(curvature_min: float, curvature_ts: float, barrier: float) -> ModelSystem:
-    labels = ("F", "Si", "Me", "C1", "C2", "Ph")
-    particles = [
-        Particle(lbl, m, q) for lbl, m, q in zip(labels, _PTA_MASSES_AMU, _PTA_CHARGES)
-    ]
     well = calibrate_reactive_bond(
         barrier, _PTA_R0["sic"], _PTA_R_TS, curvature_min, curvature_ts
     )
@@ -565,7 +775,7 @@ def _assemble_pta(curvature_min: float, curvature_ts: float, barrier: float) -> 
     ]
     couplings = [CouplingTerm(a, b, g) for (a, b), g in _PTA_G3.items()]
     return ModelSystem(
-        particles=tuple(particles),
+        particles=_PTA_PARTICLES,
         bonds=tuple(bonds),
         couplings=tuple(couplings),
         dipole=DipoleModel(np.array(_PTA_CHARGES)),
@@ -587,9 +797,9 @@ def build_pta_surrogate(
     `mode_target_cm1` (within 0.5 cm^-1).
     """
     barrier = barrier_ev / EV_PER_HARTREE
-    mi = _PTA_MASSES_AMU[PTA_SI] * EMASS_PER_AMU
-    mj = _PTA_MASSES_AMU[PTA_C1] * EMASS_PER_AMU
-    mu_red = mi * mj / (mi + mj)
+    # the well depends on the Si-C reduced mass, so ask the bare particle set
+    bare = ModelSystem(_PTA_PARTICLES, (), (), DipoleModel(np.array(_PTA_CHARGES)))
+    mu_red = bare.reduced_mass(PTA_SI, PTA_C1)
     curvature_ts = -mu_red * (ts_frequency_cm1 / CM1_PER_HARTREE) ** 2
 
     # analysis imports this module, so its normal-mode path is bound at call time

@@ -321,6 +321,8 @@ def test_cli_exit_code_validation_error(tmp_path):
         (None, None, "abc", []),
         (None, None, None, ["--threads", "-2"]),
         (None, None, None, ["--threads", "0"]),
+        ("ratio: 1.132", 'ratio: 1.132\n  bilinear: "false"', None, []),
+        ("n_trajectories: 3", "n_trajectories: 2.7", None, []),
     ],
 )
 def test_cli_bad_input_fails_cleanly(tmp_path, monkeypatch, capsys, old, new, env, flags):
