@@ -84,16 +84,11 @@ class ReactionEvent:
 
 
 class _Propagator:
-    """Forces and recorded energies of a batch of rows, each with its own cavity.
+    """Forces and recorded energies of a batch of rows, one mode (or None) per row."""
 
-    `modes` is one CavityMode (or None) for a single row with flat
-    coordinates, or a sequence with one entry per row of (B, 3N) coordinates.
-    """
-
-    def __init__(self, system: ModelSystem, modes):
+    def __init__(self, system: ModelSystem, modes: Sequence[Optional[CavityMode]]):
         self.system = system
-        self.single = modes is None or isinstance(modes, CavityMode)
-        self.modes = [modes] if self.single else list(modes)
+        self.modes = list(modes)
         self.rows = CavityRows.of(self.modes)
         self.masses3 = system.masses3
         self.dipole = system.dipole.value
@@ -103,22 +98,20 @@ class _Propagator:
         """The propagator of the rows selected by the boolean mask `keep`."""
         return _Propagator(self.system, [m for m, k in zip(self.modes, keep) if k])
 
-    def accelerations(self, x: np.ndarray, q):
-        """Nuclear and photon accelerations; rows whose forces fail come back non-finite."""
-        x2 = np.atleast_2d(x)
+    def accelerations(self, x: np.ndarray, q: np.ndarray):
+        """Nuclear (B, 3N) and photon (B,) accelerations; rows whose forces fail come back non-finite."""
         try:
-            f = _model.forces(self.system, x2)
+            f = _model.forces(self.system, x)
         except GeometryError as exc:
-            f = np.full_like(x2, np.nan)
-            ok = np.ones(len(x2), dtype=bool)
+            f = np.full_like(x, np.nan)
+            ok = np.ones(len(x), dtype=bool)
             ok[list(exc.rows)] = False
             if ok.any():
-                f[ok] = _model.forces(self.system, x2[ok])
+                f[ok] = _model.forces(self.system, x[ok])
         rows = self.rows
-        a_q, scale = coupling_terms(rows, np.atleast_1d(q), projection(rows.polarization, self.dipole(x2)))
+        a_q, scale = coupling_terms(rows, q, projection(rows.polarization, self.dipole(x)))
         # scale is exactly 0 for lambda = 0 rows, which then move as matter-only ones
-        a = (f - scale[:, None] * self.deps) / self.masses3
-        return (a[0], a_q[0]) if self.single else (a, a_q)
+        return (f - scale[:, None] * self.deps) / self.masses3, a_q
 
     def failure(self, x: np.ndarray) -> str:
         """Why the forces of one row at flat positions `x` are not finite."""
@@ -198,7 +191,7 @@ def propagate_batch(
         rb = system.reactive_bond
         monitor = (rb.i, rb.j, rb.r_ts)
 
-    prop = _Propagator(system, list(modes))
+    prop = _Propagator(system, modes)
     x = np.array([s.positions for s in states], dtype=float)
     v = np.array([s.velocities for s in states], dtype=float)
     q = np.array([s.photon.q for s in states], dtype=float)

@@ -75,14 +75,18 @@ def _well_energy(x, w) -> np.ndarray:
     `w` is a ReactiveWell, or the per-bond arrays of a system's bonded terms.
     """
     e = np.asarray(_poly(x, w.coeffs), dtype=float)
-    np.copyto(e, w.tail_value + w.tail_slope * (x - w.x_tail), where=x > w.x_tail)
+    beyond = x > w.x_tail
+    if np.count_nonzero(beyond):
+        np.copyto(e, w.tail_value + w.tail_slope * (x - w.x_tail), where=beyond)
     return e
 
 
 def _well_d1(x, w) -> np.ndarray:
     """dV/dx of `_well_energy`."""
     g = np.asarray(_poly_d1(x, w.d1_coeffs), dtype=float)
-    np.copyto(g, w.tail_slope, where=x > w.x_tail)
+    beyond = x > w.x_tail
+    if np.count_nonzero(beyond):
+        np.copyto(g, w.tail_slope, where=beyond)
     return g
 
 
