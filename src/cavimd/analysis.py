@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import model as _model
 from .cavity import CavityMode, lambda_for_ratio, projection
@@ -131,7 +130,7 @@ class SpectrumLine:
 
 def _check_polarization(polarization) -> np.ndarray:
     eps = np.asarray(polarization, dtype=float)
-    if eps.shape != (3,) or abs(np.linalg.norm(eps) - 1.0) > 1e-9:
+    if eps.shape != (3,) or not abs(np.linalg.norm(eps) - 1.0) <= 1e-9:
         raise ValueError("polarization must be a unit 3-vector")
     return eps
 
@@ -427,6 +426,8 @@ def barrier_frequency(curvature: float, reduced_mass: float) -> float:
 
 def _relaxed_energy(system: ModelSystem, x0: np.ndarray, bond: Tuple[int, int], r: float):
     """Minimize V with the i-j distance constrained to r; returns (E, x)."""
+    from scipy.optimize import minimize  # loaded only by the transition-state search
+
     i, j = bond
 
     def dist(x):
@@ -547,6 +548,8 @@ def find_transition_state(
 
 
 def _relaxed_unconstrained(system: ModelSystem, x0) -> Tuple[float, np.ndarray]:
+    from scipy.optimize import minimize
+
     res = minimize(
         lambda x: _model.potential_energy(system, x),
         np.asarray(x0, dtype=float),

@@ -48,7 +48,7 @@ class CavityMode:
         eps = np.asarray(self.polarization, dtype=float)
         if eps.shape != (3,):
             raise ValueError("polarization must be a 3-vector")
-        if abs(np.linalg.norm(eps) - 1.0) > 1e-9:
+        if not abs(np.linalg.norm(eps) - 1.0) <= 1e-9:
             raise ValueError("polarization must be a unit vector")
         object.__setattr__(self, "polarization", eps)
 
@@ -194,8 +194,7 @@ def cavity_energy(mode, photon: PhotonState, mu):
     q, p = photon.q, photon.p
     e = 0.5 * p**2 + 0.5 * mode.omega_c**2 * q**2
     e = e + mode.bilinear_on * (mode.omega_c * q * mode.lambda_mag * proj)
-    e = e + mode.self_polarization_on * (0.5 * (mode.lambda_mag * proj) ** 2)
-    return float(e) if np.ndim(e) == 0 else e
+    return e + mode.self_polarization_on * (0.5 * (mode.lambda_mag * proj) ** 2)
 
 
 def kinetic_energy(system: ModelSystem, velocities):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -24,7 +25,6 @@ import numpy as np
 
 from . import analysis as _analysis
 from . import model as _model
-from .cavity import CavityMode
 from .config import ConfigError, RunConfig, make_manifest, parse_config
 from .dynamics import IntegrationError, Trajectory, propagate
 from .ensemble import EnsembleResult, launch_states, make_specs, run_ensemble
@@ -32,7 +32,6 @@ from .model import CalibrationError, ModelSystem
 from .units import (
     ANGSTROM_PER_BOHR,
     AUT_PER_FS,
-    CM1_PER_HARTREE,
     EV_PER_HARTREE,
     fs_to_au,
 )
@@ -294,19 +293,13 @@ def cmd_spectrum(config: RunConfig, outdir: Path, seed: Optional[int], threads: 
     broadening = config.spectrum.broadening_cm1
     rb = system.reactive_bond if system.reactive_bond_index is not None else None
     for lam in lam_list:
-        if lam == 0.0:
+        cav = dataclasses.replace(config.cavity, lambda_au=lam).mode()
+        if cav is None:
             eff, tag = modes, "bare"
             weights = (
                 _analysis.sic_weighted_spectrum(modes, (rb.i, rb.j)) if rb is not None else None
             )
         else:
-            cav = CavityMode(
-                omega_c=config.cavity.omega_c_cm1 / CM1_PER_HARTREE,
-                lambda_mag=lam,
-                polarization=pol,
-                bilinear_on=config.cavity.bilinear,
-                self_polarization_on=config.cavity.self_polarization,
-            )
             eff = _analysis.polariton_modes(modes, cav)
             tag = f"lambda_{lam:g}"
             weights = (
@@ -533,10 +526,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (CalibrationError, IntegrationError, _analysis.SearchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except OSError as exc:  # FileNotFoundError included
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -1,18 +1,18 @@
 """Run configuration: YAML schema, validation, and the run manifest.
 
 One structured config file drives every command. Required blocks are
-`system` and `cavity`; everything else falls back to documented defaults
-(dt 0.25 fs, stride 4, analysis window 0-700 fs, broadening 30 cm^-1).
-Unknown keys are rejected so typos fail loudly. File-facing quantities use
-cm^-1 / fs / Angstrom / eV / K; the resolved config (with the coupling
-strength in atomic units) lands in the manifest of every output directory.
+`system` and `cavity`; every other key falls back to the default on its
+dataclass field below, the one place a default is written. Unknown keys
+and non-finite numbers are rejected. File-facing quantities use cm^-1 /
+fs / Angstrom / eV / K; the resolved config (with the coupling strength in
+atomic units) lands in the manifest of every output directory.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from typing import Optional, Tuple
 
@@ -23,6 +23,8 @@ from . import __version__ as _pkg_version
 from .cavity import CavityMode, lambda_for_ratio
 from .ensemble import RNG_ALGORITHM
 from .model import (
+    PTA_LAUNCH_SIC_BOHR,
+    PTA_LAUNCH_SIF_BOHR,
     CouplingTerm,
     DipoleModel,
     HarmonicBond,
@@ -52,11 +54,12 @@ def _require_keys(block: dict, allowed: set, required: set, where: str):
 @dataclass
 class CavityConfig:
     omega_c_cm1: float
-    lambda_au: float
-    ratio: float
-    polarization: Tuple[float, float, float]
-    bilinear: bool
-    self_polarization: bool
+    # exactly one of lambda_au / ratio is given; parsing resolves the other
+    lambda_au: Optional[float] = None
+    ratio: Optional[float] = None
+    polarization: Tuple[float, float, float] = (1.0, 0.0, 0.0)
+    bilinear: bool = True
+    self_polarization: bool = True
 
     def mode(self) -> Optional[CavityMode]:
         if self.lambda_au == 0.0:
@@ -79,8 +82,8 @@ class DynamicsConfig:
 
 @dataclass
 class LaunchConfig:
-    sic_displacement_bohr: float = 0.60
-    sif_stretch_bohr: float = 0.30
+    sic_displacement_bohr: float = PTA_LAUNCH_SIC_BOHR
+    sif_stretch_bohr: float = PTA_LAUNCH_SIF_BOHR
 
 
 @dataclass
@@ -147,56 +150,28 @@ class RunConfig:
         return int(round(self.dynamics.duration_fs / self.dynamics.dt_fs))
 
     def resolved_dict(self) -> dict:
-        d = {
-            "system": self.system_block,
-            "cavity": asdict(self.cavity),
-            "dynamics": asdict(self.dynamics),
-            "ensemble": asdict(self.ensemble),
-            "outputs": asdict(self.outputs),
-            "spectrum": asdict(self.spectrum),
-            "scan": asdict(self.scan),
-            "analyze": asdict(self.analyze),
-        }
-        return json.loads(json.dumps(d, sort_keys=True))
+        d = {f.name: asdict(getattr(self, f.name)) for f in fields(self)[1:]}
+        return json.loads(json.dumps({"system": self.system_block, **d}, sort_keys=True))
 
 
-def _parse_cavity(block: dict) -> CavityConfig:
-    _require_keys(
-        block,
-        {"omega_c_cm1", "lambda_au", "ratio", "polarization", "bilinear", "self_polarization"},
-        {"omega_c_cm1"},
-        "cavity",
+def _parse_cavity(raw) -> CavityConfig:
+    cavity = _block(
+        raw, "cavity", CavityConfig, polarization=_polarization, bilinear=_flag, self_polarization=_flag
     )
-    has_lambda = "lambda_au" in block
-    has_ratio = "ratio" in block
-    if has_lambda == has_ratio:
+    if (cavity.lambda_au is None) == (cavity.ratio is None):
         raise ConfigError("cavity block needs exactly one of lambda_au / ratio")
-    omega_cm1 = float(block["omega_c_cm1"])
-    if not omega_cm1 > 0:
+    if not cavity.omega_c_cm1 > 0:
         raise ConfigError("omega_c_cm1 must be positive")
-    omega = omega_cm1 / CM1_PER_HARTREE
-    if has_lambda:
-        lam = float(block["lambda_au"])
-        if lam < 0:
+    omega = cavity.omega_c_cm1 / CM1_PER_HARTREE
+    if cavity.ratio is None:
+        if cavity.lambda_au < 0:
             raise ConfigError("lambda_au must be non-negative")
-        ratio = lam / np.sqrt(2.0 * omega)
+        cavity.ratio = float(cavity.lambda_au / np.sqrt(2.0 * omega))
     else:
-        ratio = float(block["ratio"])
-        if ratio < 0:
+        if cavity.ratio < 0:
             raise ConfigError("ratio must be non-negative")
-        lam = lambda_for_ratio(ratio, omega)
-    pol = np.asarray(block.get("polarization", [1.0, 0.0, 0.0]), dtype=float)
-    if pol.shape != (3,) or np.linalg.norm(pol) < 1e-12:
-        raise ConfigError("polarization must be a non-zero 3-vector")
-    pol = pol / np.linalg.norm(pol)
-    return CavityConfig(
-        omega_c_cm1=omega_cm1,
-        lambda_au=float(lam),
-        ratio=float(ratio),
-        polarization=tuple(float(x) for x in pol),
-        bilinear=_flag(block.get("bilinear", True), "cavity.bilinear"),
-        self_polarization=_flag(block.get("self_polarization", True), "cavity.self_polarization"),
-    )
+        cavity.lambda_au = float(lambda_for_ratio(cavity.ratio, omega))
+    return cavity
 
 
 def _parse_system(block: dict) -> dict:
@@ -220,24 +195,23 @@ def build_system(system_block: dict) -> ModelSystem:
     particles = []
     for k, p in enumerate(system_block["particles"]):
         _require_keys(p, {"label", "mass_amu", "charge"}, {"label", "mass_amu", "charge"}, f"particles[{k}]")
-        particles.append(Particle(str(p["label"]), float(p["mass_amu"]), float(p["charge"])))
+        mass, charge = (_real(p[key], f"particles[{k}].{key}") for key in ("mass_amu", "charge"))
+        particles.append(Particle(str(p["label"]), mass, charge))
     bonds = []
     reactive_index = None
     for k, b in enumerate(system_block["bonds"]):
+        num = lambda key: _real(b[key], f"bonds[{k}].{key}")  # noqa: E731
         kind = b.get("kind")
         if kind == "harmonic":
             _require_keys(b, {"kind", "i", "j", "k", "r0"}, {"kind", "i", "j", "k", "r0"}, f"bonds[{k}]")
             i, j = _integer(b["i"], f"bonds[{k}].i"), _integer(b["j"], f"bonds[{k}].j")
-            bonds.append(HarmonicBond(i, j, float(b["k"]), float(b["r0"])))
+            bonds.append(HarmonicBond(i, j, num("k"), num("r0")))
         elif kind == "reactive":
             keys = {"kind", "i", "j", "r0", "r_ts", "barrier_ev", "curvature_min", "curvature_ts"}
             _require_keys(b, keys, keys, f"bonds[{k}]")
             well = calibrate_reactive_bond(
-                float(b["barrier_ev"]) / EV_PER_HARTREE,
-                float(b["r0"]),
-                float(b["r_ts"]),
-                float(b["curvature_min"]),
-                float(b["curvature_ts"]),
+                num("barrier_ev") / EV_PER_HARTREE,
+                *(num(key) for key in ("r0", "r_ts", "curvature_min", "curvature_ts")),
             )
             if reactive_index is not None:
                 raise ConfigError("only one reactive bond is supported")
@@ -250,7 +224,7 @@ def build_system(system_block: dict) -> ModelSystem:
     for k, c in enumerate(system_block.get("couplings", [])):
         _require_keys(c, {"bond_a", "bond_b", "g3"}, {"bond_a", "bond_b", "g3"}, f"couplings[{k}]")
         a, b = (_integer(c[key], f"couplings[{k}].{key}") for key in ("bond_a", "bond_b"))
-        couplings.append(CouplingTerm(a, b, float(c["g3"])))
+        couplings.append(CouplingTerm(a, b, _real(c["g3"], f"couplings[{k}].g3")))
     charges = np.array([p.charge for p in particles])
     d_extra = None
     if system_block.get("d_extra") is not None:
@@ -307,28 +281,65 @@ def _integer(raw, where: str) -> int:
     raise ConfigError(f"{where} must be an integer, got {raw!r}")
 
 
-def _pair(raw, where: str) -> tuple:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-        raise ConfigError(f"{where} must be a pair, got {raw!r}")
-    return tuple(raw)
+def _real(raw, where: str) -> float:
+    """A finite number; NaN and infinities are errors."""
+    value = float(raw)
+    if not np.isfinite(value):
+        raise ConfigError(f"{where} must be a finite number, got {raw!r}")
+    return value
+
+
+def _list_of(parse, length: Optional[int] = None):
+    """A YAML list (of exactly `length` entries if given) read entry by entry.
+
+    A scalar, such as one string, is an error rather than a sequence of characters.
+    """
+
+    def parse_list(raw, where: str) -> tuple:
+        if not isinstance(raw, (list, tuple)) or length not in (None, len(raw)):
+            size = "" if length is None else f" of {length} entries"
+            raise ConfigError(f"{where} must be a list{size}, got {raw!r}")
+        return tuple(parse(x, f"{where}[{k}]") for k, x in enumerate(raw))
+
+    return parse_list
+
+
+def _optional(parse):
+    return lambda raw, where: None if raw is None else parse(raw, where)
+
+
+def _polarization(raw, where: str) -> tuple:
+    pol = np.asarray(_list_of(_real, 3)(raw, where))
+    if np.linalg.norm(pol) < 1e-12:
+        raise ConfigError(f"{where} must be a non-zero 3-vector")
+    return tuple(float(x) for x in pol / np.linalg.norm(pol))
+
+
+def _block(raw, name: str, cls, **parsers):
+    """Read the config block `raw` (a mapping, or None) into the dataclass `cls`.
+
+    The keys are the fields of `cls`, and those without a default are
+    required. Absent keys take the field default; a present key goes through
+    its parser in `parsers` (by field name), `_real` if it has none.
+    """
+    block = {} if raw is None else raw
+    if not isinstance(block, dict):
+        raise ConfigError(f"{name} must be a mapping, got {raw!r}")
+    required = {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
+    _require_keys(block, {f.name for f in fields(cls)}, required, name)
+    return cls(**{k: parsers.get(k, _real)(v, f"{name}.{k}") for k, v in block.items()})
 
 
 def _parse_blocks(raw) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping of blocks")
-    top_allowed = {"system", "cavity", "dynamics", "ensemble", "outputs", "spectrum", "scan", "analyze"}
+    top_allowed = {"system"} | {f.name for f in fields(RunConfig)[1:]}
     _require_keys(raw, top_allowed, {"system", "cavity"}, "config")
 
     system_block = _parse_system(raw["system"])
     cavity = _parse_cavity(raw["cavity"])
 
-    dyn_block = raw.get("dynamics", {}) or {}
-    _require_keys(dyn_block, {"dt_fs", "duration_fs", "stride"}, set(), "dynamics")
-    dynamics = DynamicsConfig(
-        dt_fs=float(dyn_block.get("dt_fs", 0.25)),
-        duration_fs=float(dyn_block.get("duration_fs", 1000.0)),
-        stride=_integer(dyn_block.get("stride", 4), "dynamics.stride"),
-    )
+    dynamics = _block(raw.get("dynamics"), "dynamics", DynamicsConfig, stride=_integer)
     if not dynamics.dt_fs > 0:
         raise ConfigError("dt_fs must be positive")
     if dynamics.duration_fs < dynamics.dt_fs:
@@ -336,38 +347,16 @@ def _parse_blocks(raw) -> RunConfig:
     if dynamics.stride < 1:
         raise ConfigError("stride must be >= 1")
 
-    ens_block = raw.get("ensemble", {}) or {}
-    _require_keys(
-        ens_block,
-        {"temperature_K", "n_trajectories", "seed", "resample_T_K", "window_fs", "aim", "launch"},
-        set(),
+    ensemble = _block(
+        raw.get("ensemble"),
         "ensemble",
-    )
-    launch_block = ens_block.get("launch", {}) or {}
-    _require_keys(
-        launch_block, {"sic_displacement_bohr", "sif_stretch_bohr"}, set(), "ensemble.launch"
-    )
-    launch = LaunchConfig(
-        sic_displacement_bohr=float(launch_block.get("sic_displacement_bohr", 0.60)),
-        sif_stretch_bohr=float(launch_block.get("sif_stretch_bohr", 0.30)),
-    )
-    aim_raw = ens_block.get("aim", (0, 1))
-    aim = (
-        None
-        if aim_raw is None
-        else tuple(_integer(k, "ensemble.aim") for k in _pair(aim_raw, "ensemble.aim"))
-    )
-    window_raw = _pair(ens_block.get("window_fs", (0.0, 700.0)), "ensemble.window_fs")
-    ensemble = EnsembleConfig(
-        temperature_K=float(ens_block.get("temperature_K", 300.0)),
-        n_trajectories=_integer(ens_block.get("n_trajectories", 16), "ensemble.n_trajectories"),
-        seed=_integer(ens_block.get("seed", 2026), "ensemble.seed"),
-        resample_T_K=(
-            None if ens_block.get("resample_T_K") is None else float(ens_block["resample_T_K"])
-        ),
-        window_fs=(float(window_raw[0]), float(window_raw[1])),
-        aim=aim,
-        launch=launch,
+        EnsembleConfig,
+        n_trajectories=_integer,
+        seed=_integer,
+        resample_T_K=_optional(_real),
+        window_fs=_list_of(_real, 2),
+        aim=_optional(_list_of(_integer, 2)),
+        launch=lambda block, where: _block(block, where, LaunchConfig),
     )
     if ensemble.temperature_K < 0:
         raise ConfigError("temperature_K must be non-negative")
@@ -378,65 +367,47 @@ def _parse_blocks(raw) -> RunConfig:
     if ensemble.window_fs[1] > dynamics.duration_fs + 1e-9:
         raise ConfigError("window_fs exceeds duration_fs")
 
-    out_block = raw.get("outputs", {}) or {}
-    _require_keys(out_block, {"directory", "formats"}, set(), "outputs")
-    formats = tuple(out_block.get("formats", ("csv", "json")))
-    for f in formats:
+    outputs = _block(
+        raw.get("outputs"),
+        "outputs",
+        OutputsConfig,
+        directory=lambda raw, where: str(raw),
+        formats=_list_of(lambda raw, where: raw),
+    )
+    for f in outputs.formats:
         if f not in ("csv", "json"):
             raise ConfigError(f"unknown output format {f!r}")
-    outputs = OutputsConfig(directory=str(out_block.get("directory", "out")), formats=formats)
 
-    spec_block = raw.get("spectrum", {}) or {}
-    _require_keys(spec_block, {"lambda_list_au", "broadening_cm1"}, set(), "spectrum")
-    lam_list = spec_block.get("lambda_list_au")
-    spectrum = SpectrumConfig(
-        lambda_list_au=None if lam_list is None else tuple(float(x) for x in lam_list),
-        broadening_cm1=float(spec_block.get("broadening_cm1", 30.0)),
+    spectrum = _block(
+        raw.get("spectrum"), "spectrum", SpectrumConfig, lambda_list_au=_optional(_list_of(_real))
     )
     if not spectrum.broadening_cm1 > 0:
         raise ConfigError("broadening_cm1 must be positive")
+    if any(lam < 0 for lam in spectrum.lambda_list_au or ()):
+        raise ConfigError("spectrum.lambda_list_au entries must be non-negative")
 
-    scan_block = raw.get("scan", {}) or {}
-    _require_keys(scan_block, {"omega_list_cm1", "ratio_list"}, set(), "scan")
-    scan = ScanConfig(
-        omega_list_cm1=(
-            None
-            if scan_block.get("omega_list_cm1") is None
-            else tuple(float(x) for x in scan_block["omega_list_cm1"])
-        ),
-        ratio_list=(
-            None
-            if scan_block.get("ratio_list") is None
-            else tuple(float(x) for x in scan_block["ratio_list"])
-        ),
+    scan = _block(
+        raw.get("scan"),
+        "scan",
+        ScanConfig,
+        omega_list_cm1=_optional(_list_of(_real)),
+        ratio_list=_optional(_list_of(_real)),
     )
     if scan.omega_list_cm1 is not None and scan.ratio_list is not None:
         raise ConfigError("scan block takes omega_list_cm1 or ratio_list, not both")
     if scan.omega_list_cm1 == () or scan.ratio_list == ():
         raise ConfigError("scan lists must not be empty")
 
-    ana_block = raw.get("analyze", {}) or {}
-    _require_keys(ana_block, {"runs", "correlation_window", "bonds"}, set(), "analyze")
-    bonds_raw = ana_block.get("bonds", [[1, 3], [1, 0]])
-    analyze = AnalyzeConfig(
-        runs=tuple(str(r) for r in ana_block.get("runs", [])),
-        correlation_window=_integer(ana_block.get("correlation_window", 64), "analyze.correlation_window"),
-        bonds=tuple(
-            tuple(_integer(k, "analyze.bonds entry") for k in _pair(b, "analyze.bonds entry"))
-            for b in bonds_raw
-        ),
+    analyze = _block(
+        raw.get("analyze"),
+        "analyze",
+        AnalyzeConfig,
+        runs=_list_of(lambda raw, where: str(raw)),
+        correlation_window=_integer,
+        bonds=_list_of(_list_of(_integer, 2)),
     )
 
-    return RunConfig(
-        system_block=system_block,
-        cavity=cavity,
-        dynamics=dynamics,
-        ensemble=ensemble,
-        outputs=outputs,
-        spectrum=spectrum,
-        scan=scan,
-        analyze=analyze,
-    )
+    return RunConfig(system_block, cavity, dynamics, ensemble, outputs, spectrum, scan, analyze)
 
 
 def config_hash(config: RunConfig) -> str:

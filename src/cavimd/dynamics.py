@@ -118,7 +118,7 @@ class _Propagator:
         try:
             _model.forces(self.system, x)
         except GeometryError as exc:
-            return f"force evaluation failed: {exc}; offending term: {_model.offending_term(self.system, x)}"
+            return f"force evaluation failed: {exc.rows[0]}; offending term: {_model.offending_term(self.system, x)}"
         return "non-finite forces; offending term: " + _model.offending_term(self.system, x)
 
     def energies(self, x, v, q, p, mu):

@@ -135,12 +135,6 @@ class ReactiveWell:
     def d1_coeffs(self) -> tuple:
         return _d1_coeffs(self.coeffs)
 
-    def _poly(self, x):
-        return _poly(x, self.coeffs)
-
-    def _poly_d1(self, x):
-        return _poly_d1(x, self.d1_coeffs)
-
     def _poly_d2(self, x):
         c2, c3, c4, c5, c6 = self.coeffs
         return 2 * c2 + x * (6 * c3 + x * (12 * c4 + x * (20 * c5 + x * 30 * c6)))
@@ -157,7 +151,7 @@ class ReactiveWell:
 
     @property
     def barrier(self) -> float:
-        return self._poly(self.r_ts - self.r0)
+        return _poly(self.r_ts - self.r0, self.coeffs)
 
     @property
     def curvature_min(self) -> float:
@@ -284,10 +278,8 @@ class DipoleModel:
         return float(self.charges.sum())
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        """Dipole at flat 3N positions, or per row of (B, 3N), without validating them (e*bohr)."""
-        rows = x.reshape(-1, x.shape[-1])
-        mu = self._sum((rows[:, None, :] * self.gradient).reshape(len(rows), -1))
-        return mu.reshape(x.shape[:-1] + (3,))
+        """(B, 3) dipoles of (B, 3N) positions, without validating them (e*bohr)."""
+        return self._sum((x[:, None, :] * self.gradient).reshape(len(x), -1))
 
 
 @dataclass(frozen=True)
@@ -418,16 +410,12 @@ class GeometryError(ValueError):
     """Coordinates the bonded potential cannot be evaluated at.
 
     `rows` maps each offending row of the batch (0 for a flat input) to the
-    reason; the message of a flat input is that reason alone.
+    reason.
     """
 
-    def __init__(self, rows: dict, flat: bool):
+    def __init__(self, rows: dict):
         self.rows = rows
-        if flat:
-            text = rows[0]
-        else:
-            text = "; ".join(f"row {k}: {why}" for k, why in rows.items())
-        super().__init__(text)
+        super().__init__("; ".join(f"row {k}: {why}" for k, why in rows.items()))
 
 
 def _check_positions(system: ModelSystem, positions) -> np.ndarray:
@@ -441,17 +429,15 @@ def _check_positions(system: ModelSystem, positions) -> np.ndarray:
     return x
 
 
-def _as_batch(system: ModelSystem, positions):
-    """(B, 3N) view of flat or batched positions, and whether the input was flat."""
+def _as_batch(system: ModelSystem, positions) -> np.ndarray:
+    """(B, 3N) view of flat or batched positions; a flat input is a batch of one."""
     x = np.asarray(positions, dtype=float)
     n3 = 3 * system.n_particles
-    if x.shape == (n3,):
-        return x.reshape(1, n3), True
-    if x.ndim == 2 and x.shape[1] == n3:
-        return x, False
-    raise ValueError(
-        f"positions must be a flat array of length {n3} or a (B, {n3}) batch, got shape {x.shape}"
-    )
+    if x.ndim not in (1, 2) or x.shape[-1] != n3:
+        raise ValueError(
+            f"positions must be a flat array of length {n3} or a (B, {n3}) batch, got shape {x.shape}"
+        )
+    return x.reshape(-1, n3)
 
 
 def _bond_vectors(t: _BondedTerms, x: np.ndarray):
@@ -463,7 +449,7 @@ def _bond_vectors(t: _BondedTerms, x: np.ndarray):
     return d, np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
 
 
-def _geometry(system: ModelSystem, x: np.ndarray, flat: bool):
+def _geometry(system: ModelSystem, x: np.ndarray):
     """Bond vectors and lengths; GeometryError names every row that cannot be evaluated."""
     t = system.terms
     d, r = _bond_vectors(t, x)
@@ -482,7 +468,7 @@ def _geometry(system: ModelSystem, x: np.ndarray, flat: bool):
             else:
                 continue
             break
-    raise GeometryError(rows, flat)
+    raise GeometryError(rows)
 
 
 def _coupling_stretches(t: _BondedTerms, s: np.ndarray) -> np.ndarray:
@@ -495,12 +481,12 @@ def potential_energy(system: ModelSystem, positions):
 
     A flat 3N input gives a float; a (B, 3N) batch gives one energy per row.
     """
-    x, flat = _as_batch(system, positions)
+    x = _as_batch(system, positions)
     t = system.terms
     if not system.bonds:
         e = np.zeros(x.shape[0])
     else:
-        _, r = _geometry(system, x, flat)
+        _, r = _geometry(system, x)
         s = r - t.r0
         e = _well_energy(s, t)
         if system.couplings:
@@ -508,7 +494,7 @@ def potential_energy(system: ModelSystem, positions):
             a, b = ab[..., 0], ab[..., 1]
             e = np.concatenate((e, t.g3 * (a * b * b + a * a * b)), axis=1)
         e = t.energy_sum(e)[:, 0]
-    return float(e[0]) if flat else e
+    return float(e[0]) if np.ndim(positions) == 1 else e
 
 
 def forces(system: ModelSystem, positions) -> np.ndarray:
@@ -517,12 +503,12 @@ def forces(system: ModelSystem, positions) -> np.ndarray:
     Every operation is elementwise or a left-to-right sum along a row, so a
     row's forces do not depend on the batch it is evaluated in.
     """
-    x, flat = _as_batch(system, positions)
+    x = _as_batch(system, positions)
     t = system.terms
     if not system.bonds:
         f = np.zeros_like(x)
     else:
-        d, r = _geometry(system, x, flat)
+        d, r = _geometry(system, x)
         s = r - t.r0
         g = _well_d1(s, t)  # dV/dr per bond
         if system.couplings:
@@ -539,7 +525,7 @@ def forces(system: ModelSystem, positions) -> np.ndarray:
         np.negative(gu, out=push[:, :, 0])
         push[:, :, 1] = gu
         f = t.force_sum(push.reshape(len(x), -1))
-    return f[0] if flat else f
+    return f[0] if np.ndim(positions) == 1 else f
 
 
 def row_sums(a):
@@ -568,7 +554,7 @@ def offending_term(system: ModelSystem, positions) -> str:
 
 def dipole(system: ModelSystem, positions) -> np.ndarray:
     """Molecular dipole in e*bohr."""
-    return system.dipole.value(_check_positions(system, positions))
+    return system.dipole.value(_check_positions(system, positions)[None])[0]
 
 
 def dipole_gradient(system: ModelSystem) -> np.ndarray:

@@ -142,6 +142,8 @@ def test_ir_rejects_non_unit_polarization(surrogate):
     with pytest.raises(ValueError):
         ir_spectrum(nm, np.array([1.0, 1.0, 0.0]))
     with pytest.raises(ValueError):
+        ir_spectrum(nm, np.array([np.nan, 0.0, 0.0]))
+    with pytest.raises(ValueError):
         ir_spectrum(nm, EX, broadening_cm1=0.0)
 
 

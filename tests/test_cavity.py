@@ -179,3 +179,5 @@ def test_polarization_validation():
         CavityMode(omega_c=1.0, lambda_mag=0.0, polarization=np.array([1.0, 1.0, 0.0]))
     with pytest.raises(ValueError):
         CavityMode(omega_c=-1.0, lambda_mag=0.0, polarization=EX)
+    with pytest.raises(ValueError):
+        CavityMode(1.0, 0.1, np.array([np.nan, 0.0, 0.0]))

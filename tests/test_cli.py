@@ -1,4 +1,8 @@
+import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +11,8 @@ import pytest
 from cavimd.cli import main, read_trajectory_csv
 from cavimd.config import ConfigError, parse_config
 from cavimd.units import CM1_PER_HARTREE
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MINIMAL = """
 system:
@@ -98,6 +104,8 @@ cavity:
     system = cfg.build_system()
     assert system.n_particles == 2
     assert system.reactive_bond_index is None
+    with pytest.raises(ConfigError, match=r"bonds\[0\]\.r0 must be a finite number"):
+        parse_config(text.replace("r0: 2.0", "r0: .nan")).build_system()
 
 
 def test_cli_run_and_reread(tmp_path):
@@ -323,6 +331,15 @@ def test_cli_exit_code_validation_error(tmp_path):
         (None, None, None, ["--threads", "0"]),
         ("ratio: 1.132", 'ratio: 1.132\n  bilinear: "false"', None, []),
         ("n_trajectories: 3", "n_trajectories: 2.7", None, []),
+        ("duration_fs: 50.0", "duration_fs: .inf", None, []),
+        ("duration_fs: 50.0", "duration_fs: .nan", None, []),
+        ("seed: 11", "seed: 11\n  temperature_K: .nan", None, []),
+        ("omega_c_cm1: 856.0", "omega_c_cm1: .inf", None, []),
+        ("ratio: 1.132", "lambda_au: .inf", None, []),
+        ("ratio: 1.132", "ratio: .nan", None, []),
+        ("ratio: 1.132", "ratio: 1.132\n  polarization: [.nan, 0.0, 0.0]", None, []),
+        ("outputs:", "analyze:\n  runs: out_a\noutputs:", None, []),
+        ("outputs:", "spectrum:\n  lambda_list_au: [-0.1]\noutputs:", None, []),
     ],
 )
 def test_cli_bad_input_fails_cleanly(tmp_path, monkeypatch, capsys, old, new, env, flags):
@@ -374,3 +391,39 @@ def test_manifest_contents(tmp_path):
     assert "cm^-1 per Hartree" in manifest["unit_constants"]
     assert manifest["resolved_config"]["cavity"]["lambda_au"] == pytest.approx(0.1, abs=1e-3)
     assert len(manifest["config_sha256"]) == 64
+
+
+def test_scan_leaves_scipy_unloaded(tmp_path):
+    # only the transition-state search needs SciPy, so no other command pays for loading it
+    cfg = short_config(tmp_path, n_traj=1, duration=10.0, extra="scan:\n  omega_list_cm1: [856.0]\n")
+    code = (
+        "import sys; from cavimd.cli import main; "
+        f"assert main(['scan', '--config', {str(cfg)!r}]) == 0; print('scipy' in sys.modules)"
+    )
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_benchmark_tracer_binds_every_wrapped_name(monkeypatch):
+    # perfbench/tracer.py wraps program functions by module attribute; a rename must fail here
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    import cavimd.cli as cli
+
+    original = cli.main
+    tracer = module.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    assert cli.main is original

@@ -157,13 +157,12 @@ def test_d_extra_blocks_must_cancel():
 def test_calibration_reproduces_all_constraints():
     targets = dict(barrier=BARRIER_HA, r0=3.6, r_ts=4.55, curvature_min=0.26, curvature_ts=-2.351e-3)
     well = calibrate_reactive_bond(**targets)
-    t = targets["r_ts"] - targets["r0"]
     assert well.energy(targets["r0"]) == pytest.approx(0.0, abs=1e-12)
     assert well.d1(targets["r0"]) == pytest.approx(0.0, abs=1e-12)
     assert well.d2(targets["r0"]) == pytest.approx(targets["curvature_min"], abs=1e-9)
-    assert well._poly(t) == pytest.approx(targets["barrier"], abs=1e-9)
-    assert well._poly_d1(t) == pytest.approx(0.0, abs=1e-9)
-    assert well._poly_d2(t) == pytest.approx(targets["curvature_ts"], abs=1e-9)
+    assert well.energy(targets["r_ts"]) == pytest.approx(targets["barrier"], abs=1e-9)
+    assert well.d1(targets["r_ts"]) == pytest.approx(0.0, abs=1e-9)
+    assert well.d2(targets["r_ts"]) == pytest.approx(targets["curvature_ts"], abs=1e-9)
 
 
 def test_calibration_ts_frequency_target():
