@@ -424,34 +424,41 @@ def barrier_frequency(curvature: float, reduced_mass: float) -> float:
     return float(np.sqrt(abs(curvature) / reduced_mass))
 
 
-def _relaxed_energy(system: ModelSystem, x0: np.ndarray, bond: Tuple[int, int], r: float):
-    """Minimize V with the i-j distance constrained to r; returns (E, x)."""
-    from scipy.optimize import minimize  # loaded only by the transition-state search
+def _newton(system: ModelSystem, x, bond: Optional[Tuple[int, int]] = None, r: float = 0.0):
+    """Stationary point of V by minimum-norm Newton steps; returns (x, max |gradient|).
 
-    i, j = bond
-
-    def dist(x):
-        pts = x.reshape(-1, 3)
-        return float(np.linalg.norm(pts[i] - pts[j]))
-
-    def dist_jac(x):
-        pts = x.reshape(-1, 3)
-        d = pts[i] - pts[j]
-        u = d / np.linalg.norm(d)
-        g = np.zeros_like(x)
-        g[3 * i : 3 * i + 3] = u
-        g[3 * j : 3 * j + 3] = -u
-        return g
-
-    res = minimize(
-        lambda x: _model.potential_energy(system, x),
-        x0,
-        jac=lambda x: -_model.forces(system, x),
-        method="SLSQP",
-        constraints=[{"type": "eq", "fun": lambda x: dist(x) - r, "jac": dist_jac}],
-        options={"ftol": 1e-14, "maxiter": 800},
-    )
-    return float(res.fun), res.x
+    Steps solve H s = -g by least squares on the finite-difference Hessian,
+    so rigid-body directions stay untouched, and are capped at 0.2 bohr per
+    coordinate. With `bond` = (i, j) the distance |x_i - x_j| is held at `r`:
+    each iteration first moves both ends half-way back onto it, then takes the
+    step in the constraint's tangent plane, with the gradient projected off
+    the normal n and the Hessian of the Lagrangian V - mu c, mu = n.g / n.n
+    (Nocedal & Wright, Numerical Optimization, 2nd ed., ch. 18).
+    """
+    x = np.array(x, dtype=float)
+    for iteration in range(61):
+        if bond is not None:
+            ends = np.zeros(x.size // 3)
+            ends[list(bond)] = 1.0, -1.0
+            d = ends @ x.reshape(-1, 3)  # x_i - x_j
+            u = d / np.linalg.norm(d)
+            n = np.kron(ends, u)  # constraint normal: u on particle i, -u on j
+            x += 0.5 * (r - np.linalg.norm(d)) * n
+        g = -_model.forces(system, x)
+        if bond is not None:
+            mu = 0.5 * (n @ g)
+            g -= mu * n
+        grad_norm = float(np.abs(g).max())
+        if grad_norm < 1e-11 or iteration == 60:
+            return x, grad_norm
+        hess = _model.fd_hessian(system, x)
+        if bond is not None:
+            # mu times the Hessian of c = |x_i - x_j| - r, then project onto the tangent plane
+            hess -= mu / r * np.kron(np.outer(ends, ends), np.eye(3) - np.outer(u, u))
+            proj = np.eye(x.size) - 0.5 * np.outer(n, n)
+            hess = proj @ hess @ proj
+        step, *_ = np.linalg.lstsq(hess, -g, rcond=1e-11)
+        x = x + step / max(1.0, np.abs(step).max() / 0.2)
 
 
 def find_transition_state(
@@ -464,12 +471,13 @@ def find_transition_state(
 ) -> TSResult:
     """Relaxed scan over the reactive bond length, then saddle refinement.
 
-    All other coordinates are minimized at each scanned bond length; the
-    profile maximum is refined by quadratic interpolation and Newton steps
-    on the full gradient (minimum-norm steps, so rigid-body directions stay
-    untouched). The barrier is measured from the relaxed reactant minimum;
-    omega_b comes from the relaxed-profile curvature with the bond pair's
-    reduced mass.
+    Every stationary point comes from the one Newton solver `_newton`: all
+    other coordinates are minimized at each scanned bond length; the profile
+    maximum is refined by quadratic interpolation and unconstrained Newton
+    steps (minimum-norm steps, so rigid-body directions stay untouched). The
+    barrier is measured from the relaxed reactant minimum; omega_b comes
+    from the relaxed-profile curvature with the bond pair's reduced mass.
+    A solve that ends with |grad| above 1e-8 raises SearchError.
     """
     if bond_index is None:
         bond_index = system.reactive_bond_index
@@ -483,13 +491,21 @@ def find_transition_state(
     if not (r_min < r_max and n_points >= 3):
         raise ValueError("scan needs r_min < r_max and at least 3 points")
 
+    def solve(x0, r=None):
+        """(E, x, |grad|) at the stationary point from x0, with the bond held at r if given."""
+        x, grad_norm = _newton(system, x0) if r is None else _newton(system, x0, (b.i, b.j), r)
+        if grad_norm > 1e-8:
+            at = "saddle refinement" if r is None else f"relaxation at r = {r:.4f}"
+            raise SearchError(f"{at} stalled, |grad| = {grad_norm:.3e}")
+        return _model.potential_energy(system, x), x, grad_norm
+
     rs = np.linspace(r_min, r_max, n_points)
     energies = np.empty(n_points)
     geoms = []
-    x = np.asarray(start_positions, dtype=float).copy()
+    x = np.asarray(start_positions, dtype=float)
     for k, r in enumerate(rs):
-        energies[k], x = _relaxed_energy(system, x, (b.i, b.j), r)
-        geoms.append(x.copy())
+        energies[k], x, _ = solve(x, r)
+        geoms.append(x)
     k = int(np.argmax(energies))
     if k in (0, n_points - 1):
         raise SearchError(
@@ -502,35 +518,18 @@ def find_transition_state(
     a = (r3 * (e2 - e1) + r2 * (e1 - e3) + r1 * (e3 - e2)) / denom
     bb = (r3**2 * (e1 - e2) + r2**2 * (e3 - e1) + r1**2 * (e2 - e3)) / denom
     r_star = float(np.clip(-bb / (2 * a), r1, r3)) if a < 0 else float(rs[k])
-    _, x = _relaxed_energy(system, geoms[k], (b.i, b.j), r_star)
+    _, x, _ = solve(geoms[k], r_star)
+    e_ts, x, grad_norm = solve(x)
 
-    # Newton refinement on the full gradient
-    for _ in range(60):
-        g = -_model.forces(system, x)
-        if np.abs(g).max() < 1e-11:
-            break
-        hess = _model.fd_hessian(system, x)
-        step, *_ = np.linalg.lstsq(hess, -g, rcond=1e-11)
-        limit = 0.2
-        norm = np.abs(step).max()
-        if norm > limit:
-            step *= limit / norm
-        x = x + step
-    g = -_model.forces(system, x)
-    grad_norm = float(np.abs(g).max())
-    if grad_norm > 1e-8:
-        raise SearchError(f"saddle refinement stalled, |grad| = {grad_norm:.3e}")
-
-    e_min, _ = _relaxed_unconstrained(system, start_positions)
-    e_ts = _model.potential_energy(system, x)
+    e_min, _, _ = solve(start_positions)
     barrier_ev = (e_ts - e_min) * EV_PER_HARTREE
 
     # profile curvature around the saddle
     pts = x.reshape(-1, 3)
     r_ts_val = float(np.linalg.norm(pts[b.i] - pts[b.j]))
     delta = 0.01
-    e_p, _ = _relaxed_energy(system, x, (b.i, b.j), r_ts_val + delta)
-    e_m, _ = _relaxed_energy(system, x, (b.i, b.j), r_ts_val - delta)
+    e_p, _, _ = solve(x, r_ts_val + delta)
+    e_m, _, _ = solve(x, r_ts_val - delta)
     curv = (e_p - 2 * e_ts + e_m) / delta**2
     omega_b_cm1 = barrier_frequency(curv, system.reduced_mass(b.i, b.j)) * CM1_PER_HARTREE
 
@@ -545,19 +544,6 @@ def find_transition_state(
         profile_r=rs,
         profile_energy=energies,
     )
-
-
-def _relaxed_unconstrained(system: ModelSystem, x0) -> Tuple[float, np.ndarray]:
-    from scipy.optimize import minimize
-
-    res = minimize(
-        lambda x: _model.potential_energy(system, x),
-        np.asarray(x0, dtype=float),
-        jac=lambda x: -_model.forces(system, x),
-        method="BFGS",
-        options={"gtol": 1e-10, "maxiter": 500},
-    )
-    return float(res.fun), res.x
 
 
 # --- bond-stretch weights ------------------------------------------------------
@@ -643,17 +629,16 @@ def resonance_scan(
     for omega_cm1, ratio in conditions:
         omega = omega_cm1 / CM1_PER_HARTREE
         lam = lambda_for_ratio(ratio, omega)
-        mode = None
-        if lam > 0:
-            mode = CavityMode(
+        rows.append(("scan", float(omega_cm1), float(lam), float(ratio)))
+        modes.append(
+            CavityMode(
                 omega_c=omega,
                 lambda_mag=lam,
                 polarization=np.asarray(polarization, dtype=float),
                 self_polarization_on=self_polarization,
                 bilinear_on=bilinear,
             )
-        rows.append(("scan", float(omega_cm1), float(lam), float(ratio)))
-        modes.append(mode)
+        )
     results = run_conditions(
         system,
         [(mode, specs) for mode in modes],

@@ -226,20 +226,16 @@ def build_system(system_block: dict) -> ModelSystem:
         a, b = (_integer(c[key], f"couplings[{k}].{key}") for key in ("bond_a", "bond_b"))
         couplings.append(CouplingTerm(a, b, _real(c["g3"], f"couplings[{k}].g3")))
     charges = np.array([p.charge for p in particles])
-    d_extra = None
-    if system_block.get("d_extra") is not None:
-        d_extra = np.asarray(system_block["d_extra"], dtype=float)
-    positions = np.asarray(system_block["positions_bohr"], dtype=float).reshape(-1)
     try:
         return ModelSystem(
             particles=tuple(particles),
             bonds=tuple(bonds),
             couplings=tuple(couplings),
-            dipole=DipoleModel(charges, d_extra),
+            dipole=DipoleModel(charges, system_block.get("d_extra")),
             reactive_bond_index=reactive_index,
-            reference_positions=positions,
+            reference_positions=np.asarray(system_block["positions_bohr"], dtype=float).reshape(-1),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
 
 

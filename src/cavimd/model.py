@@ -265,8 +265,8 @@ class DipoleModel:
             if d.shape != (3, 3 * n):
                 raise ValueError(f"d_extra must be 3 x {3*n}, got {d.shape}")
             block_sum = d.reshape(3, n, 3).sum(axis=1)
-            if np.abs(block_sum).max() > 1e-10:
-                raise ValueError("d_extra particle blocks must sum to zero")
+            if not np.abs(block_sum).max() <= 1e-10:
+                raise ValueError("d_extra must be finite, with particle blocks that sum to zero")
             object.__setattr__(self, "d_extra", d)
             grad = grad + d
         object.__setattr__(self, "gradient", grad)
@@ -374,8 +374,8 @@ class ModelSystem:
             raise ValueError("dipole charge vector length must match particle count")
         if self.reference_positions is not None:
             ref = np.asarray(self.reference_positions, dtype=float)
-            if ref.shape != (3 * n,):
-                raise ValueError("reference_positions must be a flat 3N array")
+            if ref.shape != (3 * n,) or not np.all(np.isfinite(ref)):
+                raise ValueError("reference_positions must be a flat 3N array of finite numbers")
             object.__setattr__(self, "reference_positions", ref)
         object.__setattr__(self, "terms", _BondedTerms.build(n, self.bonds, self.couplings))
 

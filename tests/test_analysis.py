@@ -180,7 +180,6 @@ def test_ir_rotational_covariance():
         reference_positions=ref,
     )
     from cavimd.model import dipole_gradient
-    import scipy.linalg
 
     eps = rng.standard_normal(3)
     eps /= np.linalg.norm(eps)
@@ -189,7 +188,7 @@ def test_ir_rotational_covariance():
     masses = sys_.masses
     lines0, _, _ = ir_spectrum(normal_modes(hess, masses, dgrad), eps)
     rot = random_rotation(rng)
-    big = scipy.linalg.block_diag(rot, rot, rot)
+    big = np.kron(np.eye(3), rot)
     lines1, _, _ = ir_spectrum(
         normal_modes(big @ hess @ big.T, masses, rot @ dgrad @ big.T), rot @ eps
     )
@@ -467,6 +466,9 @@ def test_find_transition_state_pure_double_well():
     assert ts.n_negative == 1
     mu = (28.0 * 12.0 / 40.0) * EMASS_PER_AMU
     assert ts.omega_b_cm1 == pytest.approx(86.0, rel=0.02)
+    # two particles: the relaxed profile is the well itself, so the held distance is honoured
+    well = sys_.bonds[0].well
+    assert ts.profile_energy == pytest.approx(well.energy(ts.profile_r), abs=1e-12)
 
 
 def test_find_transition_state_surrogate_barrier(surrogate):

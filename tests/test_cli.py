@@ -106,6 +106,11 @@ cavity:
     assert system.reactive_bond_index is None
     with pytest.raises(ConfigError, match=r"bonds\[0\]\.r0 must be a finite number"):
         parse_config(text.replace("r0: 2.0", "r0: .nan")).build_system()
+    with pytest.raises(ConfigError, match="reference_positions must be a flat 3N array of finite numbers"):
+        parse_config(text.replace("[2.0, 0.0, 0.0]]", "[.nan, 0.0, 0.0]]")).build_system()
+    d_extra = "  d_extra: [[.nan, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]]\n"
+    with pytest.raises(ConfigError, match="d_extra must be finite"):
+        parse_config(text.replace("  bonds:\n", d_extra + "  bonds:\n")).build_system()
 
 
 def test_cli_run_and_reread(tmp_path):
@@ -394,7 +399,7 @@ def test_manifest_contents(tmp_path):
 
 
 def test_scan_leaves_scipy_unloaded(tmp_path):
-    # only the transition-state search needs SciPy, so no other command pays for loading it
+    # cavimd needs no SciPy, so a command never pays for loading it
     cfg = short_config(tmp_path, n_traj=1, duration=10.0, extra="scan:\n  omega_list_cm1: [856.0]\n")
     code = (
         "import sys; from cavimd.cli import main; "
@@ -410,6 +415,30 @@ def test_scan_leaves_scipy_unloaded(tmp_path):
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_static_commands_run_without_scipy(tmp_path):
+    # nothing in cavimd needs SciPy: block the import and run every static command and the TS search
+    cfg = short_config(tmp_path)
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from cavimd.cli import main\n"
+        "from cavimd.analysis import find_transition_state\n"
+        "from cavimd.model import build_pta_surrogate\n"
+        "for command in ('calibrate', 'spectrum', 'model-check'):\n"
+        f"    assert main([command, '--config', {str(cfg)!r}]) == 0, command\n"
+        "print(find_transition_state(build_pta_surrogate(), 3.9, 5.1, 25).barrier_ev)\n"
+    )
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout.strip().splitlines()[-1]) == pytest.approx(0.35, abs=1e-4)
 
 
 def test_benchmark_tracer_binds_every_wrapped_name(monkeypatch):

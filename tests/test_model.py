@@ -152,6 +152,9 @@ def test_d_extra_blocks_must_cancel():
     bad[0, 0] = 1.0  # block sum is not zero
     with pytest.raises(ValueError):
         DipoleModel(np.zeros(2), bad)
+    bad[0, 0] = np.nan  # a NaN block sum is not zero either
+    with pytest.raises(ValueError):
+        DipoleModel(np.zeros(2), bad)
 
 
 def test_calibration_reproduces_all_constraints():
