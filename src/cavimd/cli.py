@@ -18,6 +18,7 @@ import dataclasses
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 from typing import List, Optional, Sequence
 
@@ -50,9 +51,14 @@ def _fmt(x) -> str:
 
 
 def write_csv(path: Path, header: Sequence[str], rows) -> None:
+    """One header row, then `rows`: a 2-D float ndarray, or rows of mixed cells."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
+        if isinstance(rows, np.ndarray):
+            # tolist() yields Python floats, so each cell is _fmt's repr(float(x))
+            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows.tolist())
+            return
         for row in rows:
             writer.writerow([_fmt(x) for x in row])
 
@@ -85,34 +91,31 @@ def trajectory_header(system: ModelSystem) -> List[str]:
 
 def write_trajectory_csv(path: Path, system: ModelSystem, traj: Trajectory) -> None:
     v_scale = ANGSTROM_PER_BOHR * AUT_PER_FS  # bohr/aut -> Angstrom/fs
-    rows = []
-    for k in range(traj.n_frames):
-        row = [traj.times_fs[k]]
-        row += list(traj.positions[k] * ANGSTROM_PER_BOHR)
-        row += list(traj.velocities[k] * v_scale)
-        row += [traj.photon_q[k], traj.photon_p[k]]
-        row += [
-            traj.epot[k] * EV_PER_HARTREE,
-            traj.ekin[k] * EV_PER_HARTREE,
-            traj.ecav[k] * EV_PER_HARTREE,
-            traj.etot[k] * EV_PER_HARTREE,
-        ]
-        row += list(traj.dipole[k] * ANGSTROM_PER_BOHR)
-        rows.append(row)
-    write_csv(path, trajectory_header(system), rows)
+    energies = np.column_stack([traj.epot, traj.ekin, traj.ecav, traj.etot]) * EV_PER_HARTREE
+    matrix = np.column_stack(
+        [traj.times_fs, traj.positions * ANGSTROM_PER_BOHR, traj.velocities * v_scale]
+        + [traj.photon_q, traj.photon_p, energies, traj.dipole * ANGSTROM_PER_BOHR]
+    )
+    write_csv(path, trajectory_header(system), matrix)
 
 
 def read_trajectory_csv(path: Path, system: ModelSystem) -> Trajectory:
-    """Inverse of write_trajectory_csv (frame-resolution Trajectory)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        data = np.array([[float(x) for x in row] for row in reader])
+    """Inverse of write_trajectory_csv; a damaged file raises ConfigError naming it."""
     expected = trajectory_header(system)
-    if header != expected:
-        raise ConfigError(f"{path}: unexpected trajectory columns")
-    n = system.n_particles
-    n3 = 3 * n
+    with open(path, newline="") as fh:
+        if next(csv.reader([fh.readline()]), []) != expected:
+            raise ConfigError(f"{path}: unexpected trajectory columns")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+    if data.shape[0] == 0:
+        raise ConfigError(f"{path}: no frames after the header")
+    if data.shape[1] != len(expected):
+        raise ConfigError(f"{path}: {data.shape[1]} columns, expected {len(expected)}")
+    n3 = 3 * system.n_particles
     times = data[:, 0] * AUT_PER_FS
     pos = data[:, 1 : 1 + n3] / ANGSTROM_PER_BOHR
     vel = data[:, 1 + n3 : 1 + 2 * n3] / (ANGSTROM_PER_BOHR * AUT_PER_FS)
@@ -122,18 +125,8 @@ def read_trajectory_csv(path: Path, system: ModelSystem) -> Trajectory:
     mu = data[:, 7 + 2 * n3 : 10 + 2 * n3] / ANGSTROM_PER_BOHR
     dt_frame = times[1] - times[0] if times.size > 1 else 1.0
     return Trajectory(
-        dt=dt_frame,
-        stride=1,
-        times=times,
-        positions=pos,
-        velocities=vel,
-        photon_q=q,
-        photon_p=p,
-        epot=e[:, 0],
-        ekin=e[:, 1],
-        ecav=e[:, 2],
-        etot=e[:, 3],
-        dipole=mu,
+        dt=dt_frame, stride=1, times=times, positions=pos, velocities=vel, photon_q=q, photon_p=p,
+        epot=e[:, 0], ekin=e[:, 1], ecav=e[:, 2], etot=e[:, 3], dipole=mu,
     )
 
 
@@ -326,12 +319,19 @@ def cmd_spectrum(config: RunConfig, outdir: Path, seed: Optional[int], threads: 
     return 0
 
 
-def _load_run_trajectories(run_dir: Path, system: ModelSystem) -> List[Trajectory]:
+def _load_run_trajectories(run_dir: Path, system: ModelSystem, min_frames: int) -> List[Trajectory]:
+    """Every trajectory of a run: at least `min_frames` frames each, and as many as the first."""
     tdir = Path(run_dir) / "trajectories"
     files = sorted(tdir.glob("trajectory_*.csv"))
     if not files:
         raise FileNotFoundError(f"no trajectories under {tdir}")
-    return [read_trajectory_csv(f, system) for f in files]
+    trajs = [read_trajectory_csv(f, system) for f in files]
+    for f, t in zip(files, trajs):
+        if t.n_frames < min_frames:
+            raise ConfigError(f"{f}: {t.n_frames} frames, fewer than analyze.correlation_window")
+        if t.n_frames != trajs[0].n_frames:
+            raise ConfigError(f"{f}: {t.n_frames} frames, but {files[0]} has {trajs[0].n_frames}")
+    return trajs
 
 
 def cmd_analyze(config: RunConfig, outdir: Path, seed: Optional[int], threads: int) -> int:
@@ -340,37 +340,35 @@ def cmd_analyze(config: RunConfig, outdir: Path, seed: Optional[int], threads: i
     system = config.build_system()
     modes = _analysis.system_normal_modes(system)
     ref = system.reference_positions
+    bonds = config.analyze.bonds
+    window = config.analyze.correlation_window
     maps = []
     for run in config.analyze.runs:
-        trajs = _load_run_trajectories(Path(run), system)
+        trajs = _load_run_trajectories(Path(run), system, window if len(bonds) >= 2 else 1)
         occ = _analysis.mean_occupation_map(
             [_analysis.mode_occupation(t, modes, ref) for t in trajs]
         )
         maps.append(occ)
         tag = Path(run).name
         header = ["time_fs"] + [f"mode_{f:.2f}_cm1" for f in occ.frequencies_cm1] + ["photon_q_au"]
-        rows = [
-            [occ.times_fs[k]] + list(occ.normalized[k]) + [occ.photon_q[k]]
-            for k in range(occ.times_fs.size)
-        ]
-        write_csv(outdir / f"occupation_{tag}.csv", header, rows)
+        table = np.column_stack([occ.times_fs, occ.normalized, occ.photon_q])
+        write_csv(outdir / f"occupation_{tag}.csv", header, table)
         # bond force correlations per configured pair against the first pair
-        bonds = config.analyze.bonds
         if len(bonds) >= 2:
             corr = _analysis.bond_force_correlation(
-                trajs[0], system, tuple(bonds[0]), tuple(bonds[1]), config.analyze.correlation_window
+                trajs[0], system, tuple(bonds[0]), tuple(bonds[1]), window
             )
             write_csv(
                 outdir / f"bond_correlation_{tag}.csv",
                 ["time_fs", "correlation"],
-                list(zip(corr.times_fs, corr.values)),
+                np.column_stack([corr.times_fs, corr.values]),
             )
             write_json(
                 outdir / f"bond_correlation_{tag}.json",
                 {
                     "bond_a": list(bonds[0]),
                     "bond_b": list(bonds[1]),
-                    "window_frames": config.analyze.correlation_window,
+                    "window_frames": window,
                     "integrated": corr.integrated,
                     "degenerate_windows": corr.n_degenerate,
                 },
@@ -378,11 +376,8 @@ def cmd_analyze(config: RunConfig, outdir: Path, seed: Optional[int], threads: i
     if len(maps) == 2:
         diff = _analysis.occupation_difference(maps[0], maps[1])
         header = ["time_fs"] + [f"mode_{f:.2f}_cm1" for f in diff.frequencies_cm1] + ["photon_q_au"]
-        rows = [
-            [diff.times_fs[k]] + list(diff.delta[k]) + [diff.photon_delta[k]]
-            for k in range(diff.times_fs.size)
-        ]
-        write_csv(outdir / "occupation_difference.csv", header, rows)
+        table = np.column_stack([diff.times_fs, diff.delta, diff.photon_delta])
+        write_csv(outdir / "occupation_difference.csv", header, table)
         rb = system.reactive_bond
         weights = _analysis.sic_weighted_spectrum(modes, (rb.i, rb.j))
         write_csv(

@@ -279,7 +279,10 @@ def _integer(raw, where: str) -> int:
 
 def _real(raw, where: str) -> float:
     """A finite number; NaN and infinities are errors."""
-    value = float(raw)
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        value = np.nan
     if not np.isfinite(value):
         raise ConfigError(f"{where} must be a finite number, got {raw!r}")
     return value
@@ -402,6 +405,8 @@ def _parse_blocks(raw) -> RunConfig:
         correlation_window=_integer,
         bonds=_list_of(_list_of(_integer, 2)),
     )
+    if analyze.correlation_window < 2:
+        raise ConfigError("analyze.correlation_window must be >= 2")
 
     return RunConfig(system_block, cavity, dynamics, ensemble, outputs, spectrum, scan, analyze)
 

@@ -3,14 +3,16 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cavimd.cli import main, read_trajectory_csv
+from cavimd.cli import main, read_trajectory_csv, trajectory_header, write_csv, write_trajectory_csv
 from cavimd.config import ConfigError, parse_config
-from cavimd.units import CM1_PER_HARTREE
+from cavimd.dynamics import Trajectory
+from cavimd.units import ANGSTROM_PER_BOHR, AUT_PER_FS, CM1_PER_HARTREE, EV_PER_HARTREE
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -111,6 +113,9 @@ cavity:
     d_extra = "  d_extra: [[.nan, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]]\n"
     with pytest.raises(ConfigError, match="d_extra must be finite"):
         parse_config(text.replace("  bonds:\n", d_extra + "  bonds:\n")).build_system()
+    for bad in ("abc", "[1, 2]"):
+        with pytest.raises(ConfigError, match=r"particles\[0\]\.mass_amu must be a finite number"):
+            parse_config(text.replace("mass_amu: 19.0", f"mass_amu: {bad}")).build_system()
 
 
 def test_cli_run_and_reread(tmp_path):
@@ -260,6 +265,109 @@ def test_trajectory_csv_roundtrip_fidelity(tmp_path):
     assert np.allclose(traj.etot, ref.etot, rtol=1e-10, atol=1e-14)
 
 
+AWKWARD = [-0.0, 1e-300, 0.1 + 0.2, 1e16, 3.0, -7.0, 5e-324, 1.7976931348623157e308, 2.0**-1074 * 3]
+
+
+def _two_bead_system():
+    text = """
+system:
+  particles:
+    - {label: A, mass_amu: 19.0, charge: -0.5}
+    - {label: B, mass_amu: 12.0, charge: 0.5}
+  positions_bohr: [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]
+  bonds:
+    - {kind: harmonic, i: 0, j: 1, k: 0.2, r0: 2.0}
+cavity:
+  omega_c_cm1: 500.0
+  lambda_au: 0.0
+"""
+    return parse_config(text).build_system()
+
+
+def test_trajectory_csv_format_is_pinned(tmp_path):
+    # every cell is repr(float(x)) of the scaled value, RFC-4180 "\r\n" line ends,
+    # and reading parses each cell back to the same double
+    system = _two_bead_system()
+    frames = 4
+    rng = np.random.default_rng(3)
+    col = lambda k: np.array([AWKWARD[(k + j) % len(AWKWARD)] for j in range(frames)])  # noqa: E731
+    grid = lambda width, k: np.column_stack([col(k + c) for c in range(width)])  # noqa: E731
+    traj = Trajectory(
+        dt=2.0, stride=1, times=np.arange(frames) * 41.0,
+        positions=grid(6, 0) * 1e-8, velocities=rng.standard_normal((frames, 6)),
+        photon_q=col(1), photon_p=col(2),
+        epot=col(3) * 1e-300, ekin=np.full(frames, 1.0), ecav=col(5) * 1e-300, etot=col(6) * 1e-300,
+        dipole=grid(3, 7) * 1e-300,
+    )
+    path = tmp_path / "t.csv"
+    write_trajectory_csv(path, system, traj)
+
+    v_scale = ANGSTROM_PER_BOHR * AUT_PER_FS
+    lines = []
+    for k in range(frames):
+        row = [traj.times_fs[k], *(traj.positions[k] * ANGSTROM_PER_BOHR), *(traj.velocities[k] * v_scale)]
+        row += [traj.photon_q[k], traj.photon_p[k]]
+        row += [e[k] * EV_PER_HARTREE for e in (traj.epot, traj.ekin, traj.ecav, traj.etot)]
+        row += list(traj.dipole[k] * ANGSTROM_PER_BOHR)
+        lines.append(",".join(repr(float(x)) for x in row) + "\r\n")
+    raw = path.read_bytes().decode()
+    assert raw == ",".join(trajectory_header(system)) + "\r\n" + "".join(lines)
+    assert "-0.0," in raw and "1e-300" in raw and "0.30000000000000004" in raw
+
+    cells = np.array([[float(x) for x in line.split(",")] for line in lines])
+    back = read_trajectory_csv(path, system)
+    same = lambda a, b: a.shape == b.shape and a.tobytes() == b.tobytes()  # noqa: E731
+    assert same(back.times, cells[:, 0] * AUT_PER_FS)
+    assert same(back.positions, cells[:, 1:7] / ANGSTROM_PER_BOHR)
+    assert same(back.velocities, cells[:, 7:13] / v_scale)
+    assert same(back.photon_q, traj.photon_q) and same(back.photon_p, traj.photon_p)
+    for k, name in enumerate(("epot", "ekin", "ecav", "etot")):
+        assert same(getattr(back, name), cells[:, 15 + k] / EV_PER_HARTREE)
+    assert same(back.dipole, cells[:, 19:22] / ANGSTROM_PER_BOHR)
+
+
+def test_write_csv_array_and_rows_give_same_bytes(tmp_path):
+    table = np.array([AWKWARD, [-x for x in AWKWARD], [float(k) for k in range(len(AWKWARD))]])
+    header = [f"c{k}" for k in range(table.shape[1])]
+    write_csv(tmp_path / "array.csv", header, table)
+    write_csv(tmp_path / "rows.csv", header, [[float(x) for x in row] for row in table])
+    assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def _drop_last_cell(lines):
+    return [lines[0]] + [ln.rsplit(",", 1)[0] for ln in lines[1:]]
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda lines: lines[:1], "no frames"),
+        (lambda lines: lines[:3] + ["abc" + lines[3][lines[3].index(","):]] + lines[4:], "could not convert"),
+        (lambda lines: lines[:2], "fewer than analyze.correlation_window"),
+        (_drop_last_cell, "columns, expected"),
+        (lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0]] + lines[4:], "number of columns changed"),
+        (lambda lines: lines[:-5], "frames, but"),
+        (lambda lines: ["time_fs"] + lines[1:], "unexpected trajectory columns"),
+    ],
+    ids=["header-only", "non-numeric", "one-frame", "short-rows", "ragged", "truncated", "bad-header"],
+)
+def test_cli_analyze_damaged_trajectory_fails_cleanly(tmp_path, capsys, damage, message):
+    cfg = short_config(tmp_path, n_traj=2)
+    assert main(["ensemble", "--config", str(cfg)]) == 0
+    bad = tmp_path / "out" / "trajectories" / "trajectory_000001.csv"
+    bad.write_text("\n".join(damage(bad.read_text().splitlines())) + "\n")
+    extra = f"analyze:\n  runs: [{tmp_path / 'out'}]\n  correlation_window: 16\n"
+    cfg2 = short_config(tmp_path, name="cfg2.yaml", extra=extra, n_traj=2)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # e.g. numpy's "input contained no data" must not escape
+        assert main(["analyze", "--config", str(cfg2), "--out", str(tmp_path / "ana")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ")
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_cli_analyze_numbers_match_library(tmp_path):
     # dual route: the analyze command's accumulated table vs the direct
     # occupation-difference computation on the re-read trajectories
@@ -345,6 +453,7 @@ def test_cli_exit_code_validation_error(tmp_path):
         ("ratio: 1.132", "ratio: 1.132\n  polarization: [.nan, 0.0, 0.0]", None, []),
         ("outputs:", "analyze:\n  runs: out_a\noutputs:", None, []),
         ("outputs:", "spectrum:\n  lambda_list_au: [-0.1]\noutputs:", None, []),
+        ("outputs:", "analyze:\n  correlation_window: 1\noutputs:", None, []),
     ],
 )
 def test_cli_bad_input_fails_cleanly(tmp_path, monkeypatch, capsys, old, new, env, flags):
