@@ -28,7 +28,7 @@ from .cavity import (
     kinetic_energy,
     projection,
 )
-from .model import GeometryError, ModelSystem
+from .model import ModelSystem
 from .units import au_to_fs
 
 #: a bond stretched past this multiple of the barrier position counts as dissociated
@@ -99,30 +99,17 @@ class _Propagator:
         return _Propagator(self.system, [m for m, k in zip(self.modes, keep) if k])
 
     def accelerations(self, x: np.ndarray, q: np.ndarray):
-        """Nuclear (B, 3N) and photon (B,) accelerations; rows whose forces fail come back non-finite."""
-        try:
-            f = _model.forces(self.system, x)
-        except GeometryError as exc:
-            f = np.full_like(x, np.nan)
-            ok = np.ones(len(x), dtype=bool)
-            ok[list(exc.rows)] = False
-            if ok.any():
-                f[ok] = _model.forces(self.system, x[ok])
+        """Nuclear (B, 3N) and photon (B,) accelerations; a row the forces fail at comes back non-finite."""
+        t = self.system.terms
+        f = t.forces(*t.geometry(x))
         rows = self.rows
         a_q, scale = coupling_terms(rows, q, projection(rows.polarization, self.dipole(x)))
         # scale is exactly 0 for lambda = 0 rows, which then move as matter-only ones
         return (f - scale[:, None] * self.deps) / self.masses3, a_q
 
-    def failure(self, x: np.ndarray) -> str:
-        """Why the forces of one row at flat positions `x` are not finite."""
-        try:
-            _model.forces(self.system, x)
-        except GeometryError as exc:
-            return f"force evaluation failed: {exc.rows[0]}; offending term: {_model.offending_term(self.system, x)}"
-        return "non-finite forces; offending term: " + _model.offending_term(self.system, x)
-
     def energies(self, x, v, q, p, mu):
-        epot = _model.potential_energy(self.system, x)
+        t = self.system.terms
+        epot = t.energy(t.geometry(x)[1])
         ekin = kinetic_energy(self.system, v)
         ecav = np.where(self.rows.active, cavity_energy(self.rows, PhotonState(q, p), mu), 0.0)
         return epot, ekin, ecav
@@ -219,27 +206,28 @@ def propagate_batch(
         mus[live, frame] = mu
         epot[live, frame], ekin[live, frame], ecav[live, frame] = prop.energies(x, v, q, p, mu)
 
-    def drop_failed(a, a_q, *arrays):
+    def drop_failed(a, a_q, x, *arrays):
         """Record and remove the rows whose accelerations are not finite."""
         nonlocal live, prop
         bad = ~(np.isfinite(a).all(axis=1) & np.isfinite(a_q))
         if not bad.any():
-            return (a, a_q) + arrays
-        for k in np.flatnonzero(bad):
-            errors[int(live[k])] = prop.failure(arrays[0][k])
+            return (a, a_q, x) + arrays
+        for k, why in zip(np.flatnonzero(bad), _model.failure_reasons(system, x[bad])):
+            errors[int(live[k])] = "non-finite forces; offending term: " + why
         keep = ~bad
         live = live[keep]
         if live.size:
             prop = prop.take(keep)
-        return tuple(arr[keep] for arr in (a, a_q) + arrays)
+        return tuple(arr[keep] for arr in (a, a_q, x) + arrays)
 
     half = 0.5 * dt
     # failures are detected row by row below, so overflow on the way is expected
     with np.errstate(over="ignore", invalid="ignore"):
-        record(0)
         a, a_q = prop.accelerations(x, q)
         if not np.isfinite(a.sum() + a_q.sum()):
             a, a_q, x, v, q, p = drop_failed(a, a_q, x, v, q, p)
+        if live.size:
+            record(0)
         for step in range(1, n_steps + 1):
             if not live.size:
                 break

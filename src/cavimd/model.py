@@ -14,7 +14,7 @@ All quantities are in Hartree atomic units unless a name says otherwise
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -284,16 +284,18 @@ class DipoleModel:
 
 @dataclass(frozen=True)
 class _BondedTerms:
-    """Index and coefficient arrays of the bonded potential, built once per system.
+    """The bonded potential of a system, evaluated on (B, 3N) batches without checks.
 
-    Per bond: end particles, rest length and the well profile (a harmonic
-    bond is c2 = k/2 with no tail). Per coupling: its two bonds. The `*_sum`
-    objects add the terms of one row in model order: bonds first, then
-    couplings, each in the order the system lists them.
+    Holds, per bond: end particles, rest length and the well profile (a
+    harmonic bond is c2 = k/2 with no tail); per coupling: its two bonds.
+    The `*_sum` objects add the terms of one row in model order: bonds
+    first, then couplings, each in the order the system lists them. Every
+    operation is elementwise or a left-to-right sum along a row, so a row
+    does not depend on the batch it is evaluated in, and a row the
+    potential cannot be evaluated at comes out non-finite.
     """
 
     ends: np.ndarray  # particle i of every bond, then particle j
-    all_bonded: bool  # every particle ends a bond, so a non-finite coordinate shows in r
     r0: np.ndarray
     coeffs: tuple
     d1_coeffs: tuple
@@ -315,7 +317,6 @@ class _BondedTerms:
         nb = len(bonds)
         return cls(
             ends=ends,
-            all_bonded=set(ends.tolist()) == set(range(n_particles)),
             r0=np.array([p[0] for p in profiles], dtype=float),
             coeffs=coeffs,
             d1_coeffs=_d1_coeffs(coeffs),
@@ -330,6 +331,42 @@ class _BondedTerms:
                 (3 * ends.reshape(2, nb).T[:, :, None] + np.arange(3)).reshape(-1), 3 * n_particles
             ),
         )
+
+    def geometry(self, x: np.ndarray):
+        """Per row of (B, 3N) positions and bond: the vector particle j -> i and its length."""
+        ends = np.take(x.reshape(x.shape[0], -1, 3), self.ends, axis=1)
+        nb = self.r0.size
+        d = ends[:, :nb] - ends[:, nb:]
+        sq = d * d
+        return d, np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
+
+    def _coupling_stretches(self, s: np.ndarray) -> np.ndarray:
+        """(B, couplings, 2): stretch of bond_a and of bond_b of every coupling."""
+        return np.take(s, self.pairs, axis=1).reshape(s.shape[0], -1, 2)
+
+    def energy(self, r: np.ndarray) -> np.ndarray:
+        """(B,) energies from the (B, bonds) bond lengths of `geometry`."""
+        s = r - self.r0
+        ab = self._coupling_stretches(s)
+        a, b = ab[..., 0], ab[..., 1]
+        e = np.concatenate((_well_energy(s, self), self.g3 * (a * b * b + a * a * b)), axis=1)
+        return self.energy_sum(e)[:, 0]
+
+    def forces(self, d: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """(B, 3N) -grad V from the bond vectors and lengths of `geometry`."""
+        s = r - self.r0
+        ab = self._coupling_stretches(s)
+        ab2 = 2 * ab[..., 0] * ab[..., 1]
+        ba = ab[..., ::-1]
+        # g3 (b^2 + 2ab) on bond_a and g3 (2ab + a^2) on bond_b, laid out like `pairs`
+        cross = self.g3[:, None] * (ab2[..., None] + ba * ba)
+        g = self.dvdr_sum(np.concatenate((_well_d1(s, self), cross.reshape(len(r), -1)), axis=1))
+        gu = g[..., None] * (d / r[..., None])
+        # -gu on particle i, +gu on particle j, bond by bond
+        push = np.empty(gu.shape[:2] + (2, 3))
+        np.negative(gu, out=push[:, :, 0])
+        push[:, :, 1] = gu
+        return self.force_sum(push.reshape(len(r), -1))
 
 
 @dataclass(frozen=True)
@@ -372,12 +409,12 @@ class ModelSystem:
             )
         if self.dipole.charges.size != n:
             raise ValueError("dipole charge vector length must match particle count")
+        object.__setattr__(self, "terms", _BondedTerms.build(n, self.bonds, self.couplings))
         if self.reference_positions is not None:
             ref = np.asarray(self.reference_positions, dtype=float)
             if ref.shape != (3 * n,) or not np.all(np.isfinite(ref)):
                 raise ValueError("reference_positions must be a flat 3N array of finite numbers")
             object.__setattr__(self, "reference_positions", ref)
-        object.__setattr__(self, "terms", _BondedTerms.build(n, self.bonds, self.couplings))
 
     @property
     def n_particles(self) -> int:
@@ -410,7 +447,7 @@ class GeometryError(ValueError):
     """Coordinates the bonded potential cannot be evaluated at.
 
     `rows` maps each offending row of the batch (0 for a flat input) to the
-    reason.
+    reason `failure_reasons` gives for it.
     """
 
     def __init__(self, rows: dict):
@@ -429,51 +466,54 @@ def _check_positions(system: ModelSystem, positions) -> np.ndarray:
     return x
 
 
-def _as_batch(system: ModelSystem, positions) -> np.ndarray:
-    """(B, 3N) view of flat or batched positions; a flat input is a batch of one."""
+def _geometry(system: ModelSystem, positions):
+    """Bond vectors and lengths of flat or (B, 3N) batched positions, checked.
+
+    A flat input is a batch of one. GeometryError names every row with
+    non-finite coordinates, or with a bonded pair closer than 1e-12 bohr or
+    a non-finite distance apart.
+    """
     x = np.asarray(positions, dtype=float)
     n3 = 3 * system.n_particles
     if x.ndim not in (1, 2) or x.shape[-1] != n3:
         raise ValueError(
             f"positions must be a flat array of length {n3} or a (B, {n3}) batch, got shape {x.shape}"
         )
-    return x.reshape(-1, n3)
-
-
-def _bond_vectors(t: _BondedTerms, x: np.ndarray):
-    """Per row and bond: the vector particle j -> i and its length."""
-    ends = np.take(x.reshape(x.shape[0], -1, 3), t.ends, axis=1)
-    nb = t.r0.size
-    d = ends[:, :nb] - ends[:, nb:]
-    sq = d * d
-    return d, np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
-
-
-def _geometry(system: ModelSystem, x: np.ndarray):
-    """Bond vectors and lengths; GeometryError names every row that cannot be evaluated."""
-    t = system.terms
-    d, r = _bond_vectors(t, x)
-    if (t.all_bonded or np.isfinite(x).all()) and r.min() >= 1e-12 and r.max() < np.inf:
+    x = x.reshape(-1, n3)
+    d, r = system.terms.geometry(x)
+    if np.isfinite(x).all() and r.min(initial=np.inf) >= 1e-12 and r.max(initial=0.0) < np.inf:
         return d, r
-    rows = {}
-    for k in range(x.shape[0]):
-        if not np.isfinite(x[k]).all():
-            rows[k] = "positions contain non-finite values"
-            continue
-        for b, rb in zip(system.bonds, r[k]):
+    bad = ~(np.isfinite(x).all(axis=1) & (r >= 1e-12).all(axis=1) & (r < np.inf).all(axis=1))
+    raise GeometryError(dict(zip(np.flatnonzero(bad).tolist(), failure_reasons(system, x[bad]))))
+
+
+def failure_reasons(system: ModelSystem, x: np.ndarray) -> List[str]:
+    """Why the bonded forces fail at each row of (B, 3N) positions `x`.
+
+    Per row, the first of: non-finite coordinates; a bonded pair that is
+    coincident (closer than 1e-12 bohr) or a non-finite distance apart; a
+    bond whose energy or dV/dr is not finite; otherwise the coupling terms.
+    """
+    t = system.terms
+    with np.errstate(all="ignore"):
+        _, r = t.geometry(x)
+        s = r - t.r0
+        finite = np.isfinite(_well_energy(s, t)) & np.isfinite(_well_d1(s, t))
+
+    def reason(xk, rk, ok):
+        if not np.isfinite(xk).all():
+            return "positions contain non-finite values"
+        for b, rb in zip(system.bonds, rk):
             if rb < 1e-12:
-                rows[k] = f"particles {b.i} and {b.j} are coincident"
-            elif not np.isfinite(rb):
-                rows[k] = f"non-finite distance between particles {b.i} and {b.j}"
-            else:
-                continue
-            break
-    raise GeometryError(rows)
+                return f"particles {b.i} and {b.j} are coincident"
+            if not np.isfinite(rb):
+                return f"non-finite distance between particles {b.i} and {b.j}"
+        for k, (b, rb) in enumerate(zip(system.bonds, rk)):
+            if not ok[k]:
+                return f"bond {k} ({b.kind}, particles {b.i}-{b.j}, r={rb:.3g})"
+        return "coupling terms"
 
-
-def _coupling_stretches(t: _BondedTerms, s: np.ndarray) -> np.ndarray:
-    """(B, couplings, 2): stretch of bond_a and of bond_b of every coupling."""
-    return np.take(s, t.pairs, axis=1).reshape(s.shape[0], -1, 2)
+    return [reason(*row) for row in zip(x, r, finite)]
 
 
 def potential_energy(system: ModelSystem, positions):
@@ -481,50 +521,16 @@ def potential_energy(system: ModelSystem, positions):
 
     A flat 3N input gives a float; a (B, 3N) batch gives one energy per row.
     """
-    x = _as_batch(system, positions)
-    t = system.terms
-    if not system.bonds:
-        e = np.zeros(x.shape[0])
-    else:
-        _, r = _geometry(system, x)
-        s = r - t.r0
-        e = _well_energy(s, t)
-        if system.couplings:
-            ab = _coupling_stretches(t, s)
-            a, b = ab[..., 0], ab[..., 1]
-            e = np.concatenate((e, t.g3 * (a * b * b + a * a * b)), axis=1)
-        e = t.energy_sum(e)[:, 0]
+    e = system.terms.energy(_geometry(system, positions)[1])
     return float(e[0]) if np.ndim(positions) == 1 else e
 
 
 def forces(system: ModelSystem, positions) -> np.ndarray:
     """Analytic -grad V: flat 3N for a flat input, (B, 3N) for a batch.
 
-    Every operation is elementwise or a left-to-right sum along a row, so a
-    row's forces do not depend on the batch it is evaluated in.
+    A row's forces do not depend on the batch it is evaluated in.
     """
-    x = _as_batch(system, positions)
-    t = system.terms
-    if not system.bonds:
-        f = np.zeros_like(x)
-    else:
-        d, r = _geometry(system, x)
-        s = r - t.r0
-        g = _well_d1(s, t)  # dV/dr per bond
-        if system.couplings:
-            ab = _coupling_stretches(t, s)
-            ab2 = 2 * ab[..., 0] * ab[..., 1]
-            ba = ab[..., ::-1]
-            # g3 (b^2 + 2ab) on bond_a and g3 (2ab + a^2) on bond_b, laid out like `pairs`
-            cross = t.g3[:, None] * (ab2[..., None] + ba * ba)
-            g = np.concatenate((g, cross.reshape(len(x), -1)), axis=1)
-            g = t.dvdr_sum(g)
-        gu = g[..., None] * (d / r[..., None])
-        # -gu on particle i, +gu on particle j, bond by bond
-        push = np.empty(gu.shape[:2] + (2, 3))
-        np.negative(gu, out=push[:, :, 0])
-        push[:, :, 1] = gu
-        f = t.force_sum(push.reshape(len(x), -1))
+    f = system.terms.forces(*_geometry(system, positions))
     return f[0] if np.ndim(positions) == 1 else f
 
 
@@ -533,23 +539,6 @@ def row_sums(a):
     a = np.asarray(a, dtype=float)
     sums = _OrderedSum(np.zeros(a.shape[-1]), 1)(a.reshape(-1, a.shape[-1]))[:, 0]
     return float(sums[0]) if a.ndim == 1 else sums
-
-
-def offending_term(system: ModelSystem, positions) -> str:
-    """Name the first bonded term that evaluates non-finite at flat `positions`."""
-    x = np.asarray(positions, dtype=float).reshape(1, -1)
-    if not np.all(np.isfinite(x)):
-        return "coordinates"
-    t = system.terms
-    with np.errstate(all="ignore"):
-        _, r = _bond_vectors(t, x)
-        s = r - t.r0
-        ok = np.isfinite(_well_energy(s, t))
-        ok &= np.isfinite(_well_d1(s, t))
-    for k, b in enumerate(system.bonds):
-        if not ok[0, k]:
-            return f"bond {k} ({b.kind}, particles {b.i}-{b.j}, r={r[0, k]:.3g})"
-    return "coupling terms"
 
 
 def dipole(system: ModelSystem, positions) -> np.ndarray:

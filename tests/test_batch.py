@@ -129,6 +129,20 @@ def test_failing_row_leaves_the_others_untouched(surrogate):
     assert_same_trajectory(batch[2][0], alone[1][0])
 
 
+def test_row_launched_coincident_fails_alone(surrogate):
+    modes = mixed_modes()[:3]
+    states = launch(surrogate, 5, 3)
+    states[1].positions[3:6] = states[1].positions[0:3]  # particles 0 and 1 coincide at step 0
+    dt = fs_to_au(0.5)
+    batch = propagate_batch(surrogate, modes, states, dt, 40, stride=4)
+    assert isinstance(batch[1], IntegrationError)
+    assert "particles 0 and 1 are coincident" in str(batch[1])
+    assert "offending term" in str(batch[1])
+    alone = propagate_batch(surrogate, modes[::2], states[::2], dt, 40, stride=4)
+    assert_same_trajectory(batch[0][0], alone[0][0])
+    assert_same_trajectory(batch[2][0], alone[1][0])
+
+
 def test_pool_workers_are_joined(surrogate, tmp_path):
     specs = make_specs(9, 3, 300.0, aim=(0, 1))
     kw = dict(positions=pta_launch_positions(surrogate), dt=fs_to_au(0.5), n_steps=40, stride=4)
