@@ -20,7 +20,7 @@ import os
 import sys
 import warnings
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -194,8 +194,9 @@ def _write_ensemble_outputs(
         )
 
 
-def cmd_run(config: RunConfig, outdir: Path, seed: Optional[int], threads: int) -> int:
-    system = config.build_system()
+def cmd_run(
+    config: RunConfig, system: ModelSystem, outdir: Path, seed: Optional[int], threads: int
+) -> int:
     kwargs, specs = _ensemble_inputs(config, system, seed, threads)
     mode = config.cavity.mode()
     # the launch and the batch step of `cavimd ensemble`, so this is its trajectory 0
@@ -221,8 +222,9 @@ def cmd_run(config: RunConfig, outdir: Path, seed: Optional[int], threads: int) 
     return 0
 
 
-def cmd_ensemble(config: RunConfig, outdir: Path, seed: Optional[int], threads: int) -> int:
-    system = config.build_system()
+def cmd_ensemble(
+    config: RunConfig, system: ModelSystem, outdir: Path, seed: Optional[int], threads: int
+) -> int:
     kwargs, specs = _ensemble_inputs(config, system, seed, threads)
     result = run_ensemble(system, config.cavity.mode(), specs, keep_trajectories=True, **kwargs)
     tdir = outdir / "trajectories"
@@ -234,8 +236,9 @@ def cmd_ensemble(config: RunConfig, outdir: Path, seed: Optional[int], threads: 
     return 0
 
 
-def cmd_scan(config: RunConfig, outdir: Path, seed: Optional[int], threads: int) -> int:
-    system = config.build_system()
+def cmd_scan(
+    config: RunConfig, system: ModelSystem, outdir: Path, seed: Optional[int], threads: int
+) -> int:
     kwargs, specs = _ensemble_inputs(config, system, seed, threads)
     if config.scan.omega_list_cm1 is not None:
         conditions = [(w, config.cavity.ratio) for w in config.scan.omega_list_cm1]
@@ -276,8 +279,9 @@ def cmd_scan(config: RunConfig, outdir: Path, seed: Optional[int], threads: int)
     return 0
 
 
-def cmd_spectrum(config: RunConfig, outdir: Path, seed: Optional[int], threads: int) -> int:
-    system = config.build_system()
+def cmd_spectrum(
+    config: RunConfig, system: ModelSystem, outdir: Path, seed: Optional[int], threads: int
+) -> int:
     modes = _analysis.system_normal_modes(system)
     pol = np.asarray(config.cavity.polarization)
     lam_list = config.spectrum.lambda_list_au
@@ -319,32 +323,42 @@ def cmd_spectrum(config: RunConfig, outdir: Path, seed: Optional[int], threads: 
     return 0
 
 
-def _load_run_trajectories(run_dir: Path, system: ModelSystem, min_frames: int) -> List[Trajectory]:
-    """Every trajectory of a run: at least `min_frames` frames each, and as many as the first."""
+def _load_run_trajectories(
+    run_dir: Path, system: ModelSystem, min_frames: int, first: Optional[tuple] = None
+) -> Tuple[List[Path], List[Trajectory]]:
+    """The files and trajectories of a run, each of at least `min_frames` frames.
+
+    Every file must share the frame times of `first`, a (path, trajectory)
+    pair that defaults to the run's first file.
+    """
     tdir = Path(run_dir) / "trajectories"
     files = sorted(tdir.glob("trajectory_*.csv"))
     if not files:
         raise FileNotFoundError(f"no trajectories under {tdir}")
     trajs = [read_trajectory_csv(f, system) for f in files]
+    first_file, first_traj = first or (files[0], trajs[0])
     for f, t in zip(files, trajs):
         if t.n_frames < min_frames:
             raise ConfigError(f"{f}: {t.n_frames} frames, fewer than analyze.correlation_window")
-        if t.n_frames != trajs[0].n_frames:
-            raise ConfigError(f"{f}: {t.n_frames} frames, but {files[0]} has {trajs[0].n_frames}")
-    return trajs
+        if t.n_frames != first_traj.n_frames:
+            raise ConfigError(f"{f}: {t.n_frames} frames, but {first_file} has {first_traj.n_frames}")
+        if not np.allclose(t.times_fs, first_traj.times_fs, rtol=0.0, atol=1e-9):
+            raise ConfigError(f"{f}: frame times differ from those of {first_file}")
+    return files, trajs
 
 
-def cmd_analyze(config: RunConfig, outdir: Path, seed: Optional[int], threads: int) -> int:
-    if not config.analyze.runs:
-        raise ConfigError("analyze command needs analyze.runs (one or two run directories)")
-    system = config.build_system()
+def cmd_analyze(
+    config: RunConfig, system: ModelSystem, outdir: Path, seed: Optional[int], threads: int
+) -> int:
     modes = _analysis.system_normal_modes(system)
     ref = system.reference_positions
     bonds = config.analyze.bonds
     window = config.analyze.correlation_window
+    first = None
     maps = []
     for run in config.analyze.runs:
-        trajs = _load_run_trajectories(Path(run), system, window if len(bonds) >= 2 else 1)
+        files, trajs = _load_run_trajectories(Path(run), system, window if len(bonds) >= 2 else 1, first)
+        first = first or (files[0], trajs[0])
         occ = _analysis.mean_occupation_map(
             [_analysis.mode_occupation(t, modes, ref) for t in trajs]
         )
@@ -393,10 +407,9 @@ def cmd_analyze(config: RunConfig, outdir: Path, seed: Optional[int], threads: i
     return 0
 
 
-def cmd_calibrate(config: RunConfig, outdir: Path, seed: Optional[int], threads: int) -> int:
-    system = config.build_system()
-    if system.reactive_bond_index is None:
-        raise ConfigError("calibrate requires a system with a reactive bond")
+def cmd_calibrate(
+    config: RunConfig, system: ModelSystem, outdir: Path, seed: Optional[int], threads: int
+) -> int:
     rb = system.reactive_bond
     well = rb.well
     mu_red = system.reduced_mass(rb.i, rb.j)
@@ -418,8 +431,9 @@ def cmd_calibrate(config: RunConfig, outdir: Path, seed: Optional[int], threads:
     return 0
 
 
-def cmd_model_check(config: RunConfig, outdir: Path, seed: Optional[int], threads: int) -> int:
-    system = config.build_system()
+def cmd_model_check(
+    config: RunConfig, system: ModelSystem, outdir: Path, seed: Optional[int], threads: int
+) -> int:
     rng = np.random.default_rng(7)
     checks = {}
     x0 = system.reference_positions
@@ -457,6 +471,23 @@ def cmd_model_check(config: RunConfig, outdir: Path, seed: Optional[int], thread
     for key in ("force_fd_ok", "reference_is_stationary"):
         print(f"{'PASS' if checks[key] else 'FAIL'} {key}")
     return 0 if ok else 2
+
+
+def _check_inputs(command: str, config: RunConfig, system: ModelSystem) -> None:
+    """Reject what `command` cannot run with on the built `system`, before anything runs."""
+    if command in ("ensemble", "scan", "calibrate") and system.reactive_bond_index is None:
+        raise ConfigError(f"{command} requires a system with a reactive bond")
+    pairs = []
+    if command in ("run", "ensemble", "scan") and config.ensemble.aim is not None:
+        pairs.append(("ensemble.aim", config.ensemble.aim))
+    if command == "analyze":
+        if not config.analyze.runs:
+            raise ConfigError("analyze command needs analyze.runs (one or two run directories)")
+        pairs += [(f"analyze.bonds[{k}]", pair) for k, pair in enumerate(config.analyze.bonds)]
+    n = system.n_particles
+    for where, (i, j) in pairs:
+        if not (0 <= i < n and 0 <= j < n) or i == j:
+            raise ConfigError(f"{where} must name two different particles of 0..{n - 1}, got {[i, j]}")
 
 
 COMMANDS = {
@@ -512,9 +543,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 raise ConfigError(f"CAVIMD_THREADS must be an integer, got {raw_threads!r}") from None
         if threads < 1:
             raise ConfigError(f"thread count must be >= 1, got {threads}")
+        system = config.build_system()
+        _check_inputs(args.command, config, system)
         outdir = Path(config.outputs.directory)
         outdir.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](config, outdir, args.seed, threads)
+        return COMMANDS[args.command](config, system, outdir, args.seed, threads)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

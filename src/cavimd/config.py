@@ -79,6 +79,9 @@ class DynamicsConfig:
     duration_fs: float = 1000.0
     stride: int = 4
 
+    def n_steps(self) -> int:
+        return int(round(self.duration_fs / self.dt_fs))
+
 
 @dataclass
 class LaunchConfig:
@@ -147,7 +150,7 @@ class RunConfig:
         return system.reference_positions.copy()
 
     def n_steps(self) -> int:
-        return int(round(self.dynamics.duration_fs / self.dynamics.dt_fs))
+        return self.dynamics.n_steps()
 
     def resolved_dict(self) -> dict:
         d = {f.name: asdict(getattr(self, f.name)) for f in fields(self)[1:]}
@@ -189,9 +192,19 @@ def _parse_system(block: dict) -> dict:
 
 
 def build_system(system_block: dict) -> ModelSystem:
-    """Instantiate a ModelSystem from a validated system block."""
+    """Instantiate a ModelSystem from a validated system block.
+
+    Every value an inline system's model classes reject is a ConfigError.
+    """
     if system_block.get("builtin") == "pta_surrogate":
         return build_pta_surrogate()
+    try:
+        return _build_inline(system_block)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _build_inline(system_block: dict) -> ModelSystem:
     particles = []
     for k, p in enumerate(system_block["particles"]):
         _require_keys(p, {"label", "mass_amu", "charge"}, {"label", "mass_amu", "charge"}, f"particles[{k}]")
@@ -225,18 +238,14 @@ def build_system(system_block: dict) -> ModelSystem:
         _require_keys(c, {"bond_a", "bond_b", "g3"}, {"bond_a", "bond_b", "g3"}, f"couplings[{k}]")
         a, b = (_integer(c[key], f"couplings[{k}].{key}") for key in ("bond_a", "bond_b"))
         couplings.append(CouplingTerm(a, b, _real(c["g3"], f"couplings[{k}].g3")))
-    charges = np.array([p.charge for p in particles])
-    try:
-        return ModelSystem(
-            particles=tuple(particles),
-            bonds=tuple(bonds),
-            couplings=tuple(couplings),
-            dipole=DipoleModel(charges, system_block.get("d_extra")),
-            reactive_bond_index=reactive_index,
-            reference_positions=np.asarray(system_block["positions_bohr"], dtype=float).reshape(-1),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+    return ModelSystem(
+        particles=tuple(particles),
+        bonds=tuple(bonds),
+        couplings=tuple(couplings),
+        dipole=DipoleModel(np.array([p.charge for p in particles]), system_block.get("d_extra")),
+        reactive_bond_index=reactive_index,
+        reference_positions=np.asarray(system_block["positions_bohr"], dtype=float).reshape(-1),
+    )
 
 
 def parse_config(text: str) -> RunConfig:
@@ -363,8 +372,13 @@ def _parse_blocks(raw) -> RunConfig:
         raise ConfigError("n_trajectories must be >= 1")
     if not ensemble.window_fs[0] < ensemble.window_fs[1]:
         raise ConfigError("window_fs must be an increasing pair")
-    if ensemble.window_fs[1] > dynamics.duration_fs + 1e-9:
-        raise ConfigError("window_fs exceeds duration_fs")
+    if ensemble.window_fs[0] < 0:
+        raise ConfigError("ensemble.window_fs must not start before 0 fs")
+    last_frame_fs = dynamics.n_steps() // dynamics.stride * dynamics.stride * dynamics.dt_fs
+    if ensemble.window_fs[1] > last_frame_fs + 1e-9:
+        raise ConfigError(
+            f"ensemble.window_fs ends after the last recorded frame, at {last_frame_fs:g} fs"
+        )
 
     outputs = _block(
         raw.get("outputs"),

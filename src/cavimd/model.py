@@ -414,6 +414,10 @@ class ModelSystem:
             ref = np.asarray(self.reference_positions, dtype=float)
             if ref.shape != (3 * n,) or not np.all(np.isfinite(ref)):
                 raise ValueError("reference_positions must be a flat 3N array of finite numbers")
+            try:
+                _geometry(self, ref)
+            except GeometryError as exc:
+                raise ValueError(f"reference_positions: {exc.rows[0]}") from None
             object.__setattr__(self, "reference_positions", ref)
 
     @property

@@ -41,6 +41,19 @@ outputs:
 """
 
 
+BUILTIN = "system:\n  builtin: pta_surrogate\n"
+
+#: two beads joined by one harmonic bond: an inline system without a reactive bond
+TWO_BEADS = """system:
+  particles:
+    - {label: A, mass_amu: 19.0, charge: -0.5}
+    - {label: B, mass_amu: 12.0, charge: 0.5}
+  positions_bohr: [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]
+  bonds:
+    - {kind: harmonic, i: 0, j: 1, k: 0.2, r0: 2.0}
+"""
+
+
 def short_config(tmp_path, name="cfg.yaml", extra="", n_traj=3, duration=50.0):
     text = SHORT_RUN.replace("PLACEHOLDER", str(tmp_path / "out"))
     text = text.replace("n_trajectories: 3", f"n_trajectories: {n_traj}")
@@ -116,6 +129,24 @@ cavity:
     for bad in ("abc", "[1, 2]"):
         with pytest.raises(ConfigError, match=r"particles\[0\]\.mass_amu must be a finite number"):
             parse_config(text.replace("mass_amu: 19.0", f"mass_amu: {bad}")).build_system()
+    for old, new, message in [
+        ("mass_amu: 19.0", "mass_amu: -1", "mass must be positive"),
+        ("k: 0.2", "k: -0.3", "force constant must be positive"),
+        ("i: 0, j: 1", "i: 0, j: 0", "bond endpoints must differ"),
+        ("[2.0, 0.0, 0.0]]", "[0.0, 0.0, 0.0]]", "reference_positions: particles 0 and 1 are coincident"),
+    ]:
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text.replace(old, new)).build_system()
+
+
+@pytest.mark.parametrize("command", ["run", "spectrum", "model-check"])
+def test_cli_coincident_reference_fails_cleanly(tmp_path, capsys, command):
+    cfg = short_config(tmp_path)
+    cfg.write_text(cfg.read_text().replace(BUILTIN, TWO_BEADS.replace("[2.0, 0.0, 0.0]]", "[0.0, 0.0, 0.0]]")))
+    assert main([command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: reference_positions: particles 0 and 1 are coincident")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_and_reread(tmp_path):
@@ -368,6 +399,38 @@ def test_cli_analyze_damaged_trajectory_fails_cleanly(tmp_path, capsys, damage, 
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "extra, second, message",
+    [
+        ("  bonds: [[1, 9], [1, 0]]\n", None, "analyze.bonds[0] must name two different particles of 0..5, got [1, 9]"),
+        ("  bonds: [[1, 1], [1, 0]]\n", None, "analyze.bonds[0] must name two different particles of 0..5, got [1, 1]"),
+        ("", (40.0, 4), "41 frames, but"),
+        ("", (100.0, 8), "frame times differ from those of"),
+    ],
+    ids=["bond-out-of-range", "bond-equal-ends", "frame-counts-differ", "frame-times-differ"],
+)
+def test_cli_analyze_bad_inputs_fail_cleanly(tmp_path, capsys, extra, second, message):
+    runs = [tmp_path / "out"]
+    if second is not None:
+        # a second run of another duration (and stride) than the 50 fs, stride-4 first one
+        duration, stride = second
+        assert main(["ensemble", "--config", str(short_config(tmp_path, n_traj=1))]) == 0
+        cfg = short_config(tmp_path, name="second.yaml", n_traj=1, duration=duration)
+        cfg.write_text(cfg.read_text().replace("dynamics:", f"dynamics:\n  stride: {stride}"))
+        runs.append(tmp_path / "second")
+        assert main(["ensemble", "--config", str(cfg), "--out", str(runs[1])]) == 0
+    text = f"analyze:\n  runs: [{', '.join(map(str, runs))}]\n  correlation_window: 16\n" + extra
+    cfg = short_config(tmp_path, name="ana.yaml", extra=text, n_traj=1)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "ana")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_cli_analyze_numbers_match_library(tmp_path):
     # dual route: the analyze command's accumulated table vs the direct
     # occupation-difference computation on the re-read trajectories
@@ -454,6 +517,11 @@ def test_cli_exit_code_validation_error(tmp_path):
         ("outputs:", "analyze:\n  runs: out_a\noutputs:", None, []),
         ("outputs:", "spectrum:\n  lambda_list_au: [-0.1]\noutputs:", None, []),
         ("outputs:", "analyze:\n  correlation_window: 1\noutputs:", None, []),
+        ("seed: 11", "seed: 11\n  aim: [0, 9]", None, []),
+        ("seed: 11", "seed: 11\n  aim: [1, 1]", None, []),
+        (BUILTIN, TWO_BEADS, None, []),
+        ("window_fs: [0.0, 50.0]", "window_fs: [-10.0, 40.0]", None, []),
+        ("duration_fs: 50.0", "duration_fs: 50.0\n  stride: 1000", None, []),
     ],
 )
 def test_cli_bad_input_fails_cleanly(tmp_path, monkeypatch, capsys, old, new, env, flags):
