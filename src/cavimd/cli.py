@@ -243,11 +243,9 @@ def cmd_scan(
     if config.scan.omega_list_cm1 is not None:
         conditions = [(w, config.cavity.ratio) for w in config.scan.omega_list_cm1]
         name = "resonance_scan.csv"
-    elif config.scan.ratio_list is not None:
+    else:
         conditions = [(config.cavity.omega_c_cm1, r) for r in config.scan.ratio_list]
         name = "coupling_scan.csv"
-    else:
-        raise ConfigError("scan command needs scan.omega_list_cm1 or scan.ratio_list")
     rows = _analysis.resonance_scan(
         system,
         specs,
@@ -474,9 +472,13 @@ def cmd_model_check(
 
 
 def _check_inputs(command: str, config: RunConfig, system: ModelSystem) -> None:
-    """Reject what `command` cannot run with on the built `system`, before anything runs."""
-    if command in ("ensemble", "scan", "calibrate") and system.reactive_bond_index is None:
+    """Reject config entries `command` cannot run with on `system`, before anything runs."""
+    # the two-run tables of analyze weigh each mode by its reactive-bond stretch
+    two_runs = command == "analyze" and len(config.analyze.runs) == 2
+    if (command in ("ensemble", "scan", "calibrate") or two_runs) and system.reactive_bond_index is None:
         raise ConfigError(f"{command} requires a system with a reactive bond")
+    if command == "scan" and config.scan.omega_list_cm1 is None and config.scan.ratio_list is None:
+        raise ConfigError("scan command needs scan.omega_list_cm1 or scan.ratio_list")
     pairs = []
     if command in ("run", "ensemble", "scan") and config.ensemble.aim is not None:
         pairs.append(("ensemble.aim", config.ensemble.aim))

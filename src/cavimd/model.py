@@ -14,7 +14,7 @@ All quantities are in Hartree atomic units unless a name says otherwise
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Union
 
 import numpy as np
 

@@ -431,6 +431,17 @@ def test_cli_analyze_bad_inputs_fail_cleanly(tmp_path, capsys, extra, second, me
     assert "Traceback" not in err
 
 
+def test_cli_analyze_two_runs_need_a_reactive_bond(tmp_path, capsys):
+    cfg = short_config(tmp_path, extra=f"analyze:\n  runs: [{tmp_path / 'a'}, {tmp_path / 'b'}]\n")
+    cfg.write_text(cfg.read_text().replace(BUILTIN, TWO_BEADS))
+    for run in ("a", "b"):
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / run)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "ana")]) == 1
+    assert capsys.readouterr().err == "error: analyze requires a system with a reactive bond\n"
+    assert not (tmp_path / "ana").exists()
+
+
 def test_cli_analyze_numbers_match_library(tmp_path):
     # dual route: the analyze command's accumulated table vs the direct
     # occupation-difference computation on the re-read trajectories
