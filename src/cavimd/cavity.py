@@ -15,13 +15,16 @@ variant can be reproduced; with both on the cavity energy is a completed
 square and therefore never negative.
 
 The coupling arithmetic takes either one CavityMode with scalar photon
-coordinates or a CavityRows batch with one entry per row; the switches
-enter as 0/1 factors, so the same expressions serve both.
+coordinates or a CavityRows batch with one entry per row. Both carry the
+same constant coefficients (omega_c^2 and the switched products), each
+computed once; the switches enter them as 0/1 factors, so the same
+expressions serve both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,8 +33,32 @@ from . import model as _model
 from .model import ModelSystem
 
 
+class _Coefficients:
+    """Constant products of a mode's parameters that the coupling arithmetic reads.
+
+    Each is computed on first use and then kept; the 0/1 switches enter as
+    factors, so a switched-off term has a zero coefficient.
+    """
+
+    @cached_property
+    def omega2(self):
+        return self.omega_c * self.omega_c
+
+    @cached_property
+    def bilinear_omega_lambda(self):
+        return self.bilinear_on * (self.omega_c * self.lambda_mag)
+
+    @cached_property
+    def bilinear_omega(self):
+        return self.bilinear_on * self.omega_c
+
+    @cached_property
+    def self_polarization_lambda(self):
+        return self.self_polarization_on * self.lambda_mag
+
+
 @dataclass(frozen=True)
-class CavityMode:
+class CavityMode(_Coefficients):
     """Cavity frequency, coupling strength and polarization (+ term switches)."""
 
     omega_c: float  # Hartree (angular frequency, a.u.)
@@ -54,7 +81,7 @@ class CavityMode:
 
 
 @dataclass(frozen=True)
-class CavityRows:
+class CavityRows(_Coefficients):
     """Cavity parameters of every row of a batch, one array entry per row.
 
     A row without a cavity has omega_c = lambda_mag = 0, a zero polarization
@@ -165,8 +192,8 @@ def coupling_terms(mode, q, mu_eps):
     the constant dipole gradient; this is the only place the coupling
     derivatives are written down.
     """
-    a_q = -mode.omega_c**2 * q - mode.bilinear_on * (mode.omega_c * mode.lambda_mag * mu_eps)
-    scale = mode.bilinear_on * (mode.omega_c * q) + mode.self_polarization_on * (mode.lambda_mag * mu_eps)
+    a_q = -mode.omega2 * q - mode.bilinear_omega_lambda * mu_eps
+    scale = mode.bilinear_omega * q + mode.self_polarization_lambda * mu_eps
     return a_q, scale * mode.lambda_mag
 
 
@@ -192,9 +219,11 @@ def cavity_energy(mode, photon: PhotonState, mu):
     """Photon plus interaction energy for the current dipole (per row for CavityRows)."""
     proj = projection(mode.polarization, mu)
     q, p = photon.q, photon.p
-    e = 0.5 * p**2 + 0.5 * mode.omega_c**2 * q**2
-    e = e + mode.bilinear_on * (mode.omega_c * q * mode.lambda_mag * proj)
-    return e + mode.self_polarization_on * (0.5 * (mode.lambda_mag * proj) ** 2)
+    # squares as products: a scalar's ** 2 is pow(), which can differ from x * x in the last bit
+    sp = mode.self_polarization_lambda * proj
+    e = 0.5 * (p * p) + 0.5 * mode.omega2 * (q * q)
+    e = e + mode.bilinear_omega * q * mode.lambda_mag * proj
+    return e + 0.5 * (sp * sp)
 
 
 def kinetic_energy(system: ModelSystem, velocities):

@@ -99,6 +99,24 @@ def write_trajectory_csv(path: Path, system: ModelSystem, traj: Trajectory) -> N
     write_csv(path, trajectory_header(system), matrix)
 
 
+def _first_bad_line(path: Path, width: int) -> Optional[str]:
+    """Where the first frame of a trajectory file is not `width` numbers, by file line number."""
+    with open(path, newline="") as fh:
+        for n, line in enumerate(fh, 1):
+            cells = line.split("#", 1)[0].strip()  # as np.loadtxt reads it
+            if n == 1 or not cells:
+                continue
+            cells = cells.split(",")
+            if len(cells) != width:
+                return f"line {n}: {len(cells)} columns, expected {width}"
+            for c, cell in enumerate(cells, 1):
+                try:
+                    float(cell)
+                except ValueError:
+                    return f"line {n}: could not convert column {c} ({cell!r}) to float"
+    return None
+
+
 def read_trajectory_csv(path: Path, system: ModelSystem) -> Trajectory:
     """Inverse of write_trajectory_csv; a damaged file raises ConfigError naming it."""
     expected = trajectory_header(system)
@@ -110,11 +128,11 @@ def read_trajectory_csv(path: Path, system: ModelSystem) -> Trajectory:
                 warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
                 data = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+            raise ConfigError(f"{path}: {_first_bad_line(path, len(expected)) or exc}") from None
     if data.shape[0] == 0:
         raise ConfigError(f"{path}: no frames after the header")
     if data.shape[1] != len(expected):
-        raise ConfigError(f"{path}: {data.shape[1]} columns, expected {len(expected)}")
+        raise ConfigError(f"{path}: {_first_bad_line(path, len(expected))}")
     n3 = 3 * system.n_particles
     times = data[:, 0] * AUT_PER_FS
     pos = data[:, 1 : 1 + n3] / ANGSTROM_PER_BOHR
@@ -479,9 +497,8 @@ def _check_inputs(command: str, config: RunConfig, system: ModelSystem) -> None:
         raise ConfigError(f"{command} requires a system with a reactive bond")
     if command == "scan" and config.scan.omega_list_cm1 is None and config.scan.ratio_list is None:
         raise ConfigError("scan command needs scan.omega_list_cm1 or scan.ratio_list")
-    pairs = []
-    if command in ("run", "ensemble", "scan") and config.ensemble.aim is not None:
-        pairs.append(("ensemble.aim", config.ensemble.aim))
+    aim = config.ensemble.aim if command in ("run", "ensemble", "scan") else None
+    pairs = [] if aim is None else [("ensemble.aim", aim)]
     if command == "analyze":
         if not config.analyze.runs:
             raise ConfigError("analyze command needs analyze.runs (one or two run directories)")
@@ -490,6 +507,12 @@ def _check_inputs(command: str, config: RunConfig, system: ModelSystem) -> None:
     for where, (i, j) in pairs:
         if not (0 <= i < n and 0 <= j < n) or i == j:
             raise ConfigError(f"{where} must name two different particles of 0..{n - 1}, got {[i, j]}")
+    if aim is not None:
+        # the projectile is aimed along the unit vector from particle i to particle j
+        i, j = aim
+        pts = config.launch_positions(system).reshape(-1, 3)
+        if np.linalg.norm(pts[j] - pts[i]) < 1e-12:
+            raise ConfigError(f"ensemble.aim particles {i} and {j} coincide in the launch geometry")
 
 
 COMMANDS = {

@@ -25,6 +25,7 @@ from .ensemble import RNG_ALGORITHM
 from .model import (
     PTA_LAUNCH_SIC_BOHR,
     PTA_LAUNCH_SIF_BOHR,
+    CalibrationError,
     CouplingTerm,
     DipoleModel,
     HarmonicBond,
@@ -194,7 +195,8 @@ def _parse_system(block: dict) -> dict:
 def build_system(system_block: dict) -> ModelSystem:
     """Instantiate a ModelSystem from a validated system block.
 
-    Every value an inline system's model classes reject is a ConfigError.
+    Every value an inline system's model classes reject is a ConfigError;
+    one raised for a single particle, bond or coupling names that entry.
     """
     if system_block.get("builtin") == "pta_surrogate":
         return build_pta_surrogate()
@@ -204,12 +206,22 @@ def build_system(system_block: dict) -> ModelSystem:
         raise ConfigError(str(exc)) from None
 
 
+def _entry(where: str, build, *args):
+    """build(*args), with its rejection of the values prefixed by the config entry `where`."""
+    try:
+        return build(*args)
+    except CalibrationError as exc:
+        raise CalibrationError(f"{where}: {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
 def _build_inline(system_block: dict) -> ModelSystem:
     particles = []
     for k, p in enumerate(system_block["particles"]):
         _require_keys(p, {"label", "mass_amu", "charge"}, {"label", "mass_amu", "charge"}, f"particles[{k}]")
         mass, charge = (_real(p[key], f"particles[{k}].{key}") for key in ("mass_amu", "charge"))
-        particles.append(Particle(str(p["label"]), mass, charge))
+        particles.append(_entry(f"particles[{k}]", Particle, str(p["label"]), mass, charge))
     bonds = []
     reactive_index = None
     for k, b in enumerate(system_block["bonds"]):
@@ -218,11 +230,13 @@ def _build_inline(system_block: dict) -> ModelSystem:
         if kind == "harmonic":
             _require_keys(b, {"kind", "i", "j", "k", "r0"}, {"kind", "i", "j", "k", "r0"}, f"bonds[{k}]")
             i, j = _integer(b["i"], f"bonds[{k}].i"), _integer(b["j"], f"bonds[{k}].j")
-            bonds.append(HarmonicBond(i, j, num("k"), num("r0")))
+            bonds.append(_entry(f"bonds[{k}]", HarmonicBond, i, j, num("k"), num("r0")))
         elif kind == "reactive":
             keys = {"kind", "i", "j", "r0", "r_ts", "barrier_ev", "curvature_min", "curvature_ts"}
             _require_keys(b, keys, keys, f"bonds[{k}]")
-            well = calibrate_reactive_bond(
+            well = _entry(
+                f"bonds[{k}]",
+                calibrate_reactive_bond,
                 num("barrier_ev") / EV_PER_HARTREE,
                 *(num(key) for key in ("r0", "r_ts", "curvature_min", "curvature_ts")),
             )
@@ -230,14 +244,14 @@ def _build_inline(system_block: dict) -> ModelSystem:
                 raise ConfigError("only one reactive bond is supported")
             reactive_index = k
             i, j = _integer(b["i"], f"bonds[{k}].i"), _integer(b["j"], f"bonds[{k}].j")
-            bonds.append(ReactiveBond(i, j, well))
+            bonds.append(_entry(f"bonds[{k}]", ReactiveBond, i, j, well))
         else:
             raise ConfigError(f"bonds[{k}]: kind must be 'harmonic' or 'reactive'")
     couplings = []
     for k, c in enumerate(system_block.get("couplings", [])):
         _require_keys(c, {"bond_a", "bond_b", "g3"}, {"bond_a", "bond_b", "g3"}, f"couplings[{k}]")
         a, b = (_integer(c[key], f"couplings[{k}].{key}") for key in ("bond_a", "bond_b"))
-        couplings.append(CouplingTerm(a, b, _real(c["g3"], f"couplings[{k}].g3")))
+        couplings.append(_entry(f"couplings[{k}]", CouplingTerm, a, b, _real(c["g3"], f"couplings[{k}].g3")))
     return ModelSystem(
         particles=tuple(particles),
         bonds=tuple(bonds),

@@ -107,12 +107,17 @@ class _Propagator:
         # scale is exactly 0 for lambda = 0 rows, which then move as matter-only ones
         return (f - scale[:, None] * self.deps) / self.masses3, a_q
 
-    def energies(self, x, v, q, p, mu):
+    def energies(self, x, v, q, p):
+        """Potential, kinetic and cavity energy and dipole at each of the frames x, v, q, p.
+
+        The frames all belong to this one-row propagator's row.
+        """
         t = self.system.terms
+        mu = self.dipole(x)
         epot = t.energy(t.geometry(x)[1])
         ekin = kinetic_energy(self.system, v)
         ecav = np.where(self.rows.active, cavity_energy(self.rows, PhotonState(q, p), mu), 0.0)
-        return epot, ekin, ecav
+        return epot, ekin, ecav, mu
 
 
 def velocity_verlet_step(
@@ -190,10 +195,6 @@ def propagate_batch(
     vs = np.empty((n_rows, n_frames, n3))
     qs = np.empty((n_rows, n_frames))
     ps = np.empty((n_rows, n_frames))
-    epot = np.empty((n_rows, n_frames))
-    ekin = np.empty((n_rows, n_frames))
-    ecav = np.empty((n_rows, n_frames))
-    mus = np.empty((n_rows, n_frames, 3))
     live = np.arange(n_rows)  # batch row of each working row
     errors = {}
 
@@ -202,9 +203,6 @@ def propagate_batch(
         vs[live, frame] = v
         qs[live, frame] = q
         ps[live, frame] = p
-        mu = prop.dipole(x)
-        mus[live, frame] = mu
-        epot[live, frame], ekin[live, frame], ecav[live, frame] = prop.energies(x, v, q, p, mu)
 
     def drop_failed(a, a_q, x, *arrays):
         """Record and remove the rows whose accelerations are not finite."""
@@ -251,6 +249,11 @@ def propagate_batch(
         if k in errors:
             outcomes.append(IntegrationError(errors[k]))
             continue
+        # every frame of the row at once; each sum runs along one frame, so the
+        # values are those a frame-by-frame evaluation gives
+        with np.errstate(over="ignore", invalid="ignore"):
+            row = _Propagator(system, modes[k : k + 1])
+            epot, ekin, ecav, mu = row.energies(xs[k], vs[k], qs[k], ps[k])
         traj = Trajectory(
             dt=dt,
             stride=stride,
@@ -259,11 +262,11 @@ def propagate_batch(
             velocities=vs[k],
             photon_q=qs[k],
             photon_p=ps[k],
-            epot=epot[k],
-            ekin=ekin[k],
-            ecav=ecav[k],
-            etot=epot[k] + ekin[k] + ecav[k],
-            dipole=mus[k],
+            epot=epot,
+            ekin=ekin,
+            ecav=ecav,
+            etot=epot + ekin + ecav,
+            dipole=mu,
         )
         outcomes.append((traj, _observe(system, traj, monitor)))
     return outcomes

@@ -12,10 +12,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cavimd import CavityMode, FullState, PhotonState, forces, potential_energy, pta_launch_positions
+from cavimd import (
+    CavityMode,
+    FullState,
+    PhotonState,
+    cavity_energy,
+    dipole,
+    forces,
+    potential_energy,
+    pta_launch_positions,
+)
+from cavimd.cavity import kinetic_energy
 from cavimd.cli import main
 from cavimd.dynamics import IntegrationError, propagate, propagate_batch
 from cavimd.ensemble import make_specs, resolve_velocities, run_ensemble
+from cavimd.model import _BondedTerms
 from cavimd.units import CM1_PER_HARTREE, fs_to_au
 
 EX = np.array([1.0, 0.0, 0.0])
@@ -141,6 +152,55 @@ def test_row_launched_coincident_fails_alone(surrogate):
     alone = propagate_batch(surrogate, modes[::2], states[::2], dt, 40, stride=4)
     assert_same_trajectory(batch[0][0], alone[0][0])
     assert_same_trajectory(batch[2][0], alone[1][0])
+
+
+def failing_mixed_batch(system):
+    """No cavity, lambda = 0, self-polarization only, resonant, and a resonant row that blows up."""
+    w = 856.0 / CM1_PER_HARTREE
+    modes = [
+        None,
+        CavityMode(w, 0.0, EX),
+        CavityMode(43.0 / CM1_PER_HARTREE, 0.02, EX, bilinear_on=False),
+        CavityMode(w, 0.08, EX),
+        CavityMode(w, 0.08, EX),
+    ]
+    states = launch(system, 21, len(modes))
+    states[-1].velocities[0] = 1e6
+    return modes, states
+
+
+def test_recorded_energies_are_the_public_ones_frame_by_frame(surrogate):
+    modes, states = failing_mixed_batch(surrogate)
+    batch = propagate_batch(surrogate, modes, states, fs_to_au(0.5), 90, stride=3)
+    assert isinstance(batch[-1], IntegrationError)
+    for mode, (traj, _) in zip(modes[:-1], batch[:-1]):
+        assert traj.n_frames == 31
+        for f, x in enumerate(traj.positions):
+            mu = dipole(surrogate, x)
+            epot = potential_energy(surrogate, x)
+            ekin = kinetic_energy(surrogate, traj.velocities[f])
+            photon = PhotonState(traj.photon_q[f], traj.photon_p[f])
+            ecav = 0.0 if mode is None else cavity_energy(mode, photon, mu)
+            assert np.array_equal(traj.dipole[f], mu)
+            assert (traj.epot[f], traj.ekin[f], traj.ecav[f]) == (epot, ekin, ecav)
+            assert traj.etot[f] == epot + ekin + ecav
+
+
+def test_step_evaluates_forces_once_and_energies_once_per_finished_row(surrogate, monkeypatch):
+    modes, states = failing_mixed_batch(surrogate)
+    calls = {"forces": 0, "energy": 0}
+    for name in calls:
+
+        def counted(self, *args, _name=name, _method=getattr(_BondedTerms, name)):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(_BondedTerms, name, counted)
+    n = 90
+    batch = propagate_batch(surrogate, modes, states, fs_to_au(0.5), n, stride=3)
+    finished = sum(not isinstance(outcome, IntegrationError) for outcome in batch)
+    assert finished == len(modes) - 1
+    assert calls == {"forces": n + 1, "energy": finished}
 
 
 def test_pool_workers_are_joined(surrogate, tmp_path):

@@ -79,6 +79,27 @@ def test_cavity_energy_cases():
     assert cavity_energy(mode, zero_field_init(mode, mu), mu) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_rows_carry_the_coefficients_of_their_modes():
+    from cavimd.cavity import CavityRows, coupling_terms
+
+    modes = [
+        CavityMode(W856, 0.08, EX),
+        CavityMode(W856, 0.08, EX, bilinear_on=False),
+        CavityMode(W856, 0.08, EX, self_polarization_on=False),
+        None,
+    ]
+    rows = CavityRows.of(modes)
+    names = ("omega2", "bilinear_omega_lambda", "bilinear_omega", "self_polarization_lambda")
+    for k, mode in enumerate(modes):
+        for name in names:
+            assert getattr(rows, name)[k] == (0.0 if mode is None else getattr(mode, name))
+    assert (modes[1].bilinear_omega, modes[2].self_polarization_lambda) == (0.0, 0.0)
+    q, mu_eps = np.array([0.7, -1.3, 2.1, 0.4]), np.array([-0.9, 0.3, 1.7, 0.0])
+    a_q, scale = coupling_terms(rows, q, mu_eps)
+    for k, mode in enumerate(modes[:3]):
+        assert (a_q[k], scale[k]) == coupling_terms(mode, q[k], mu_eps[k])
+
+
 def test_cavity_energy_nonnegative_with_both_terms():
     rng = np.random.default_rng(2)
     for _ in range(200):

@@ -53,6 +53,18 @@ TWO_BEADS = """system:
     - {kind: harmonic, i: 0, j: 1, k: 0.2, r0: 2.0}
 """
 
+#: three beads with a reactive bond, where the default aim particles 0 and 1 share one point
+AIM_COINCIDENT = """system:
+  particles:
+    - {label: A, mass_amu: 19.0, charge: -0.5}
+    - {label: B, mass_amu: 12.0, charge: 0.5}
+    - {label: C, mass_amu: 28.0, charge: 0.0}
+  positions_bohr: [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [3.5, 0.0, 0.0]]
+  bonds:
+    - {kind: reactive, i: 0, j: 2, r0: 3.5, r_ts: 4.5, barrier_ev: 0.35, curvature_min: 0.2, curvature_ts: -0.01}
+    - {kind: harmonic, i: 1, j: 2, k: 0.2, r0: 3.5}
+"""
+
 
 def short_config(tmp_path, name="cfg.yaml", extra="", n_traj=3, duration=50.0):
     text = SHORT_RUN.replace("PLACEHOLDER", str(tmp_path / "out"))
@@ -137,6 +149,55 @@ cavity:
     ]:
         with pytest.raises(ConfigError, match=message):
             parse_config(text.replace(old, new)).build_system()
+
+
+def test_inline_errors_name_the_entry(tmp_path, capsys):
+    text = """
+system:
+  particles:
+    - {label: A, mass_amu: 19.0, charge: -0.5}
+    - {label: B, mass_amu: 12.0, charge: 0.5}
+    - {label: C, mass_amu: 12.0, charge: 0.0}
+    - {label: D, mass_amu: 16.0, charge: 0.0}
+  positions_bohr: [[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [4.0, 0.0, 0.0], [6.0, 0.0, 0.0]]
+  bonds:
+    - {kind: harmonic, i: 0, j: 1, k: 0.2, r0: 2.0}
+    - {kind: harmonic, i: 1, j: 2, k: 0.2, r0: 2.0}
+    - {kind: harmonic, i: 2, j: 3, k: 0.3, r0: 2.0}
+  couplings:
+    - {bond_a: 0, bond_b: 1, g3: 0.01}
+    - {bond_a: 1, bond_b: 2, g3: 0.01}
+cavity:
+  omega_c_cm1: 500.0
+  lambda_au: 0.0
+"""
+    assert parse_config(text).build_system().n_particles == 4
+    for old, new, message in [
+        ("k: 0.3", "k: -0.3", "bonds[2]: harmonic force constant must be positive"),
+        ("i: 2, j: 3", "i: 3, j: 3", "bonds[2]: bond endpoints must differ"),
+        ("bond_a: 1, bond_b: 2", "bond_a: 2, bond_b: 2", "couplings[1]: coupling must join two distinct bonds"),
+        ("mass_amu: 12.0, charge: 0.5", "mass_amu: -1, charge: 0.5", "particles[1]: particle 'B': mass must be positive"),
+    ]:
+        assert old in text
+        bad = text.replace(old, new, 1)
+        with pytest.raises(ConfigError) as info:
+            parse_config(bad).build_system()
+        assert str(info.value) == message
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(bad)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "ensemble"])
+def test_cli_coincident_aim_fails_cleanly(tmp_path, capsys, command):
+    cfg = short_config(tmp_path)
+    cfg.write_text(cfg.read_text().replace(BUILTIN, AIM_COINCIDENT))
+    assert main([command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: ensemble.aim particles 0 and 1 coincide in the launch geometry\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "spectrum", "model-check"])
@@ -373,10 +434,13 @@ def _drop_last_cell(lines):
     "damage, message",
     [
         (lambda lines: lines[:1], "no frames"),
-        (lambda lines: lines[:3] + ["abc" + lines[3][lines[3].index(","):]] + lines[4:], "could not convert"),
+        (
+            lambda lines: lines[:3] + ["abc" + lines[3][lines[3].index(","):]] + lines[4:],
+            ": line 4: could not convert column 1 ('abc') to float",
+        ),
         (lambda lines: lines[:2], "fewer than analyze.correlation_window"),
-        (_drop_last_cell, "columns, expected"),
-        (lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0]] + lines[4:], "number of columns changed"),
+        (_drop_last_cell, ": line 2: 45 columns, expected 46"),
+        (lambda lines: lines[:3] + [lines[3].rsplit(",", 1)[0]] + lines[4:], ": line 4: 45 columns, expected 46"),
         (lambda lines: lines[:-5], "frames, but"),
         (lambda lines: ["time_fs"] + lines[1:], "unexpected trajectory columns"),
     ],
@@ -533,6 +597,7 @@ def test_cli_exit_code_validation_error(tmp_path):
         (BUILTIN, TWO_BEADS, None, []),
         ("window_fs: [0.0, 50.0]", "window_fs: [-10.0, 40.0]", None, []),
         ("duration_fs: 50.0", "duration_fs: 50.0\n  stride: 1000", None, []),
+        (BUILTIN, AIM_COINCIDENT, None, []),
     ],
 )
 def test_cli_bad_input_fails_cleanly(tmp_path, monkeypatch, capsys, old, new, env, flags):
