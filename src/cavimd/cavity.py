@@ -137,14 +137,6 @@ class FullState:
         if self.positions.shape != self.velocities.shape:
             raise ValueError("positions and velocities must have matching shapes")
 
-    def copy(self) -> "FullState":
-        return FullState(
-            self.positions.copy(),
-            self.velocities.copy(),
-            PhotonState(self.photon.q, self.photon.p),
-            self.time,
-        )
-
 
 def coupling_ratio(lambda_mag: float, omega_c: float) -> float:
     """Dimensionless coupling lambda / sqrt(2 omega_c)."""

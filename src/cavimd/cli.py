@@ -28,7 +28,7 @@ from . import analysis as _analysis
 from . import model as _model
 from .config import ConfigError, RunConfig, make_manifest, parse_config
 from .dynamics import IntegrationError, Trajectory, propagate
-from .ensemble import EnsembleResult, launch_states, make_specs, run_ensemble
+from .ensemble import EnsembleResult, WorkerError, launch_states, make_specs, map_chunks, run_ensemble
 from .model import CalibrationError, ModelSystem
 from .units import (
     ANGSTROM_PER_BOHR,
@@ -97,6 +97,14 @@ def write_trajectory_csv(path: Path, system: ModelSystem, traj: Trajectory) -> N
         + [traj.photon_q, traj.photon_p, energies, traj.dipole * ANGSTROM_PER_BOHR]
     )
     write_csv(path, trajectory_header(system), matrix)
+
+
+def _write_trajectories(args) -> list:
+    """Write one chunk of (row, trajectory) pairs as trajectory_<row>.csv files under a directory."""
+    system, tdir, rows = args
+    for row, traj in rows:
+        write_trajectory_csv(tdir / f"trajectory_{row:06d}.csv", system, traj)
+    return []
 
 
 def _first_bad_line(path: Path, width: int) -> Optional[str]:
@@ -247,8 +255,8 @@ def cmd_ensemble(
     result = run_ensemble(system, config.cavity.mode(), specs, keep_trajectories=True, **kwargs)
     tdir = outdir / "trajectories"
     tdir.mkdir(parents=True, exist_ok=True)
-    for row, traj in zip(result.series_index, result.trajectories):
-        write_trajectory_csv(tdir / f"trajectory_{row:06d}.csv", system, traj)
+    rows = list(zip(result.series_index, result.trajectories))
+    map_chunks(_write_trajectories, (system, tdir), rows, threads, "trajectory files")
     _write_ensemble_outputs(outdir, config, system, result)
     _emit_manifest(outdir, config, "ensemble")
     return 0
@@ -576,7 +584,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (CalibrationError, IntegrationError, _analysis.SearchError) as exc:
+    except (CalibrationError, IntegrationError, WorkerError, _analysis.SearchError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # FileNotFoundError included

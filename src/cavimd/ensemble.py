@@ -15,8 +15,6 @@ seeds as base_seed XOR trajectory index.
 from __future__ import annotations
 
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -30,6 +28,19 @@ from .units import KB_HARTREE_PER_K, au_to_fs
 
 #: identifier recorded in manifests so runs can be reproduced elsewhere
 RNG_ALGORITHM = "numpy.random.Philox (counter-based; stream key = seed XOR trajectory index)"
+
+#: Fewest rows worth a worker process. A step of `propagate_batch` is mostly
+#: a fixed cost that splitting does not divide (us; one CPU of a 2-vCPU Xeon,
+#: stride 4, best of 5 runs of 1000 steps):
+#:     rows in the batch        1   16   24   32   48   64   96  144
+#:     us per step             88  113  128  146  173  192  242  324
+#: Two batches at once on the two vCPUs each ran 20-70 % slower than alone,
+#: so halves of 48 or 64 rows were no faster than the whole; of 144, 10-15 %.
+MIN_CHUNK_ROWS = 64
+
+
+class WorkerError(RuntimeError):
+    """A worker process ended without returning its result."""
 
 
 @dataclass(frozen=True)
@@ -239,13 +250,14 @@ def launch_states(
 
 
 def _run_chunk(args):
-    """Propagate one contiguous chunk of rows.
+    """Propagate one contiguous chunk of (mode, state) rows.
 
     Per row: the IntegrationError that ended it, or (trajectory if kept,
     event, monitored bond series, dissociated flag).
     """
-    system, modes, states, dt, n_steps, stride, monitor, keep = args
+    system, dt, n_steps, stride, monitor, keep, rows = args
     i, j, _ = monitor
+    modes, states = zip(*rows)
     out = []
     for outcome in propagate_batch(system, modes, states, dt, n_steps, stride, monitor):
         if isinstance(outcome, IntegrationError):
@@ -256,20 +268,34 @@ def _run_chunk(args):
     return out
 
 
-def _propagate_rows(system, modes, states, n_workers, *args) -> list:
-    """Outcomes of every row, in order; `n_workers` > 1 runs contiguous chunks in processes."""
-    chunks = np.array_split(np.arange(len(states)), max(1, min(n_workers, len(states))))
-    jobs = [(system, modes[c[0] : c[-1] + 1], states[c[0] : c[-1] + 1], *args) for c in chunks]
-    if len(jobs) == 1:
-        parts = [_run_chunk(jobs[0])]
-    else:
-        # forked workers share the parent's pages (spawned ones took 35 % more
-        # memory on a 48-row scan) and, unlike a fork server, leave no process
-        # behind; leaving the block joins every worker
-        fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=len(jobs), mp_context=fork) as pool:
-            parts = list(pool.map(_run_chunk, jobs))
-    return [row for part in parts for row in part]
+def map_chunks(fn, fixed: tuple, items: Sequence, n_workers: int, what: str, min_chunk: int = 1) -> list:
+    """`fn((*fixed, chunk))` per contiguous chunk of `items`, concatenated in order.
+
+    At most `n_workers` chunks, none shorter than `min_chunk` unless there is
+    one. One chunk runs in this process; several run one per forked worker,
+    all joined before this returns. A dead worker raises WorkerError.
+    """
+    n = max(1, min(n_workers, len(items) // min_chunk))
+    bounds = [len(items) * k // n for k in range(n + 1)]
+    jobs = [(*fixed, items[a:b]) for a, b in zip(bounds, bounds[1:])]
+    if n == 1:
+        return fn(jobs[0])
+    # imported here: a run in one process need not load them (20-40 ms of start-up)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # forked workers share the parent's pages (spawned ones took 35 % more memory
+    # on a 48-row scan) and leave no process behind; leaving the block joins them
+    out = []
+    with ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(fn, job) for job in jobs]
+        for a, b, future in zip(bounds, bounds[1:], futures):
+            try:
+                out += future.result()
+            except BrokenProcessPool:
+                raise WorkerError(f"a worker process died: {what} {a}-{b - 1} have no result") from None
+    return out
 
 
 def run_conditions(
@@ -289,9 +315,9 @@ def run_conditions(
 
     Every spec of every condition is one row of the batch, launched by
     `launch_states`. `n_workers` > 1 splits the rows into at most that many
-    contiguous chunks run in worker processes, all joined before this
-    returns; the results do not depend on it, since a row's arithmetic does
-    not depend on its batch. Per-trajectory integration errors are recorded
+    contiguous chunks of at least MIN_CHUNK_ROWS rows, run by `map_chunks`;
+    the results do not depend on it, since a row's arithmetic does not
+    depend on its batch. Per-trajectory integration errors are recorded
     on the ensemble instead of aborting the batch.
     """
     if len(conditions) == 0:
@@ -301,26 +327,19 @@ def run_conditions(
     rb = system.reactive_bond
     if threshold is None:
         threshold = rb.r_ts
-    modes: list = []
-    states: list = []
+    rows = []
     for mode, specs in conditions:
-        launched = launch_states(system, mode, specs, positions)
-        modes += [mode] * len(launched)
-        states += launched
-    monitor = (rb.i, rb.j, threshold)
-    rows = _propagate_rows(
-        system, modes, states, n_workers, dt, n_steps, stride, monitor, keep_trajectories
-    )
+        rows += [(mode, state) for state in launch_states(system, mode, specs, positions)]
+    job = (system, dt, n_steps, stride, (rb.i, rb.j, threshold), keep_trajectories)
+    rows = map_chunks(_run_chunk, job, rows, n_workers, "rows", MIN_CHUNK_ROWS)
     times_fs = au_to_fs(frame_times(dt, n_steps, stride))
-    results = []
-    start = 0
-    for _, specs in conditions:
-        outcomes = rows[start : start + len(specs)]
-        start += len(specs)
-        results.append(
-            _ensemble_result(specs, outcomes, times_fs, threshold, window_fs, keep_trajectories)
+    rows = iter(rows)
+    return [
+        _ensemble_result(
+            specs, [next(rows) for _ in specs], times_fs, threshold, window_fs, keep_trajectories
         )
-    return results
+        for _, specs in conditions
+    ]
 
 
 def _ensemble_result(specs, outcomes, times_fs, threshold, window_fs, keep_trajectories):

@@ -381,8 +381,8 @@ def test_occupation_difference_zero_and_linearity(surrogate):
 def test_occupation_difference_grid_mismatch(surrogate):
     nm = system_normal_modes(surrogate)
     state = FullState(surrogate.reference_positions.copy(), np.zeros(18), PhotonState(0, 0))
-    t1, _ = propagate(surrogate, None, state.copy(), fs_to_au(0.5), 16, stride=2)
-    t2, _ = propagate(surrogate, None, state.copy(), fs_to_au(0.5), 16, stride=4)
+    t1, _ = propagate(surrogate, None, state, fs_to_au(0.5), 16, stride=2)
+    t2, _ = propagate(surrogate, None, state, fs_to_au(0.5), 16, stride=4)
     with pytest.raises(ValueError):
         occupation_difference(
             mode_occupation(t1, nm, surrogate.reference_positions),

@@ -23,6 +23,7 @@ from cavimd import (
     pta_launch_positions,
 )
 from cavimd.cavity import kinetic_energy
+from cavimd import ensemble
 from cavimd.cli import main
 from cavimd.dynamics import IntegrationError, propagate, propagate_batch
 from cavimd.ensemble import make_specs, resolve_velocities, run_ensemble
@@ -203,7 +204,8 @@ def test_step_evaluates_forces_once_and_energies_once_per_finished_row(surrogate
     assert calls == {"forces": n + 1, "energy": finished}
 
 
-def test_pool_workers_are_joined(surrogate, tmp_path):
+def test_pool_workers_are_joined(surrogate, tmp_path, monkeypatch):
+    monkeypatch.setattr(ensemble, "MIN_CHUNK_ROWS", 1)  # so that these few rows still fork workers
     specs = make_specs(9, 3, 300.0, aim=(0, 1))
     kw = dict(positions=pta_launch_positions(surrogate), dt=fs_to_au(0.5), n_steps=40, stride=4)
     serial = run_ensemble(surrogate, None, specs, **kw)

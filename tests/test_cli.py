@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cavimd import cli, ensemble
 from cavimd.cli import main, read_trajectory_csv, trajectory_header, write_csv, write_trajectory_csv
 from cavimd.config import ConfigError, parse_config
 from cavimd.dynamics import Trajectory
@@ -622,6 +624,7 @@ def test_cli_exit_code_missing_config(tmp_path):
 
 
 def test_threads_env_var_keeps_results_identical(tmp_path, monkeypatch):
+    monkeypatch.setattr(ensemble, "MIN_CHUNK_ROWS", 1)  # so that 2 rows still fork two workers
     cfg = short_config(tmp_path, n_traj=2)
     assert main(["ensemble", "--config", str(cfg), "--out", str(tmp_path / "serial")]) == 0
     monkeypatch.setenv("CAVIMD_THREADS", "2")
@@ -629,6 +632,31 @@ def test_threads_env_var_keeps_results_identical(tmp_path, monkeypatch):
     a = (tmp_path / "serial" / "ensemble.csv").read_bytes()
     b = (tmp_path / "par" / "ensemble.csv").read_bytes()
     assert a == b
+    # every table, the trajectory files that the parallel writers wrote included
+    names = sorted(f.relative_to(tmp_path / "serial") for f in (tmp_path / "serial").rglob("*.csv"))
+    assert len([n for n in names if n.parent.name == "trajectories"]) == 2
+    assert names == sorted(f.relative_to(tmp_path / "par") for f in (tmp_path / "par").rglob("*.csv"))
+    for name in names:
+        assert (tmp_path / "serial" / name).read_bytes() == (tmp_path / "par" / name).read_bytes()
+
+
+def _die(job):
+    os._exit(1)
+
+
+@pytest.mark.parametrize(
+    "module, worker, what",
+    [(ensemble, "_run_chunk", "rows 0-0"), (cli, "_write_trajectories", "trajectory files 0-0")],
+)
+def test_cli_dead_worker_fails_cleanly(tmp_path, monkeypatch, capsys, module, worker, what):
+    monkeypatch.setattr(ensemble, "MIN_CHUNK_ROWS", 1)
+    monkeypatch.setattr(module, worker, _die)
+    cfg = short_config(tmp_path, n_traj=2, duration=10.0)
+    assert main(["ensemble", "--config", str(cfg), "--threads", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: a worker process died: {what} have no result")
+    assert "Traceback" not in err
+    assert multiprocessing.active_children() == []
 
 
 def test_format_flag_limits_outputs(tmp_path):
@@ -668,6 +696,21 @@ def test_scan_leaves_scipy_unloaded(tmp_path):
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_pool_modules_unloaded():
+    # only a run split into several worker processes needs them
+    code = "import sys, cavimd.cli; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_static_commands_run_without_scipy(tmp_path):
