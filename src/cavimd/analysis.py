@@ -611,7 +611,6 @@ def resonance_scan(
     self_polarization: bool = True,
     threshold: Optional[float] = None,
     window_fs: Optional[Tuple[float, float]] = None,
-    n_workers: int = 1,
 ) -> List[ScanRow]:
     """Ensemble statistics per cavity condition (omega_c_cm1, coupling ratio).
 
@@ -648,7 +647,6 @@ def resonance_scan(
         stride=stride,
         threshold=threshold,
         window_fs=window_fs,
-        n_workers=n_workers,
     )
     return [
         ScanRow(

@@ -99,12 +99,17 @@ def write_trajectory_csv(path: Path, system: ModelSystem, traj: Trajectory) -> N
     write_csv(path, trajectory_header(system), matrix)
 
 
-def _write_trajectories(args) -> list:
+def _write_trajectories(args) -> None:
     """Write one chunk of (row, trajectory) pairs as trajectory_<row>.csv files under a directory."""
     system, tdir, rows = args
     for row, traj in rows:
         write_trajectory_csv(tdir / f"trajectory_{row:06d}.csv", system, traj)
-    return []
+
+
+def _trajectory_files(rows) -> str:
+    """The files that `_write_trajectories` writes for a chunk, by first and last."""
+    first, last = (f"trajectory_{row:06d}.csv" for row, _ in (rows[0], rows[-1]))
+    return first if first == last else f"{first} to {last}"
 
 
 def _first_bad_line(path: Path, width: int) -> Optional[str]:
@@ -158,7 +163,7 @@ def read_trajectory_csv(path: Path, system: ModelSystem) -> Trajectory:
 
 # --- commands ---------------------------------------------------------------------
 
-def _ensemble_inputs(config: RunConfig, system: ModelSystem, seed: Optional[int], threads: int):
+def _ensemble_inputs(config: RunConfig, system: ModelSystem, seed: Optional[int]):
     ens = config.ensemble
     specs = make_specs(
         seed if seed is not None else ens.seed,
@@ -173,7 +178,6 @@ def _ensemble_inputs(config: RunConfig, system: ModelSystem, seed: Optional[int]
         n_steps=config.n_steps(),
         stride=config.dynamics.stride,
         window_fs=ens.window_fs,
-        n_workers=threads,
     ), specs
 
 
@@ -223,7 +227,7 @@ def _write_ensemble_outputs(
 def cmd_run(
     config: RunConfig, system: ModelSystem, outdir: Path, seed: Optional[int], threads: int
 ) -> int:
-    kwargs, specs = _ensemble_inputs(config, system, seed, threads)
+    kwargs, specs = _ensemble_inputs(config, system, seed)
     mode = config.cavity.mode()
     # the launch and the batch step of `cavimd ensemble`, so this is its trajectory 0
     state = launch_states(system, mode, specs[:1], kwargs["positions"])[0]
@@ -251,12 +255,12 @@ def cmd_run(
 def cmd_ensemble(
     config: RunConfig, system: ModelSystem, outdir: Path, seed: Optional[int], threads: int
 ) -> int:
-    kwargs, specs = _ensemble_inputs(config, system, seed, threads)
+    kwargs, specs = _ensemble_inputs(config, system, seed)
     result = run_ensemble(system, config.cavity.mode(), specs, keep_trajectories=True, **kwargs)
     tdir = outdir / "trajectories"
     tdir.mkdir(parents=True, exist_ok=True)
     rows = list(zip(result.series_index, result.trajectories))
-    map_chunks(_write_trajectories, (system, tdir), rows, threads, "trajectory files")
+    map_chunks(_write_trajectories, (system, tdir), rows, threads, _trajectory_files)
     _write_ensemble_outputs(outdir, config, system, result)
     _emit_manifest(outdir, config, "ensemble")
     return 0
@@ -265,7 +269,7 @@ def cmd_ensemble(
 def cmd_scan(
     config: RunConfig, system: ModelSystem, outdir: Path, seed: Optional[int], threads: int
 ) -> int:
-    kwargs, specs = _ensemble_inputs(config, system, seed, threads)
+    kwargs, specs = _ensemble_inputs(config, system, seed)
     if config.scan.omega_list_cm1 is not None:
         conditions = [(w, config.cavity.ratio) for w in config.scan.omega_list_cm1]
         name = "resonance_scan.csv"
@@ -551,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=None,
-            help="worker processes (default: CAVIMD_THREADS or 1)",
+            help="most worker processes that write trajectory files (default: CAVIMD_THREADS or 1)",
         )
         p.add_argument("--format", choices=["csv", "json", "both"], default=None)
     return parser

@@ -8,8 +8,8 @@ removed after every stage.
 
 Randomness comes from numpy's counter-based Philox generator keyed by the
 spec seed, so batches are reproducible across platforms and independent of
-execution order or parallelism. Helper `make_specs` derives per-trajectory
-seeds as base_seed XOR trajectory index.
+execution order and of the batch a trajectory runs in. Helper `make_specs`
+derives per-trajectory seeds as base_seed XOR trajectory index.
 """
 
 from __future__ import annotations
@@ -28,16 +28,6 @@ from .units import KB_HARTREE_PER_K, au_to_fs
 
 #: identifier recorded in manifests so runs can be reproduced elsewhere
 RNG_ALGORITHM = "numpy.random.Philox (counter-based; stream key = seed XOR trajectory index)"
-
-#: Fewest rows worth a worker process. A step of `propagate_batch` is mostly
-#: a fixed cost that splitting does not divide (us; one CPU of a 2-vCPU Xeon,
-#: stride 4, best of 5 runs of 1000 steps):
-#:     rows in the batch        1   16   24   32   48   64   96  144
-#:     us per step             88  113  128  146  173  192  242  324
-#: Two batches at once on the two vCPUs each ran 20-70 % slower than alone,
-#: so halves of 48 or 64 rows were no faster than the whole; of 144, 10-15 %.
-MIN_CHUNK_ROWS = 64
-
 
 class WorkerError(RuntimeError):
     """A worker process ended without returning its result."""
@@ -249,53 +239,36 @@ def launch_states(
     return [FullState(positions.copy(), v, photon, 0.0) for v in velocities]
 
 
-def _run_chunk(args):
-    """Propagate one contiguous chunk of (mode, state) rows.
+def map_chunks(fn, fixed: tuple, items: Sequence, n_workers: int, name) -> None:
+    """`fn((*fixed, chunk))` per contiguous chunk of `items`, for its side effects.
 
-    Per row: the IntegrationError that ended it, or (trajectory if kept,
-    event, monitored bond series, dissociated flag).
+    At most `n_workers` chunks, none empty. One chunk runs in this process;
+    several run one per forked worker, all joined before this returns. If a
+    worker dies, WorkerError names, by `name(chunk)`, every chunk without a
+    result; the dead worker ran one of them.
     """
-    system, dt, n_steps, stride, monitor, keep, rows = args
-    i, j, _ = monitor
-    modes, states = zip(*rows)
-    out = []
-    for outcome in propagate_batch(system, modes, states, dt, n_steps, stride, monitor):
-        if isinstance(outcome, IntegrationError):
-            out.append(outcome)
-        else:
-            traj, event = outcome
-            out.append((traj if keep else None, event, traj.bond_series(i, j), traj.dissociated))
-    return out
-
-
-def map_chunks(fn, fixed: tuple, items: Sequence, n_workers: int, what: str, min_chunk: int = 1) -> list:
-    """`fn((*fixed, chunk))` per contiguous chunk of `items`, concatenated in order.
-
-    At most `n_workers` chunks, none shorter than `min_chunk` unless there is
-    one. One chunk runs in this process; several run one per forked worker,
-    all joined before this returns. A dead worker raises WorkerError.
-    """
-    n = max(1, min(n_workers, len(items) // min_chunk))
+    n = max(1, min(n_workers, len(items)))
     bounds = [len(items) * k // n for k in range(n + 1)]
     jobs = [(*fixed, items[a:b]) for a, b in zip(bounds, bounds[1:])]
     if n == 1:
-        return fn(jobs[0])
+        fn(jobs[0])
+        return
     # imported here: a run in one process need not load them (20-40 ms of start-up)
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    # forked workers share the parent's pages (spawned ones took 35 % more memory
-    # on a 48-row scan) and leave no process behind; leaving the block joins them
-    out = []
+    # forked workers share the parent's pages and leave no process behind;
+    # leaving the block joins them
+    missing = []
     with ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("fork")) as pool:
-        futures = [pool.submit(fn, job) for job in jobs]
-        for a, b, future in zip(bounds, bounds[1:], futures):
+        for job, future in [(job, pool.submit(fn, job)) for job in jobs]:
             try:
-                out += future.result()
+                future.result()
             except BrokenProcessPool:
-                raise WorkerError(f"a worker process died: {what} {a}-{b - 1} have no result") from None
-    return out
+                missing.append(name(job[-1]))
+    if missing:
+        raise WorkerError(f"a worker process died: no result for {', '.join(missing)}")
 
 
 def run_conditions(
@@ -308,16 +281,14 @@ def run_conditions(
     stride: int = 4,
     threshold: Optional[float] = None,
     window_fs: Optional[Tuple[float, float]] = None,
-    n_workers: int = 1,
     keep_trajectories: bool = False,
 ) -> List[EnsembleResult]:
     """One ensemble per (mode, specs) condition, all propagated as one batch.
 
     Every spec of every condition is one row of the batch, launched by
-    `launch_states`. `n_workers` > 1 splits the rows into at most that many
-    contiguous chunks of at least MIN_CHUNK_ROWS rows, run by `map_chunks`;
-    the results do not depend on it, since a row's arithmetic does not
-    depend on its batch. Per-trajectory integration errors are recorded
+    `launch_states`, and the batch runs in this process: a step costs
+    mostly the same whatever the batch size, so splitting it across worker
+    processes did not pay. Per-trajectory integration errors are recorded
     on the ensemble instead of aborting the batch.
     """
     if len(conditions) == 0:
@@ -330,19 +301,20 @@ def run_conditions(
     rows = []
     for mode, specs in conditions:
         rows += [(mode, state) for state in launch_states(system, mode, specs, positions)]
-    job = (system, dt, n_steps, stride, (rb.i, rb.j, threshold), keep_trajectories)
-    rows = map_chunks(_run_chunk, job, rows, n_workers, "rows", MIN_CHUNK_ROWS)
+    modes, states = zip(*rows)
+    monitor = (rb.i, rb.j, threshold)
+    outcomes = iter(propagate_batch(system, modes, states, dt, n_steps, stride, monitor))
     times_fs = au_to_fs(frame_times(dt, n_steps, stride))
-    rows = iter(rows)
     return [
         _ensemble_result(
-            specs, [next(rows) for _ in specs], times_fs, threshold, window_fs, keep_trajectories
+            specs, [next(outcomes) for _ in specs], times_fs, monitor, window_fs, keep_trajectories
         )
         for _, specs in conditions
     ]
 
 
-def _ensemble_result(specs, outcomes, times_fs, threshold, window_fs, keep_trajectories):
+def _ensemble_result(specs, outcomes, times_fs, monitor, window_fs, keep_trajectories):
+    i, j, threshold = monitor
     records: List[TrajectoryRecord] = []
     series_rows = []
     series_index = []
@@ -351,9 +323,10 @@ def _ensemble_result(specs, outcomes, times_fs, threshold, window_fs, keep_traje
         if isinstance(outcome, IntegrationError):
             records.append(TrajectoryRecord(k, spec.seed, None, None, error=str(outcome)))
             continue
-        traj, event, series, dissociated = outcome
+        traj, event = outcome
+        series = traj.bond_series(i, j)
         records.append(
-            TrajectoryRecord(k, spec.seed, event, float(series.mean()), dissociated=dissociated)
+            TrajectoryRecord(k, spec.seed, event, float(series.mean()), dissociated=traj.dissociated)
         )
         series_rows.append(series)
         series_index.append(k)
@@ -392,15 +365,14 @@ def run_ensemble(
     stride: int = 4,
     threshold: Optional[float] = None,
     window_fs: Optional[Tuple[float, float]] = None,
-    n_workers: int = 1,
     keep_trajectories: bool = False,
 ) -> EnsembleResult:
     """One propagation per spec; aggregates over the analysis window.
 
     The single-condition case of `run_conditions`: the photon starts in the
-    zero-field condition for the launch dipole, results are identical for
-    serial and parallel execution, and per-trajectory integration errors
-    are recorded on the ensemble instead of aborting the batch.
+    zero-field condition for the launch dipole, and per-trajectory
+    integration errors are recorded on the ensemble instead of aborting the
+    batch.
     """
     return run_conditions(
         system,
@@ -411,7 +383,6 @@ def run_ensemble(
         stride=stride,
         threshold=threshold,
         window_fs=window_fs,
-        n_workers=n_workers,
         keep_trajectories=keep_trajectories,
     )[0]
 

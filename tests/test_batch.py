@@ -6,6 +6,7 @@ that fails must not disturb the others.
 """
 
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -23,10 +24,9 @@ from cavimd import (
     pta_launch_positions,
 )
 from cavimd.cavity import kinetic_energy
-from cavimd import ensemble
 from cavimd.cli import main
 from cavimd.dynamics import IntegrationError, propagate, propagate_batch
-from cavimd.ensemble import make_specs, resolve_velocities, run_ensemble
+from cavimd.ensemble import make_specs, resolve_velocities
 from cavimd.model import _BondedTerms
 from cavimd.units import CM1_PER_HARTREE, fs_to_au
 
@@ -204,36 +204,41 @@ def test_step_evaluates_forces_once_and_energies_once_per_finished_row(surrogate
     assert calls == {"forces": n + 1, "energy": finished}
 
 
-def test_pool_workers_are_joined(surrogate, tmp_path, monkeypatch):
-    monkeypatch.setattr(ensemble, "MIN_CHUNK_ROWS", 1)  # so that these few rows still fork workers
-    specs = make_specs(9, 3, 300.0, aim=(0, 1))
-    kw = dict(positions=pta_launch_positions(surrogate), dt=fs_to_au(0.5), n_steps=40, stride=4)
-    serial = run_ensemble(surrogate, None, specs, **kw)
-    parallel = run_ensemble(surrogate, None, specs, n_workers=2, **kw)
-    assert multiprocessing.active_children() == []
-    assert np.array_equal(serial.bond_series, parallel.bond_series)
+def _ensemble_config(path, scan=False):
+    lines = [
+        "system:",
+        "  builtin: pta_surrogate",
+        "cavity:",
+        "  omega_c_cm1: 856.0",
+        "  ratio: 1.132",
+        "dynamics:",
+        "  duration_fs: 20.0",
+        "ensemble:",
+        "  n_trajectories: 3",
+        "  window_fs: [0.0, 20.0]",
+    ]
+    path.write_text("\n".join(lines + ["scan:", "  omega_list_cm1: [43.0, 856.0]"] * scan))
+    return path
 
-    cfg = tmp_path / "scan.yaml"
-    cfg.write_text(
-        "\n".join(
-            [
-                "system:",
-                "  builtin: pta_surrogate",
-                "cavity:",
-                "  omega_c_cm1: 856.0",
-                "  ratio: 1.132",
-                "dynamics:",
-                "  duration_fs: 20.0",
-                "ensemble:",
-                "  n_trajectories: 2",
-                "  window_fs: [0.0, 20.0]",
-                "scan:",
-                "  omega_list_cm1: [43.0, 856.0]",
-            ]
-        )
-    )
-    assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "a"), "--threads", "2"]) == 0
+
+def test_pool_workers_are_joined(tmp_path):
+    cfg = _ensemble_config(tmp_path / "ensemble.yaml")
+    assert main(["ensemble", "--config", str(cfg), "--out", str(tmp_path / "a"), "--threads", "2"]) == 0
     assert multiprocessing.active_children() == []
+    assert main(["ensemble", "--config", str(cfg), "--out", str(tmp_path / "b"), "--threads", "1"]) == 0
+    for k in range(3):
+        name = f"trajectories/trajectory_{k:06d}.csv"
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_propagation_starts_no_process(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("a worker process was started")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    cfg = _ensemble_config(tmp_path / "scan.yaml", scan=True)
+    # every row of a scan is one batch in this process, whatever the thread count
+    assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "a"), "--threads", "2"]) == 0
     assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "b"), "--threads", "1"]) == 0
     name = "resonance_scan.csv"
     assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()

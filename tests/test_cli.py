@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavimd import cli, ensemble
+from cavimd import cli
 from cavimd.cli import main, read_trajectory_csv, trajectory_header, write_csv, write_trajectory_csv
 from cavimd.config import ConfigError, parse_config
 from cavimd.dynamics import Trajectory
@@ -624,7 +624,6 @@ def test_cli_exit_code_missing_config(tmp_path):
 
 
 def test_threads_env_var_keeps_results_identical(tmp_path, monkeypatch):
-    monkeypatch.setattr(ensemble, "MIN_CHUNK_ROWS", 1)  # so that 2 rows still fork two workers
     cfg = short_config(tmp_path, n_traj=2)
     assert main(["ensemble", "--config", str(cfg), "--out", str(tmp_path / "serial")]) == 0
     monkeypatch.setenv("CAVIMD_THREADS", "2")
@@ -644,18 +643,15 @@ def _die(job):
     os._exit(1)
 
 
-@pytest.mark.parametrize(
-    "module, worker, what",
-    [(ensemble, "_run_chunk", "rows 0-0"), (cli, "_write_trajectories", "trajectory files 0-0")],
-)
-def test_cli_dead_worker_fails_cleanly(tmp_path, monkeypatch, capsys, module, worker, what):
-    monkeypatch.setattr(ensemble, "MIN_CHUNK_ROWS", 1)
-    monkeypatch.setattr(module, worker, _die)
-    cfg = short_config(tmp_path, n_traj=2, duration=10.0)
+def test_cli_dead_worker_fails_cleanly(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_write_trajectories", _die)
+    cfg = short_config(tmp_path, n_traj=3, duration=10.0)
     assert main(["ensemble", "--config", str(cfg), "--threads", "2"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: a worker process died: {what} have no result")
-    assert "Traceback" not in err
+    assert err == (
+        "error: a worker process died: no result for trajectory_000000.csv, "
+        "trajectory_000001.csv to trajectory_000002.csv\n"
+    )
     assert multiprocessing.active_children() == []
 
 

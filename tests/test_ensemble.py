@@ -1,5 +1,3 @@
-import os
-
 import numpy as np
 import pytest
 
@@ -149,42 +147,22 @@ def test_empty_spec_list_rejected(surrogate):
         run_small(surrogate, [])
 
 
-def test_parallel_matches_serial(surrogate, monkeypatch):
-    monkeypatch.setattr(ensemble, "MIN_CHUNK_ROWS", 1)  # so that 4 rows still fork two workers
-    specs = make_specs(77, 4, 300.0, aim=(0, 1))
-    a = run_small(surrogate, specs)
-    b = run_small(surrogate, specs, n_workers=2)
-    assert np.array_equal(a.bond_series, b.bond_series)
-    assert a.reaction_fraction == b.reaction_fraction
-    assert a.mean_bond_bohr == b.mean_bond_bohr
+def _write_chunk(job):
+    out, items = job
+    (out / f"chunk_{items[0]}").write_text(" ".join(map(str, items)))
 
 
-def _chunk_sizes(job):
-    return [len(job[-1])]
+def test_parallel_matches_serial(tmp_path):
+    def chunks(n_items, n_workers):
+        out = tmp_path / f"{n_items}_{n_workers}"
+        out.mkdir()
+        ensemble.map_chunks(_write_chunk, (out,), list(range(n_items)), n_workers, str)
+        return {f.name: f.read_text() for f in out.iterdir()}
 
-
-def test_chunk_count_follows_the_row_count():
-    def sizes(n_rows, n_workers=2, min_chunk=ensemble.MIN_CHUNK_ROWS):
-        return ensemble.map_chunks(_chunk_sizes, (), list(range(n_rows)), n_workers, "rows", min_chunk)
-
-    # the 48-row scan runs as one batch, the 144-row default scan in two
-    assert sizes(48) == [48]
-    assert sizes(144) == [72, 72]
-    # never more chunks than rows, and never more than the workers asked for
-    assert sizes(1, min_chunk=1) == [1]
-    assert sizes(3, n_workers=2, min_chunk=1) == [1, 2]
-    assert sizes(144, n_workers=1) == [144]
-
-
-def test_batch_below_the_minimum_starts_no_process(surrogate, monkeypatch):
-    def no_fork():
-        raise AssertionError("a worker process was started")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    specs = make_specs(77, 4, 300.0, aim=(0, 1))
-    a = run_small(surrogate, specs, n_workers=2, n_steps=40)
-    b = run_small(surrogate, specs, n_steps=40)
-    assert np.array_equal(a.bond_series, b.bond_series)
+    # contiguous chunks that cover every item once, at most one per worker
+    assert chunks(5, 1) == {"chunk_0": "0 1 2 3 4"}
+    assert chunks(5, 2) == {"chunk_0": "0 1", "chunk_2": "2 3 4"}
+    assert chunks(2, 3) == {"chunk_0": "0", "chunk_1": "1"}
 
 
 def synthetic_result(times_fs, series, events=None):
