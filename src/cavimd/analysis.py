@@ -9,7 +9,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import model as _model
-from .cavity import CavityMode, lambda_for_ratio, projection
+from .cavity import CavityMode, lambda_for_ratio, projection, unit_polarization
 from .dynamics import Trajectory
 from .ensemble import SamplingSpec, run_conditions
 from .ensemble import run_ensemble  # noqa: F401  (bound here for wrappers such as perfbench/tracer.py)
@@ -128,13 +128,6 @@ class SpectrumLine:
     si_c_weight: float = 0.0
 
 
-def _check_polarization(polarization) -> np.ndarray:
-    eps = np.asarray(polarization, dtype=float)
-    if eps.shape != (3,) or not abs(np.linalg.norm(eps) - 1.0) <= 1e-9:
-        raise ValueError("polarization must be a unit 3-vector")
-    return eps
-
-
 def ir_spectrum(
     modes: NormalModes,
     polarization,
@@ -147,7 +140,7 @@ def ir_spectrum(
     excluded. The broadening parameter is the Lorentzian FWHM and each line
     integrates to its strength over an unbounded frequency axis.
     """
-    eps = _check_polarization(polarization)
+    eps = unit_polarization(polarization)
     if not broadening_cm1 > 0:
         raise ValueError("broadening must be positive")
     lines = []
@@ -212,7 +205,7 @@ def td_spectrum(
     Returns (frequency axis in cm^-1, |FFT|^2). Frequency resolution is one
     bin = 2*pi / (record length).
     """
-    eps = _check_polarization(polarization)
+    eps = unit_polarization(polarization)
     n = trajectory.n_frames
     if n < 256:
         raise ValueError(f"need at least 256 frames, got {n}")

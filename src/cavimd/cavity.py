@@ -14,17 +14,15 @@ interaction terms carry switches so the self-polarization-only spectrum
 variant can be reproduced; with both on the cavity energy is a completed
 square and therefore never negative.
 
-The coupling arithmetic takes either one CavityMode with scalar photon
-coordinates or a CavityRows batch with one entry per row. Both carry the
-same constant coefficients (omega_c^2 and the switched products), each
-computed once; the switches enter them as 0/1 factors, so the same
-expressions serve both.
+The coupling arithmetic runs on CavityRows, one entry per row of a batch,
+which holds the constant coefficients (omega_c^2 and the switched products)
+computed once; the switches enter them as 0/1 factors. The single-mode
+functions are one-row calls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,32 +31,16 @@ from . import model as _model
 from .model import ModelSystem
 
 
-class _Coefficients:
-    """Constant products of a mode's parameters that the coupling arithmetic reads.
-
-    Each is computed on first use and then kept; the 0/1 switches enter as
-    factors, so a switched-off term has a zero coefficient.
-    """
-
-    @cached_property
-    def omega2(self):
-        return self.omega_c * self.omega_c
-
-    @cached_property
-    def bilinear_omega_lambda(self):
-        return self.bilinear_on * (self.omega_c * self.lambda_mag)
-
-    @cached_property
-    def bilinear_omega(self):
-        return self.bilinear_on * self.omega_c
-
-    @cached_property
-    def self_polarization_lambda(self):
-        return self.self_polarization_on * self.lambda_mag
+def unit_polarization(polarization) -> np.ndarray:
+    """`polarization` as a float 3-vector, checked to be of unit length."""
+    eps = np.asarray(polarization, dtype=float)
+    if eps.shape != (3,) or not abs(np.linalg.norm(eps) - 1.0) <= 1e-9:
+        raise ValueError("polarization must be a unit 3-vector")
+    return eps
 
 
 @dataclass(frozen=True)
-class CavityMode(_Coefficients):
+class CavityMode:
     """Cavity frequency, coupling strength and polarization (+ term switches)."""
 
     omega_c: float  # Hartree (angular frequency, a.u.)
@@ -72,42 +54,37 @@ class CavityMode(_Coefficients):
             raise ValueError("cavity frequency must be positive")
         if not self.lambda_mag >= 0:
             raise ValueError("coupling strength must be non-negative")
-        eps = np.asarray(self.polarization, dtype=float)
-        if eps.shape != (3,):
-            raise ValueError("polarization must be a 3-vector")
-        if not abs(np.linalg.norm(eps) - 1.0) <= 1e-9:
-            raise ValueError("polarization must be a unit vector")
-        object.__setattr__(self, "polarization", eps)
+        object.__setattr__(self, "polarization", unit_polarization(self.polarization))
 
 
 @dataclass(frozen=True)
-class CavityRows(_Coefficients):
-    """Cavity parameters of every row of a batch, one array entry per row.
+class CavityRows:
+    """Coupling coefficients of every row of a batch, one array entry per row.
 
-    A row without a cavity has omega_c = lambda_mag = 0, a zero polarization
-    and `active` False: it feels no cavity force, carries no cavity energy,
-    and its photon coordinate only drifts.
+    A switched-off term has a zero coefficient. A row without a cavity has
+    every coefficient and its polarization zero: it feels no cavity force,
+    and its photon coordinate only drifts. Indexing selects rows.
     """
 
-    omega_c: np.ndarray
-    lambda_mag: np.ndarray
     polarization: np.ndarray  # (B, 3)
-    self_polarization_on: np.ndarray
-    bilinear_on: np.ndarray
-    active: np.ndarray
+    lambda_mag: np.ndarray
+    omega2: np.ndarray
+    bilinear_omega: np.ndarray
+    bilinear_omega_lambda: np.ndarray
+    self_polarization_lambda: np.ndarray
 
     @classmethod
     def of(cls, modes: Sequence[Optional[CavityMode]]) -> "CavityRows":
-        off = (0.0, 0.0, np.zeros(3), False, False, False)
-        cols = zip(
-            *(
-                off
-                if m is None
-                else (m.omega_c, m.lambda_mag, m.polarization, m.self_polarization_on, m.bilinear_on, True)
-                for m in modes
-            )
-        )
-        return cls(*(np.array(c) for c in cols))
+        def col(name, off):
+            return np.array([off if m is None else getattr(m, name) for m in modes])
+
+        omega, lam = col("omega_c", 0.0), col("lambda_mag", 0.0)
+        bl_on, sp_on = col("bilinear_on", False), col("self_polarization_on", False)
+        eps = col("polarization", np.zeros(3))
+        return cls(eps, lam, omega * omega, bl_on * omega, bl_on * (omega * lam), sp_on * lam)
+
+    def __getitem__(self, rows) -> "CavityRows":
+        return CavityRows(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -176,22 +153,22 @@ def zero_field_init(mode: CavityMode, mu) -> PhotonState:
     return PhotonState(q=q0, p=0.0)
 
 
-def coupling_terms(mode, q, mu_eps):
-    """Photon acceleration and nuclear-force scale for dipole projection mu_eps = eps.mu.
+def coupling_terms(rows: CavityRows, q, mu_eps):
+    """Photon acceleration and nuclear-force scale per row, for dipole projections mu_eps = eps.mu.
 
-    `mode` is a CavityMode with scalar `q`, `mu_eps`, or CavityRows with one
-    entry per row. The cavity force on the nuclei is -scale * D^T eps with D
-    the constant dipole gradient; this is the only place the coupling
-    derivatives are written down.
+    The cavity force on the nuclei is -scale * D^T eps with D the constant
+    dipole gradient; this is the only place the coupling derivatives are
+    written down.
     """
-    a_q = -mode.omega2 * q - mode.bilinear_omega_lambda * mu_eps
-    scale = mode.bilinear_omega * q + mode.self_polarization_lambda * mu_eps
-    return a_q, scale * mode.lambda_mag
+    a_q = -rows.omega2 * q - rows.bilinear_omega_lambda * mu_eps
+    scale = rows.bilinear_omega * q + rows.self_polarization_lambda * mu_eps
+    return a_q, scale * rows.lambda_mag
 
 
 def photon_force(mode: CavityMode, photon: PhotonState, mu) -> float:
     """Acceleration of the photon coordinate."""
-    return float(coupling_terms(mode, photon.q, projection(mode.polarization, mu))[0])
+    rows = CavityRows.of([mode])
+    return float(coupling_terms(rows, photon.q, projection(rows.polarization, mu))[0][0])
 
 
 def nuclear_cavity_force(
@@ -202,20 +179,27 @@ def nuclear_cavity_force(
     With a constant dipole gradient D this is a scalar prefactor times the
     fixed vector D^T eps.
     """
-    mu_eps = projection(mode.polarization, _model.dipole(system, positions))
-    _, scale = coupling_terms(mode, photon.q, mu_eps)
-    return -scale * dipole_direction(system, mode.polarization)
+    rows = CavityRows.of([mode])
+    mu_eps = projection(rows.polarization, _model.dipole(system, positions))
+    _, scale = coupling_terms(rows, photon.q, mu_eps)
+    return -scale[0] * dipole_direction(system, rows.polarization)[0]
 
 
-def cavity_energy(mode, photon: PhotonState, mu):
-    """Photon plus interaction energy for the current dipole (per row for CavityRows)."""
-    proj = projection(mode.polarization, mu)
-    q, p = photon.q, photon.p
+def coupling_energy(rows: CavityRows, q, p, mu_eps):
+    """Photon plus interaction energy per row, for dipole projections mu_eps = eps.mu."""
     # squares as products: a scalar's ** 2 is pow(), which can differ from x * x in the last bit
-    sp = mode.self_polarization_lambda * proj
-    e = 0.5 * (p * p) + 0.5 * mode.omega2 * (q * q)
-    e = e + mode.bilinear_omega * q * mode.lambda_mag * proj
+    sp = rows.self_polarization_lambda * mu_eps
+    e = 0.5 * (p * p) + 0.5 * rows.omega2 * (q * q)
+    e = e + rows.bilinear_omega * q * rows.lambda_mag * mu_eps
     return e + 0.5 * (sp * sp)
+
+
+def cavity_energy(mode: CavityMode, photon: PhotonState, mu):
+    """Photon plus interaction energy for the current dipole, or per frame for arrays of frames."""
+    rows = CavityRows.of([mode])
+    e = coupling_energy(rows, photon.q, photon.p, projection(rows.polarization, mu))
+    # one row, broadcast over the frames when q and p hold one entry per frame
+    return e if np.ndim(photon.q) else e[0]
 
 
 def kinetic_energy(system: ModelSystem, velocities):

@@ -307,6 +307,11 @@ def cmd_scan(
     return 0
 
 
+def _spectrum_tag(lam: float) -> str:
+    """File-name tag of the spectrum at coupling `lam`: zero is the bare system."""
+    return "bare" if lam == 0.0 else f"lambda_{lam:g}"
+
+
 def cmd_spectrum(
     config: RunConfig, system: ModelSystem, outdir: Path, seed: Optional[int], threads: int
 ) -> int:
@@ -319,14 +324,14 @@ def cmd_spectrum(
     rb = system.reactive_bond if system.reactive_bond_index is not None else None
     for lam in lam_list:
         cav = dataclasses.replace(config.cavity, lambda_au=lam).mode()
+        tag = _spectrum_tag(lam)
         if cav is None:
-            eff, tag = modes, "bare"
+            eff = modes
             weights = (
                 _analysis.sic_weighted_spectrum(modes, (rb.i, rb.j)) if rb is not None else None
             )
         else:
             eff = _analysis.polariton_modes(modes, cav)
-            tag = f"lambda_{lam:g}"
             weights = (
                 _analysis.polariton_sic_weights(eff, modes, (rb.i, rb.j))
                 if rb is not None
@@ -385,7 +390,7 @@ def cmd_analyze(
     first = None
     maps = []
     for run in config.analyze.runs:
-        files, trajs = _load_run_trajectories(Path(run), system, window if len(bonds) >= 2 else 1, first)
+        files, trajs = _load_run_trajectories(Path(run), system, window if bonds else 1, first)
         first = first or (files[0], trajs[0])
         occ = _analysis.mean_occupation_map(
             [_analysis.mode_occupation(t, modes, ref) for t in trajs]
@@ -395,8 +400,8 @@ def cmd_analyze(
         header = ["time_fs"] + [f"mode_{f:.2f}_cm1" for f in occ.frequencies_cm1] + ["photon_q_au"]
         table = np.column_stack([occ.times_fs, occ.normalized, occ.photon_q])
         write_csv(outdir / f"occupation_{tag}.csv", header, table)
-        # bond force correlations per configured pair against the first pair
-        if len(bonds) >= 2:
+        # force correlation of the two configured bonds, in the run's first trajectory
+        if bonds:
             corr = _analysis.bond_force_correlation(
                 trajs[0], system, tuple(bonds[0]), tuple(bonds[1]), window
             )
@@ -512,9 +517,20 @@ def _check_inputs(command: str, config: RunConfig, system: ModelSystem) -> None:
     aim = config.ensemble.aim if command in ("run", "ensemble", "scan") else None
     pairs = [] if aim is None else [("ensemble.aim", aim)]
     if command == "analyze":
-        if not config.analyze.runs:
-            raise ConfigError("analyze command needs analyze.runs (one or two run directories)")
-        pairs += [(f"analyze.bonds[{k}]", pair) for k, pair in enumerate(config.analyze.bonds)]
+        runs, bonds = config.analyze.runs, config.analyze.bonds
+        if len(runs) not in (1, 2):
+            raise ConfigError(f"analyze.runs takes one or two run directories, got {len(runs)}")
+        if len(bonds) not in (0, 2):
+            raise ConfigError(f"analyze.bonds takes none or two particle pairs, got {len(bonds)}")
+        pairs += [(f"analyze.bonds[{k}]", pair) for k, pair in enumerate(bonds)]
+    if command == "spectrum":
+        # entries with one tag would write, and overwrite, one pair of files
+        lams = config.spectrum.lambda_list_au or ()
+        tags = [_spectrum_tag(lam) for lam in lams]
+        for k, j in enumerate(map(tags.index, tags)):
+            if j != k:
+                where = f"spectrum.lambda_list_au[{j}] = {lams[j]!r} and [{k}] = {lams[k]!r}"
+                raise ConfigError(f"{where} both write spectrum_*_{tags[k]}.csv")
     n = system.n_particles
     for where, (i, j) in pairs:
         if not (0 <= i < n and 0 <= j < n) or i == j:

@@ -84,19 +84,14 @@ class ReactionEvent:
 
 
 class _Propagator:
-    """Forces and recorded energies of a batch of rows, one mode (or None) per row."""
+    """Forces of a batch of rows, each with its own cavity coefficients."""
 
-    def __init__(self, system: ModelSystem, modes: Sequence[Optional[CavityMode]]):
+    def __init__(self, system: ModelSystem, rows: CavityRows):
         self.system = system
-        self.modes = list(modes)
-        self.rows = CavityRows.of(self.modes)
+        self.rows = rows
         self.masses3 = system.masses3
         self.dipole = system.dipole.value
-        self.deps = dipole_direction(system, self.rows.polarization)
-
-    def take(self, keep) -> "_Propagator":
-        """The propagator of the rows selected by the boolean mask `keep`."""
-        return _Propagator(self.system, [m for m, k in zip(self.modes, keep) if k])
+        self.deps = dipole_direction(system, rows.polarization)
 
     def accelerations(self, x: np.ndarray, q: np.ndarray):
         """Nuclear (B, 3N) and photon (B,) accelerations; a row the forces fail at comes back non-finite."""
@@ -107,17 +102,19 @@ class _Propagator:
         # scale is exactly 0 for lambda = 0 rows, which then move as matter-only ones
         return (f - scale[:, None] * self.deps) / self.masses3, a_q
 
-    def energies(self, x, v, q, p):
-        """Potential, kinetic and cavity energy and dipole at each of the frames x, v, q, p.
 
-        The frames all belong to this one-row propagator's row.
-        """
-        t = self.system.terms
-        mu = self.dipole(x)
-        epot = t.energy(t.geometry(x)[1])
-        ekin = kinetic_energy(self.system, v)
-        ecav = np.where(self.rows.active, cavity_energy(self.rows, PhotonState(q, p), mu), 0.0)
-        return epot, ekin, ecav, mu
+def _frame_energies(system: ModelSystem, mode: Optional[CavityMode], x, v, q, p):
+    """Potential, kinetic and cavity energy and dipole at each of one row's frames x, v, q, p.
+
+    Each sum runs along one frame, so the values are those a frame-by-frame
+    evaluation gives. A row without a cavity has zero cavity energy.
+    """
+    t = system.terms
+    mu = system.dipole.value(x)
+    epot = t.energy(t.geometry(x)[1])
+    ekin = kinetic_energy(system, v)
+    ecav = np.zeros(len(q)) if mode is None else cavity_energy(mode, PhotonState(q, p), mu)
+    return epot, ekin, ecav, mu
 
 
 def velocity_verlet_step(
@@ -183,7 +180,7 @@ def propagate_batch(
         rb = system.reactive_bond
         monitor = (rb.i, rb.j, rb.r_ts)
 
-    prop = _Propagator(system, modes)
+    prop = _Propagator(system, CavityRows.of(modes))
     x = np.array([s.positions for s in states], dtype=float)
     v = np.array([s.velocities for s in states], dtype=float)
     q = np.array([s.photon.q for s in states], dtype=float)
@@ -214,8 +211,7 @@ def propagate_batch(
             errors[int(live[k])] = "non-finite forces; offending term: " + why
         keep = ~bad
         live = live[keep]
-        if live.size:
-            prop = prop.take(keep)
+        prop = _Propagator(system, prop.rows[keep])
         return tuple(arr[keep] for arr in (a, a_q, x) + arrays)
 
     half = 0.5 * dt
@@ -249,11 +245,8 @@ def propagate_batch(
         if k in errors:
             outcomes.append(IntegrationError(errors[k]))
             continue
-        # every frame of the row at once; each sum runs along one frame, so the
-        # values are those a frame-by-frame evaluation gives
         with np.errstate(over="ignore", invalid="ignore"):
-            row = _Propagator(system, modes[k : k + 1])
-            epot, ekin, ecav, mu = row.energies(xs[k], vs[k], qs[k], ps[k])
+            epot, ekin, ecav, mu = _frame_energies(system, modes[k], xs[k], vs[k], qs[k], ps[k])
         traj = Trajectory(
             dt=dt,
             stride=stride,

@@ -355,36 +355,10 @@ def _ensemble_result(specs, outcomes, times_fs, monitor, window_fs, keep_traject
 
 
 def run_ensemble(
-    system: ModelSystem,
-    mode: Optional[CavityMode],
-    specs: Sequence[SamplingSpec],
-    *,
-    positions: np.ndarray,
-    dt: float,
-    n_steps: int,
-    stride: int = 4,
-    threshold: Optional[float] = None,
-    window_fs: Optional[Tuple[float, float]] = None,
-    keep_trajectories: bool = False,
+    system: ModelSystem, mode: Optional[CavityMode], specs: Sequence[SamplingSpec], **kwargs
 ) -> EnsembleResult:
-    """One propagation per spec; aggregates over the analysis window.
-
-    The single-condition case of `run_conditions`: the photon starts in the
-    zero-field condition for the launch dipole, and per-trajectory
-    integration errors are recorded on the ensemble instead of aborting the
-    batch.
-    """
-    return run_conditions(
-        system,
-        [(mode, specs)],
-        positions=positions,
-        dt=dt,
-        n_steps=n_steps,
-        stride=stride,
-        threshold=threshold,
-        window_fs=window_fs,
-        keep_trajectories=keep_trajectories,
-    )[0]
+    """One propagation per spec: `run_conditions` (same keyword arguments) of one condition."""
+    return run_conditions(system, [(mode, specs)], **kwargs)[0]
 
 
 def reaction_statistics(result: EnsembleResult, window_fs: Tuple[float, float]) -> Aggregates:

@@ -459,30 +459,18 @@ class GeometryError(ValueError):
         super().__init__("; ".join(f"row {k}: {why}" for k, why in rows.items()))
 
 
-def _check_positions(system: ModelSystem, positions) -> np.ndarray:
-    x = np.asarray(positions, dtype=float)
-    if x.shape != (3 * system.n_particles,):
-        raise ValueError(
-            f"positions must be a flat array of length {3*system.n_particles}, got shape {x.shape}"
-        )
-    if not np.all(np.isfinite(x)):
-        raise ValueError("positions contain non-finite values")
-    return x
-
-
-def _geometry(system: ModelSystem, positions):
+def _geometry(system: ModelSystem, positions, flat: bool = False):
     """Bond vectors and lengths of flat or (B, 3N) batched positions, checked.
 
-    A flat input is a batch of one. GeometryError names every row with
-    non-finite coordinates, or with a bonded pair closer than 1e-12 bohr or
-    a non-finite distance apart.
+    A flat input is a batch of one; `flat` rejects batches. GeometryError
+    names every row with non-finite coordinates, or with a bonded pair closer
+    than 1e-12 bohr or a non-finite distance apart.
     """
     x = np.asarray(positions, dtype=float)
     n3 = 3 * system.n_particles
-    if x.ndim not in (1, 2) or x.shape[-1] != n3:
-        raise ValueError(
-            f"positions must be a flat array of length {n3} or a (B, {n3}) batch, got shape {x.shape}"
-        )
+    if x.ndim not in (1, 2 - flat) or x.shape[-1] != n3:
+        batch = "" if flat else f" or a (B, {n3}) batch"
+        raise ValueError(f"positions must be a flat array of length {n3}{batch}, got shape {x.shape}")
     x = x.reshape(-1, n3)
     d, r = system.terms.geometry(x)
     if np.isfinite(x).all() and r.min(initial=np.inf) >= 1e-12 and r.max(initial=0.0) < np.inf:
@@ -546,8 +534,10 @@ def row_sums(a):
 
 
 def dipole(system: ModelSystem, positions) -> np.ndarray:
-    """Molecular dipole in e*bohr."""
-    return system.dipole.value(_check_positions(system, positions)[None])[0]
+    """Molecular dipole in e*bohr of flat positions, checked by `_geometry`."""
+    x = np.asarray(positions, dtype=float)
+    _geometry(system, x, flat=True)
+    return system.dipole.value(x[None])[0]
 
 
 def dipole_gradient(system: ModelSystem) -> np.ndarray:
@@ -563,7 +553,8 @@ def fd_hessian(system: ModelSystem, positions, h: float = 1e-3, symmetrize: bool
     (k,l) and (l,k), so the raw asymmetry is pure summation roundoff; the
     returned matrix is (H + H^T)/2 unless `symmetrize` is disabled.
     """
-    x = _check_positions(system, positions)
+    x = np.asarray(positions, dtype=float)
+    _geometry(system, x, flat=True)
     if not h > 0:
         raise ValueError("finite-difference step must be positive")
     n = x.size
@@ -817,7 +808,8 @@ def build_pta_surrogate(
 
 def stretch_bond(system: ModelSystem, positions, bond_index: int, delta: float) -> np.ndarray:
     """Geometry helper: move a bond's first particle outward by `delta` bohr."""
-    x = _check_positions(system, positions).copy()
+    x = np.array(positions, dtype=float)
+    _geometry(system, x, flat=True)
     b = system.bonds[bond_index]
     pts = x.reshape(-1, 3)
     u = pts[b.i] - pts[b.j]
@@ -844,7 +836,8 @@ def pta_launch_positions(
     anion attachment. Stand-in for picking the quickly-reacting corner of
     the full thermal ensemble.
     """
-    x = _check_positions(system, system.reference_positions).copy()
+    x = np.array(system.reference_positions, dtype=float)
+    _geometry(system, x, flat=True)
     pts = x.reshape(-1, 3)
     u = pts[PTA_C1] - pts[PTA_SI]
     u /= np.linalg.norm(u)

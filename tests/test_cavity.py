@@ -79,8 +79,9 @@ def test_cavity_energy_cases():
     assert cavity_energy(mode, zero_field_init(mode, mu), mu) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_rows_carry_the_coefficients_of_their_modes():
-    from cavimd.cavity import CavityRows, coupling_terms
+def test_rows_carry_the_coefficients_of_their_modes(charged_pair):
+    # each single-mode function is a one-row call, equal to that row of any batch
+    from cavimd.cavity import CavityRows, coupling_energy, coupling_terms, dipole_direction, projection
 
     modes = [
         CavityMode(W856, 0.08, EX),
@@ -89,15 +90,23 @@ def test_rows_carry_the_coefficients_of_their_modes():
         None,
     ]
     rows = CavityRows.of(modes)
-    names = ("omega2", "bilinear_omega_lambda", "bilinear_omega", "self_polarization_lambda")
-    for k, mode in enumerate(modes):
-        for name in names:
-            assert getattr(rows, name)[k] == (0.0 if mode is None else getattr(mode, name))
-    assert (modes[1].bilinear_omega, modes[2].self_polarization_lambda) == (0.0, 0.0)
-    q, mu_eps = np.array([0.7, -1.3, 2.1, 0.4]), np.array([-0.9, 0.3, 1.7, 0.0])
+    rng = np.random.default_rng(12)
+    x = charged_pair.reference_positions + 0.1 * rng.standard_normal((4, 6))
+    mu = np.array([dipole(charged_pair, xk) for xk in x])
+    q, p = np.array([0.7, -1.3, 2.1, 0.4]), np.array([0.2, -0.5, 0.9, 0.3])
+    mu_eps = projection(rows.polarization, mu)
     a_q, scale = coupling_terms(rows, q, mu_eps)
+    force = -scale[:, None] * dipole_direction(charged_pair, rows.polarization)
+    energy = coupling_energy(rows, q, p, mu_eps)
     for k, mode in enumerate(modes[:3]):
-        assert (a_q[k], scale[k]) == coupling_terms(mode, q[k], mu_eps[k])
+        photon = PhotonState(q[k], p[k])
+        assert photon_force(mode, photon, mu[k]) == a_q[k]
+        assert np.all(nuclear_cavity_force(mode, photon, charged_pair, x[k]) == force[k])
+        assert cavity_energy(mode, photon, mu[k]) == energy[k]
+    names = ("lambda_mag", "omega2", "bilinear_omega", "bilinear_omega_lambda", "self_polarization_lambda")
+    assert [getattr(rows, name)[3] for name in names] == [0.0] * 5
+    assert np.all(rows.polarization[3] == 0.0) and np.all(force[3] == 0.0) and a_q[3] == 0.0
+    assert (rows.bilinear_omega[1], rows.self_polarization_lambda[2]) == (0.0, 0.0)
 
 
 def test_cavity_energy_nonnegative_with_both_terms():

@@ -497,6 +497,34 @@ def test_cli_analyze_bad_inputs_fail_cleanly(tmp_path, capsys, extra, second, me
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "analyze, message",
+    [
+        ("  runs: [a, b, c]\n", "analyze.runs takes one or two run directories, got 3"),
+        ("  runs: []\n", "analyze.runs takes one or two run directories, got 0"),
+        ("  runs: [a]\n  bonds: [[1, 3], [1, 0], [2, 1]]\n", "analyze.bonds takes none or two particle pairs, got 3"),
+        ("  runs: [a]\n  bonds: [[1, 3]]\n", "analyze.bonds takes none or two particle pairs, got 1"),
+    ],
+    ids=["three-runs", "no-runs", "three-bonds", "one-bond"],
+)
+def test_cli_analyze_input_counts_fail_cleanly(tmp_path, capsys, analyze, message):
+    # inputs analyze would otherwise accept and then leave unused
+    cfg = short_config(tmp_path, extra="analyze:\n" + analyze)
+    assert main(["analyze", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_spectrum_entries_sharing_files_fail_cleanly(tmp_path, capsys):
+    cfg = short_config(tmp_path, extra="spectrum:\n  lambda_list_au: [0.1, 0.0, 0.1000001]\n")
+    assert main(["spectrum", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "error: spectrum.lambda_list_au[0] = 0.1 and [2] = 0.1000001 both write spectrum_*_lambda_0.1.csv\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_analyze_two_runs_need_a_reactive_bond(tmp_path, capsys):
     cfg = short_config(tmp_path, extra=f"analyze:\n  runs: [{tmp_path / 'a'}, {tmp_path / 'b'}]\n")
     cfg.write_text(cfg.read_text().replace(BUILTIN, TWO_BEADS))

@@ -54,7 +54,7 @@ def test_fixed_point_at_equilibrium(surrogate):
 @pytest.mark.parametrize("bilinear, self_polarization", [(True, True), (False, True), (True, False)])
 def test_propagator_accelerations_match_cavity_forces(surrogate, bilinear, self_polarization):
     # ties the integrator's forces to the finite-difference-checked cavity.py path
-    from cavimd.cavity import nuclear_cavity_force, photon_force
+    from cavimd.cavity import CavityRows, nuclear_cavity_force, photon_force
     from cavimd.dynamics import _Propagator
     from cavimd.model import dipole, forces
 
@@ -67,7 +67,7 @@ def test_propagator_accelerations_match_cavity_forces(surrogate, bilinear, self_
         bilinear_on=bilinear,
         self_polarization_on=self_polarization,
     )
-    prop = _Propagator(surrogate, [mode])
+    prop = _Propagator(surrogate, CavityRows.of([mode]))
     for _ in range(25):
         x = surrogate.reference_positions + 0.15 * rng.standard_normal(18)
         photon = PhotonState(rng.normal(scale=20.0), rng.normal())

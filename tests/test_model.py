@@ -82,6 +82,17 @@ def test_dimension_and_finiteness_errors(surrogate):
     bad[0] = np.nan
     with pytest.raises(ValueError):
         forces(surrogate, bad)
+    # the flat-geometry helpers share the same check and also reject batches
+    batch = np.tile(surrogate.reference_positions, (2, 1))
+    calls = {
+        "dipole": lambda x: dipole(surrogate, x),
+        "fd_hessian": lambda x: model.fd_hessian(surrogate, x),
+        "stretch_bond": lambda x: model.stretch_bond(surrogate, x, 0, 0.1),
+    }
+    for name, call in calls.items():
+        for x in (np.zeros(5), bad, batch):
+            with pytest.raises(ValueError):
+                call(x)
 
 
 def test_energy_invariant_under_rigid_motion(surrogate):
