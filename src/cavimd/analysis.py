@@ -197,10 +197,8 @@ def polariton_modes(modes: NormalModes, mode: CavityMode) -> NormalModes:
     )
 
 
-def td_spectrum(
-    trajectory: Trajectory, polarization, window: str = "hann"
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Power spectrum of the windowed, mean-removed dipole projection.
+def td_spectrum(trajectory: Trajectory, polarization) -> Tuple[np.ndarray, np.ndarray]:
+    """Power spectrum of the Hann-windowed, mean-removed dipole projection.
 
     Returns (frequency axis in cm^-1, |FFT|^2). Frequency resolution is one
     bin = 2*pi / (record length).
@@ -209,18 +207,9 @@ def td_spectrum(
     n = trajectory.n_frames
     if n < 256:
         raise ValueError(f"need at least 256 frames, got {n}")
-    windows = {
-        "hann": np.hanning,
-        "hamming": np.hamming,
-        "blackman": np.blackman,
-        "rect": np.ones,
-    }
-    if window not in windows:
-        raise ValueError(f"unknown window {window!r}")
     s = trajectory.dipole @ eps
     s = s - s.mean()
-    w = windows[window](n)
-    spec = np.fft.rfft(s * w)
+    spec = np.fft.rfft(s * np.hanning(n))
     dt_frame = trajectory.dt * trajectory.stride
     freqs_cm1 = np.fft.rfftfreq(n, d=dt_frame) * 2.0 * np.pi * CM1_PER_HARTREE
     return freqs_cm1, np.abs(spec) ** 2
@@ -459,7 +448,6 @@ def find_transition_state(
     r_min: float,
     r_max: float,
     n_points: int = 25,
-    bond_index: Optional[int] = None,
     start_positions: Optional[np.ndarray] = None,
 ) -> TSResult:
     """Relaxed scan over the reactive bond length, then saddle refinement.
@@ -472,11 +460,7 @@ def find_transition_state(
     from the relaxed-profile curvature with the bond pair's reduced mass.
     A solve that ends with |grad| above 1e-8 raises SearchError.
     """
-    if bond_index is None:
-        bond_index = system.reactive_bond_index
-    if bond_index is None:
-        raise ValueError("system has no reactive bond; pass bond_index explicitly")
-    b = system.bonds[bond_index]
+    b = system.reactive_bond  # ValueError without one
     if start_positions is None:
         start_positions = system.reference_positions
     if start_positions is None:
@@ -602,7 +586,6 @@ def resonance_scan(
     polarization=(1.0, 0.0, 0.0),
     bilinear: bool = True,
     self_polarization: bool = True,
-    threshold: Optional[float] = None,
     window_fs: Optional[Tuple[float, float]] = None,
 ) -> List[ScanRow]:
     """Ensemble statistics per cavity condition (omega_c_cm1, coupling ratio).
@@ -638,7 +621,6 @@ def resonance_scan(
         dt=dt,
         n_steps=n_steps,
         stride=stride,
-        threshold=threshold,
         window_fs=window_fs,
     )
     return [

@@ -22,7 +22,7 @@ functions are one-row calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -63,7 +63,7 @@ class CavityRows:
 
     A switched-off term has a zero coefficient. A row without a cavity has
     every coefficient and its polarization zero: it feels no cavity force,
-    and its photon coordinate only drifts. Indexing selects rows.
+    and its photon coordinate only drifts.
     """
 
     polarization: np.ndarray  # (B, 3)
@@ -82,9 +82,6 @@ class CavityRows:
         bl_on, sp_on = col("bilinear_on", False), col("self_polarization_on", False)
         eps = col("polarization", np.zeros(3))
         return cls(eps, lam, omega * omega, bl_on * omega, bl_on * (omega * lam), sp_on * lam)
-
-    def __getitem__(self, rows) -> "CavityRows":
-        return CavityRows(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 @dataclass(frozen=True)

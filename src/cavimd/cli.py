@@ -163,14 +163,10 @@ def read_trajectory_csv(path: Path, system: ModelSystem) -> Trajectory:
 
 # --- commands ---------------------------------------------------------------------
 
-def _ensemble_inputs(config: RunConfig, system: ModelSystem, seed: Optional[int]):
+def _ensemble_inputs(config: RunConfig, system: ModelSystem):
     ens = config.ensemble
     specs = make_specs(
-        seed if seed is not None else ens.seed,
-        ens.n_trajectories,
-        ens.temperature_K,
-        aim=ens.aim,
-        resample_T_K=ens.resample_T_K,
+        ens.seed, ens.n_trajectories, ens.temperature_K, aim=ens.aim, resample_T_K=ens.resample_T_K
     )
     return dict(
         positions=config.launch_positions(system),
@@ -224,10 +220,8 @@ def _write_ensemble_outputs(
         )
 
 
-def cmd_run(
-    config: RunConfig, system: ModelSystem, outdir: Path, seed: Optional[int], threads: int
-) -> int:
-    kwargs, specs = _ensemble_inputs(config, system, seed)
+def cmd_run(config: RunConfig, system: ModelSystem, outdir: Path, threads: int) -> int:
+    kwargs, specs = _ensemble_inputs(config, system)
     mode = config.cavity.mode()
     # the launch and the batch step of `cavimd ensemble`, so this is its trajectory 0
     state = launch_states(system, mode, specs[:1], kwargs["positions"])[0]
@@ -238,6 +232,7 @@ def cmd_run(
     tdir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(tdir / "trajectory_000000.csv", system, traj)
     if "json" in config.outputs.formats:
+        threshold = event.threshold_bohr  # inf without a reactive bond, which JSON cannot hold
         write_json(
             outdir / "summary.json",
             {
@@ -245,17 +240,15 @@ def cmd_run(
                 "reacted": bool(event.occurred),
                 "crossing_time_fs": event.crossing_time_fs,
                 "dissociated": traj.dissociated,
-                "threshold_A": event.threshold_bohr * ANGSTROM_PER_BOHR,
+                "threshold_A": threshold * ANGSTROM_PER_BOHR if np.isfinite(threshold) else None,
             },
         )
     _emit_manifest(outdir, config, "run")
     return 0
 
 
-def cmd_ensemble(
-    config: RunConfig, system: ModelSystem, outdir: Path, seed: Optional[int], threads: int
-) -> int:
-    kwargs, specs = _ensemble_inputs(config, system, seed)
+def cmd_ensemble(config: RunConfig, system: ModelSystem, outdir: Path, threads: int) -> int:
+    kwargs, specs = _ensemble_inputs(config, system)
     result = run_ensemble(system, config.cavity.mode(), specs, keep_trajectories=True, **kwargs)
     tdir = outdir / "trajectories"
     tdir.mkdir(parents=True, exist_ok=True)
@@ -266,10 +259,8 @@ def cmd_ensemble(
     return 0
 
 
-def cmd_scan(
-    config: RunConfig, system: ModelSystem, outdir: Path, seed: Optional[int], threads: int
-) -> int:
-    kwargs, specs = _ensemble_inputs(config, system, seed)
+def cmd_scan(config: RunConfig, system: ModelSystem, outdir: Path, threads: int) -> int:
+    kwargs, specs = _ensemble_inputs(config, system)
     if config.scan.omega_list_cm1 is not None:
         conditions = [(w, config.cavity.ratio) for w in config.scan.omega_list_cm1]
         name = "resonance_scan.csv"
@@ -312,14 +303,13 @@ def _spectrum_tag(lam: float) -> str:
     return "bare" if lam == 0.0 else f"lambda_{lam:g}"
 
 
-def cmd_spectrum(
-    config: RunConfig, system: ModelSystem, outdir: Path, seed: Optional[int], threads: int
-) -> int:
+def cmd_spectrum(config: RunConfig, system: ModelSystem, outdir: Path, threads: int) -> int:
     modes = _analysis.system_normal_modes(system)
     pol = np.asarray(config.cavity.polarization)
     lam_list = config.spectrum.lambda_list_au
     if lam_list is None:
-        lam_list = (0.0, config.cavity.lambda_au)
+        # one entry at zero coupling, where both would be the bare spectrum
+        lam_list = tuple(dict.fromkeys((0.0, config.cavity.lambda_au)))
     broadening = config.spectrum.broadening_cm1
     rb = system.reactive_bond if system.reactive_bond_index is not None else None
     for lam in lam_list:
@@ -380,9 +370,7 @@ def _load_run_trajectories(
     return files, trajs
 
 
-def cmd_analyze(
-    config: RunConfig, system: ModelSystem, outdir: Path, seed: Optional[int], threads: int
-) -> int:
+def cmd_analyze(config: RunConfig, system: ModelSystem, outdir: Path, threads: int) -> int:
     modes = _analysis.system_normal_modes(system)
     ref = system.reference_positions
     bonds = config.analyze.bonds
@@ -440,9 +428,7 @@ def cmd_analyze(
     return 0
 
 
-def cmd_calibrate(
-    config: RunConfig, system: ModelSystem, outdir: Path, seed: Optional[int], threads: int
-) -> int:
+def cmd_calibrate(config: RunConfig, system: ModelSystem, outdir: Path, threads: int) -> int:
     rb = system.reactive_bond
     well = rb.well
     mu_red = system.reduced_mass(rb.i, rb.j)
@@ -464,9 +450,7 @@ def cmd_calibrate(
     return 0
 
 
-def cmd_model_check(
-    config: RunConfig, system: ModelSystem, outdir: Path, seed: Optional[int], threads: int
-) -> int:
+def cmd_model_check(config: RunConfig, system: ModelSystem, outdir: Path, threads: int) -> int:
     rng = np.random.default_rng(7)
     checks = {}
     x0 = system.reference_positions
@@ -581,6 +565,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = parse_config(Path(args.config).read_text())
+        if args.seed is not None:
+            config.ensemble.seed = args.seed
         if args.out is not None:
             config.outputs.directory = args.out
         if args.format is not None:
@@ -600,7 +586,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _check_inputs(args.command, config, system)
         outdir = Path(config.outputs.directory)
         outdir.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](config, system, outdir, args.seed, threads)
+        return COMMANDS[args.command](config, system, outdir, threads)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

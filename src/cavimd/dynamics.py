@@ -137,16 +137,14 @@ def propagate(
     dt: float,
     n_steps: int,
     stride: int = 1,
-    monitor: Optional[Tuple[int, int, float]] = None,
 ) -> Tuple[Trajectory, ReactionEvent]:
-    """Propagate, record every `stride`-th step, and flag the first bond crossing.
+    """Propagate, record every `stride`-th step, and flag the first reactive-bond crossing.
 
-    `monitor` is (particle_i, particle_j, threshold_bohr); by default the
-    designated reactive bond is watched with its barrier position as the
-    threshold. Deterministic for identical inputs, and identical to the same
-    row inside any `propagate_batch`.
+    The reactive bond is watched with its barrier position as the threshold;
+    a system without one never reacts. Deterministic for identical inputs,
+    and identical to the same row inside any `propagate_batch`.
     """
-    outcome = propagate_batch(system, [mode], [state], dt, n_steps, stride, monitor)[0]
+    outcome = propagate_batch(system, [mode], [state], dt, n_steps, stride)[0]
     if isinstance(outcome, IntegrationError):
         raise outcome
     return outcome
@@ -159,14 +157,14 @@ def propagate_batch(
     dt: float,
     n_steps: int,
     stride: int = 1,
-    monitor: Optional[Tuple[int, int, float]] = None,
 ) -> List[Union[Tuple[Trajectory, ReactionEvent], IntegrationError]]:
     """Advance every (mode, state) row together with one array step.
 
     Returns, per row, what `propagate` returns for it, or the
     IntegrationError that ended it. Every operation on a row is elementwise
     or summed in a fixed order, so a row's trajectory does not depend on the
-    batch it runs in, and a failing row leaves the others untouched.
+    batch it runs in, and a failing row leaves the others untouched: it stays
+    in the batch, and its frames from the failure on are never read.
     """
     if not dt > 0:
         raise ValueError("timestep must be positive")
@@ -176,9 +174,6 @@ def propagate_batch(
         raise ValueError("stride must be >= 1")
     if len(modes) != len(states) or not states:
         raise ValueError("need one mode per state and at least one state")
-    if monitor is None and system.reactive_bond_index is not None:
-        rb = system.reactive_bond
-        monitor = (rb.i, rb.j, rb.r_ts)
 
     prop = _Propagator(system, CavityRows.of(modes))
     x = np.array([s.positions for s in states], dtype=float)
@@ -192,52 +187,37 @@ def propagate_batch(
     vs = np.empty((n_rows, n_frames, n3))
     qs = np.empty((n_rows, n_frames))
     ps = np.empty((n_rows, n_frames))
-    live = np.arange(n_rows)  # batch row of each working row
     errors = {}
 
-    def record(frame):
-        xs[live, frame] = x
-        vs[live, frame] = v
-        qs[live, frame] = q
-        ps[live, frame] = p
-
-    def drop_failed(a, a_q, x, *arrays):
-        """Record and remove the rows whose accelerations are not finite."""
-        nonlocal live, prop
-        bad = ~(np.isfinite(a).all(axis=1) & np.isfinite(a_q))
-        if not bad.any():
-            return (a, a_q, x) + arrays
-        for k, why in zip(np.flatnonzero(bad), _model.failure_reasons(system, x[bad])):
-            errors[int(live[k])] = "non-finite forces; offending term: " + why
-        keep = ~bad
-        live = live[keep]
-        prop = _Propagator(system, prop.rows[keep])
-        return tuple(arr[keep] for arr in (a, a_q, x) + arrays)
-
-    half = 0.5 * dt
-    # failures are detected row by row below, so overflow on the way is expected
-    with np.errstate(over="ignore", invalid="ignore"):
+    def accelerations(x, q):
+        """The batch's accelerations, recording why each row first turns non-finite."""
         a, a_q = prop.accelerations(x, q)
         if not np.isfinite(a.sum() + a_q.sum()):
-            a, a_q, x, v, q, p = drop_failed(a, a_q, x, v, q, p)
-        if live.size:
-            record(0)
+            bad = ~(np.isfinite(a).all(axis=1) & np.isfinite(a_q))
+            new = [k for k in np.flatnonzero(bad).tolist() if k not in errors]
+            if new:
+                for k, why in zip(new, _model.failure_reasons(system, x[new])):
+                    errors[k] = "non-finite forces; offending term: " + why
+        return a, a_q
+
+    half = 0.5 * dt
+    # failures are detected row by row above, so overflow on the way is expected
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, a_q = accelerations(x, q)
+        xs[:, 0], vs[:, 0], qs[:, 0], ps[:, 0] = x, v, q, p
         for step in range(1, n_steps + 1):
-            if not live.size:
+            if len(errors) == n_rows:
                 break
             v_half = v + half * a
             p_half = p + half * a_q
             x = x + dt * v_half
             q = q + dt * p_half
-            a, a_q = prop.accelerations(x, q)
-            if not np.isfinite(a.sum() + a_q.sum()):
-                a, a_q, x, q, v_half, p_half = drop_failed(a, a_q, x, q, v_half, p_half)
-                if not live.size:
-                    break
+            a, a_q = accelerations(x, q)
             v = v_half + half * a
             p = p_half + half * a_q
             if step % stride == 0:
-                record(step // stride)
+                frame = step // stride
+                xs[:, frame], vs[:, frame], qs[:, frame], ps[:, frame] = x, v, q, p
 
     times = frame_times(dt, n_steps, stride)
     outcomes: List[Union[Tuple[Trajectory, ReactionEvent], IntegrationError]] = []
@@ -261,7 +241,7 @@ def propagate_batch(
             etot=epot + ekin + ecav,
             dipole=mu,
         )
-        outcomes.append((traj, _observe(system, traj, monitor)))
+        outcomes.append((traj, _observe(system, traj)))
     return outcomes
 
 
@@ -270,17 +250,13 @@ def frame_times(dt: float, n_steps: int, stride: int) -> np.ndarray:
     return np.arange(n_steps // stride + 1) * stride * dt
 
 
-def _observe(system: ModelSystem, traj: Trajectory, monitor) -> ReactionEvent:
-    """Set the trajectory's dissociation flag and find the monitored crossing."""
-    if system.reactive_bond_index is not None:
-        rb = system.reactive_bond
-        traj.dissociated = bool(
-            np.any(traj.bond_series(rb.i, rb.j) > DISSOCIATION_FACTOR * rb.r_ts)
-        )
-    if monitor is None:
+def _observe(system: ModelSystem, traj: Trajectory) -> ReactionEvent:
+    """Set the trajectory's dissociation flag and find the reactive bond's first crossing of r_ts."""
+    if system.reactive_bond_index is None:
         return ReactionEvent(False, None, float("inf"))
-    i, j, threshold = monitor
-    return detect_reaction(traj, (i, j), threshold)
+    rb = system.reactive_bond
+    traj.dissociated = bool(np.any(traj.bond_series(rb.i, rb.j) > DISSOCIATION_FACTOR * rb.r_ts))
+    return detect_reaction(traj, (rb.i, rb.j), rb.r_ts)
 
 
 def detect_reaction(

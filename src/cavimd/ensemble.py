@@ -15,7 +15,7 @@ derives per-trajectory seeds as base_seed XOR trajectory index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -279,7 +279,6 @@ def run_conditions(
     dt: float,
     n_steps: int,
     stride: int = 4,
-    threshold: Optional[float] = None,
     window_fs: Optional[Tuple[float, float]] = None,
     keep_trajectories: bool = False,
 ) -> List[EnsembleResult]:
@@ -288,33 +287,30 @@ def run_conditions(
     Every spec of every condition is one row of the batch, launched by
     `launch_states`, and the batch runs in this process: a step costs
     mostly the same whatever the batch size, so splitting it across worker
-    processes did not pay. Per-trajectory integration errors are recorded
-    on the ensemble instead of aborting the batch.
+    processes did not pay. A trajectory reacts when the reactive bond first
+    crosses its barrier position r_ts. Per-trajectory integration errors are
+    recorded on the ensemble instead of aborting the batch.
     """
     if len(conditions) == 0:
         raise ValueError("at least one condition is required")
     if any(len(specs) == 0 for _, specs in conditions):
         raise ValueError("at least one sampling spec is required")
     rb = system.reactive_bond
-    if threshold is None:
-        threshold = rb.r_ts
     rows = []
     for mode, specs in conditions:
         rows += [(mode, state) for state in launch_states(system, mode, specs, positions)]
     modes, states = zip(*rows)
-    monitor = (rb.i, rb.j, threshold)
-    outcomes = iter(propagate_batch(system, modes, states, dt, n_steps, stride, monitor))
+    outcomes = iter(propagate_batch(system, modes, states, dt, n_steps, stride))
     times_fs = au_to_fs(frame_times(dt, n_steps, stride))
     return [
         _ensemble_result(
-            specs, [next(outcomes) for _ in specs], times_fs, monitor, window_fs, keep_trajectories
+            specs, [next(outcomes) for _ in specs], times_fs, rb, window_fs, keep_trajectories
         )
         for _, specs in conditions
     ]
 
 
-def _ensemble_result(specs, outcomes, times_fs, monitor, window_fs, keep_trajectories):
-    i, j, threshold = monitor
+def _ensemble_result(specs, outcomes, times_fs, rb, window_fs, keep_trajectories):
     records: List[TrajectoryRecord] = []
     series_rows = []
     series_index = []
@@ -324,7 +320,7 @@ def _ensemble_result(specs, outcomes, times_fs, monitor, window_fs, keep_traject
             records.append(TrajectoryRecord(k, spec.seed, None, None, error=str(outcome)))
             continue
         traj, event = outcome
-        series = traj.bond_series(i, j)
+        series = traj.bond_series(rb.i, rb.j)
         records.append(
             TrajectoryRecord(k, spec.seed, event, float(series.mean()), dissociated=traj.dissociated)
         )
@@ -341,7 +337,7 @@ def _ensemble_result(specs, outcomes, times_fs, monitor, window_fs, keep_traject
         times_fs=times_fs,
         bond_series=np.vstack(series_rows),
         series_index=series_index,
-        threshold_bohr=threshold,
+        threshold_bohr=rb.r_ts,
         reaction_fraction=0.0,
         mean_bond_bohr=0.0,
         stderr_bond_bohr=float("nan"),

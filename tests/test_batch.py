@@ -23,6 +23,7 @@ from cavimd import (
     potential_energy,
     pta_launch_positions,
 )
+from cavimd import model
 from cavimd.cavity import kinetic_energy
 from cavimd.cli import main
 from cavimd.dynamics import IntegrationError, propagate, propagate_batch
@@ -153,6 +154,39 @@ def test_row_launched_coincident_fails_alone(surrogate):
     alone = propagate_batch(surrogate, modes[::2], states[::2], dt, 40, stride=4)
     assert_same_trajectory(batch[0][0], alone[0][0])
     assert_same_trajectory(batch[2][0], alone[1][0])
+
+
+def test_rows_failing_at_different_steps_fail_as_they_do_alone(surrogate, monkeypatch):
+    modes = mixed_modes()[:4]
+    states = launch(surrogate, 5, 4)
+    states[1].velocities[0] = 1e6  # fails at step 7
+    states[3].velocities[0] = 30.0  # fails at step 54
+    dt = fs_to_au(0.5)
+    alone = [propagate_batch(surrogate, [modes[k]], [states[k]], dt, 200, stride=4)[0] for k in (1, 3)]
+    asked = []
+    reasons = model.failure_reasons
+    monkeypatch.setattr(model, "failure_reasons", lambda system, x: asked.append(len(x)) or reasons(system, x))
+    batch = propagate_batch(surrogate, modes, states, dt, 200, stride=4)
+    assert asked == [1, 1]  # one row at each of two steps, each reason found once
+    for outcome, single in zip((batch[1], batch[3]), alone):
+        assert isinstance(outcome, IntegrationError) and isinstance(single, IntegrationError)
+        assert str(outcome) == str(single)
+    finished = propagate_batch(surrogate, modes[::2], states[::2], dt, 200, stride=4)
+    assert_same_trajectory(batch[0][0], finished[0][0])
+    assert_same_trajectory(batch[2][0], finished[1][0])
+
+
+def test_batch_where_every_row_fails_stops_early(surrogate, monkeypatch):
+    calls = []
+    step = _BondedTerms.forces
+    monkeypatch.setattr(_BondedTerms, "forces", lambda self, *args: calls.append(1) or step(self, *args))
+    states = launch(surrogate, 5, 2)
+    for state in states:
+        state.velocities[0] = 1e6
+    n = 200
+    batch = propagate_batch(surrogate, [None, None], states, fs_to_au(0.5), n, stride=4)
+    assert all(isinstance(outcome, IntegrationError) for outcome in batch)
+    assert len(calls) < n + 1
 
 
 def failing_mixed_batch(system):

@@ -290,6 +290,31 @@ def test_cli_spectrum_outputs(tmp_path):
     assert upper - lower > 50.0
 
 
+def test_cli_spectrum_at_zero_coupling_computes_the_bare_spectrum_once(tmp_path, monkeypatch):
+    cfg = short_config(tmp_path)
+    cfg.write_text(cfg.read_text().replace("ratio: 1.132", "ratio: 0.0"))
+    calls = []
+    spectrum = cli._analysis.ir_spectrum
+    monkeypatch.setattr(cli._analysis, "ir_spectrum", lambda *a, **k: calls.append(1) or spectrum(*a, **k))
+    assert main(["spectrum", "--config", str(cfg)]) == 0
+    assert len(calls) == 1
+    written = sorted(p.name for p in (tmp_path / "out").glob("spectrum_*.csv"))
+    assert written == ["spectrum_curve_bare.csv", "spectrum_lines_bare.csv"]
+
+
+def test_cli_run_without_reactive_bond_writes_strict_json(tmp_path):
+    cfg = short_config(tmp_path)
+    cfg.write_text(cfg.read_text().replace(BUILTIN, TWO_BEADS))
+    assert main(["run", "--config", str(cfg)]) == 0
+
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text(), parse_constant=reject)
+    assert summary["threshold_A"] is None
+    assert summary["reacted"] is False
+
+
 def test_cli_spectrum_self_polarization_only_shifts_up(tmp_path):
     extra = "spectrum:\n  lambda_list_au: [0.0, 0.1]\n"
     cfg_text = (
@@ -701,6 +726,21 @@ def test_manifest_contents(tmp_path):
     assert "cm^-1 per Hartree" in manifest["unit_constants"]
     assert manifest["resolved_config"]["cavity"]["lambda_au"] == pytest.approx(0.1, abs=1e-3)
     assert len(manifest["config_sha256"]) == 64
+
+
+def test_manifest_records_the_seed_that_ran(tmp_path):
+    cfg = short_config(tmp_path, n_traj=2, duration=5.0)  # seed: 11
+    written = tmp_path / "seed5.yaml"
+    written.write_text(cfg.read_text().replace("seed: 11", "seed: 5"))
+    out = tmp_path / "run"
+    manifests = []
+    for path, flags in ((cfg, ["--seed", "5"]), (written, [])):
+        assert main(["ensemble", "--config", str(path), "--out", str(out), *flags]) == 0
+        rows = (out / "ensemble.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["5", "4"]
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+    assert manifests[0]["resolved_config"]["ensemble"]["seed"] == 5
+    assert manifests[0]["config_sha256"] == manifests[1]["config_sha256"]
 
 
 def test_scan_leaves_scipy_unloaded(tmp_path):
