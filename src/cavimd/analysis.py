@@ -10,11 +10,11 @@ import numpy as np
 
 from . import model as _model
 from .cavity import CavityMode, lambda_for_ratio, projection, unit_polarization
-from .dynamics import Trajectory
+from .dynamics import Trajectory, frame_times
 from .ensemble import SamplingSpec, run_conditions
 from .ensemble import run_ensemble  # noqa: F401  (bound here for wrappers such as perfbench/tracer.py)
 from .model import ModelSystem
-from .units import CM1_PER_HARTREE, EV_PER_HARTREE
+from .units import CM1_PER_HARTREE, EV_PER_HARTREE, au_to_fs
 
 #: modes below this frequency count as the near-zero (translation/rotation/soft) block
 NEAR_ZERO_CM1 = 1.0
@@ -593,12 +593,14 @@ def resonance_scan(
     Every table starts with the uncoupled baseline row; identical sampling
     specs are reused for every condition so differences are cavity-caused.
     A frequency scan holds the ratio fixed, a coupling scan the frequency.
-    The baseline and every condition are propagated as one batch. `n`
-    counts the trajectories the statistics average over (failed ones are
-    left out).
+    The baseline and every condition are propagated as one batch, up to
+    the first frame past the window's end: the statistics read no later
+    frame. `n` counts the trajectories the statistics average over (those
+    that failed up to that frame are left out).
     """
     if len(conditions) < 1:
         raise ValueError("at least one cavity condition is required")
+    n_steps = _window_steps(dt, n_steps, stride, window_fs)
     rows = [("baseline", None, 0.0, 0.0)]
     modes: List[Optional[CavityMode]] = [None]
     for omega_cm1, ratio in conditions:
@@ -633,3 +635,16 @@ def resonance_scan(
         )
         for row, result in zip(rows, results)
     ]
+
+
+def _window_steps(dt: float, n_steps: int, stride: int, window_fs) -> int:
+    """Steps up to the first frame past the window's end (all `n_steps` without one).
+
+    That frame is kept: a crossing between it and the frame before can
+    interpolate to a time inside the window. A first crossing found later
+    lies past the window, and no window mean reads a later frame.
+    """
+    if window_fs is None:
+        return n_steps
+    past = np.flatnonzero(au_to_fs(frame_times(dt, n_steps, stride)) > window_fs[1] + 1e-9)
+    return min(n_steps, int(past[0]) * stride) if past.size else n_steps

@@ -239,34 +239,56 @@ def launch_states(
     return [FullState(positions.copy(), v, photon, 0.0) for v in velocities]
 
 
+#: (fn, fixed, items) of the `map_chunks` call a forked worker serves
+_chunk_job: Optional[tuple] = None
+
+
+def _set_chunk_job(*job) -> None:
+    global _chunk_job
+    _chunk_job = job
+
+
+def _run_chunk(a: int, b: int) -> None:
+    fn, fixed, items = _chunk_job
+    fn((*fixed, items[a:b]))
+
+
 def map_chunks(fn, fixed: tuple, items: Sequence, n_workers: int, name) -> None:
     """`fn((*fixed, chunk))` per contiguous chunk of `items`, for its side effects.
 
     At most `n_workers` chunks, none empty. One chunk runs in this process;
-    several run one per forked worker, all joined before this returns. If a
-    worker dies, WorkerError names, by `name(chunk)`, every chunk without a
-    result; the dead worker ran one of them.
+    several run one per forked worker, all joined before this returns. A
+    worker inherits `fn`, `fixed` and `items` from this process and receives
+    only its chunk's bounds, so nothing of them is pickled. If a worker dies,
+    WorkerError names, by `name(chunk)`, every chunk without a result; the
+    dead worker ran one of them.
     """
     n = max(1, min(n_workers, len(items)))
     bounds = [len(items) * k // n for k in range(n + 1)]
-    jobs = [(*fixed, items[a:b]) for a, b in zip(bounds, bounds[1:])]
+    chunks = list(zip(bounds, bounds[1:]))
     if n == 1:
-        fn(jobs[0])
+        fn((*fixed, items))
         return
     # imported here: a run in one process need not load them (20-40 ms of start-up)
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    # forked workers share the parent's pages and leave no process behind;
-    # leaving the block joins them
+    # forked workers share the parent's pages, get the initializer's
+    # arguments without pickling and leave no process behind; leaving the
+    # block joins them
     missing = []
-    with ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("fork")) as pool:
-        for job, future in [(job, pool.submit(fn, job)) for job in jobs]:
+    with ProcessPoolExecutor(
+        n,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_set_chunk_job,
+        initargs=(fn, fixed, items),
+    ) as pool:
+        for (a, b), future in [(chunk, pool.submit(_run_chunk, *chunk)) for chunk in chunks]:
             try:
                 future.result()
             except BrokenProcessPool:
-                missing.append(name(job[-1]))
+                missing.append(name(items[a:b]))
     if missing:
         raise WorkerError(f"a worker process died: no result for {', '.join(missing)}")
 

@@ -14,6 +14,7 @@ All quantities are in Hartree atomic units unless a name says otherwise
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import List, Optional, Union
 
 import numpy as np
@@ -213,6 +214,29 @@ class CouplingTerm:
             raise ValueError("coupling coefficient must be finite")
 
 
+#: largest batch whose per-size arrays are kept: a batch of trajectories is
+#: evaluated every step, while a larger one (a trajectory's frames, a
+#: Hessian's stencil) is evaluated once and would only hold memory
+_KEEP_ROWS = 256
+
+
+def _per_size(cache: dict, n: int, make):
+    """`make(n)` for batch size n, kept in `cache` (at most 8 sizes of at most `_KEEP_ROWS`)."""
+    if n > _KEEP_ROWS:
+        return make(n)
+    value = cache.get(n)
+    if value is None:
+        if len(cache) >= 8:
+            cache.clear()
+        value = cache[n] = make(n)
+    return value
+
+
+def _rows(a, n: int) -> np.ndarray:
+    """`a` repeated as n rows: a same-shape operand costs less than a broadcast one."""
+    return np.repeat(np.asarray(a, dtype=float)[None], n, axis=0)
+
+
 class _OrderedSum:
     """Fixed-order sums of the terms of every row of a batch.
 
@@ -227,14 +251,13 @@ class _OrderedSum:
         self.width = width
         self._bins: dict = {}  # batch size -> bins of every term of the batch
 
+    def _make_bins(self, n: int) -> np.ndarray:
+        return (self.columns + self.width * np.arange(n)[:, None]).ravel()
+
     def __call__(self, terms: np.ndarray) -> np.ndarray:
         """(B, K) terms -> (B, width) sums."""
         n = terms.shape[0]
-        bins = self._bins.get(n)
-        if bins is None:
-            if len(self._bins) >= 8:
-                self._bins.clear()
-            bins = self._bins[n] = (self.columns + self.width * np.arange(n)[:, None]).ravel()
+        bins = _per_size(self._bins, n, self._make_bins)
         sums = np.bincount(bins, weights=terms.ravel(), minlength=n * self.width)
         return sums.reshape(n, self.width)
 
@@ -252,7 +275,10 @@ class DipoleModel:
     d_extra: Optional[np.ndarray] = None
     #: constant 3 x 3N gradient: q_i * I3 blocks plus d_extra
     gradient: np.ndarray = field(init=False, repr=False, compare=False)
+    _columns: np.ndarray = field(init=False, repr=False, compare=False)
+    _entries: np.ndarray = field(init=False, repr=False, compare=False)
     _sum: _OrderedSum = field(init=False, repr=False, compare=False)
+    _weights: dict = field(init=False, repr=False, compare=False)  # batch size -> `_entries` rows
 
     def __post_init__(self):
         object.__setattr__(self, "charges", np.asarray(self.charges, dtype=float))
@@ -270,16 +296,26 @@ class DipoleModel:
             object.__setattr__(self, "d_extra", d)
             grad = grad + d
         object.__setattr__(self, "gradient", grad)
-        # mu_c = sum_k gradient[c, k] x_k, one sum per Cartesian component
-        object.__setattr__(self, "_sum", _OrderedSum(np.repeat(np.arange(3), 3 * n), 3))
+        # mu_c = sum_k gradient[c, k] x_k, one sum per Cartesian component over
+        # the nonzero entries only: an exact zero product cannot change a sum
+        # that starts from +0.0
+        component, column = np.nonzero(grad)
+        object.__setattr__(self, "_columns", column)
+        object.__setattr__(self, "_entries", grad[component, column])
+        object.__setattr__(self, "_sum", _OrderedSum(component, 3))
+        object.__setattr__(self, "_weights", {})
 
     @property
     def total_charge(self) -> float:
         return float(self.charges.sum())
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        """(B, 3) dipoles of (B, 3N) positions, without validating them (e*bohr)."""
-        return self._sum((x[:, None, :] * self.gradient).reshape(len(x), -1))
+        """(B, 3) dipoles of (B, 3N) positions, without validating them (e*bohr).
+
+        Columns past 3N (a propagator's photon coordinate) are not read.
+        """
+        w = _per_size(self._weights, len(x), lambda n: _rows(self._entries, n))
+        return self._sum(x.take(self._columns, axis=1) * w)
 
 
 @dataclass(frozen=True)
@@ -295,18 +331,20 @@ class _BondedTerms:
     potential cannot be evaluated at comes out non-finite.
     """
 
-    ends: np.ndarray  # particle i of every bond, then particle j
+    ends: np.ndarray  # coordinates x, y, z of particle i of every bond, then of particle j
     r0: np.ndarray
     coeffs: tuple
     d1_coeffs: tuple
     x_tail: np.ndarray
     tail_value: np.ndarray
     tail_slope: np.ndarray
-    pairs: np.ndarray  # bond_a, bond_b of coupling 0, then of coupling 1, ...
+    partners: np.ndarray  # bond_b, bond_a of coupling 0, then of coupling 1, ...
     g3: np.ndarray
     energy_sum: _OrderedSum  # every bond and coupling energy -> the row total
-    dvdr_sum: _OrderedSum  # direct dV/dr of each bond, then coupling terms in `pairs` order -> bond
+    dvdr_sum: _OrderedSum  # dV/dr of each bond, then bond_a's and bond_b's per coupling -> bond
     force_sum: _OrderedSum  # (bond, end i/j, xyz) -> flat particle coordinate
+    #: batch size -> its `_constants`
+    _shaped: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, n_particles: int, bonds, couplings) -> "_BondedTerms":
@@ -316,14 +354,14 @@ class _BondedTerms:
         pairs = np.array([[cp.bond_a, cp.bond_b] for cp in couplings], dtype=int).reshape(-1)
         nb = len(bonds)
         return cls(
-            ends=ends,
+            ends=(3 * ends[:, None] + np.arange(3)).reshape(-1),
             r0=np.array([p[0] for p in profiles], dtype=float),
             coeffs=coeffs,
             d1_coeffs=_d1_coeffs(coeffs),
             x_tail=np.array([p[2] for p in profiles], dtype=float),
             tail_value=np.array([p[3] for p in profiles], dtype=float),
             tail_slope=np.array([p[4] for p in profiles], dtype=float),
-            pairs=pairs,
+            partners=pairs.reshape(-1, 2)[:, ::-1].reshape(-1),
             g3=np.array([cp.g3 for cp in couplings], dtype=float),
             energy_sum=_OrderedSum(np.zeros(nb + len(couplings)), 1),
             dvdr_sum=_OrderedSum(np.concatenate((np.arange(nb), pairs)), nb),
@@ -332,35 +370,49 @@ class _BondedTerms:
             ),
         )
 
+    def _constants(self, n: int) -> SimpleNamespace:
+        """The per-bond and per-coupling constants `forces` reads, repeated to n rows."""
+        return SimpleNamespace(
+            r0=_rows(self.r0, n),
+            d1_coeffs=tuple(_rows(c, n) for c in self.d1_coeffs),
+            x_tail=_rows(self.x_tail, n),
+            tail_slope=_rows(self.tail_slope, n),
+            g3=_rows(np.repeat(self.g3[:, None], 2, axis=1), n),  # one per end of each coupling
+            two=np.full((n, self.g3.size), 2.0),
+        )
+
     def geometry(self, x: np.ndarray):
-        """Per row of (B, 3N) positions and bond: the vector particle j -> i and its length."""
-        ends = np.take(x.reshape(x.shape[0], -1, 3), self.ends, axis=1)
+        """Per row of (B, 3N) positions and bond: the vector particle j -> i and its length.
+
+        Columns past 3N (a propagator's photon coordinate) are not read.
+        """
         nb = self.r0.size
+        ends = x.take(self.ends, axis=1).reshape(len(x), 2 * nb, 3)
         d = ends[:, :nb] - ends[:, nb:]
         sq = d * d
         return d, np.sqrt(sq[..., 0] + sq[..., 1] + sq[..., 2])
 
     def _coupling_stretches(self, s: np.ndarray) -> np.ndarray:
-        """(B, couplings, 2): stretch of bond_a and of bond_b of every coupling."""
-        return np.take(s, self.pairs, axis=1).reshape(s.shape[0], -1, 2)
+        """(B, couplings, 2): stretch of bond_b and of bond_a of every coupling."""
+        return s.take(self.partners, axis=1).reshape(len(s), -1, 2)
 
     def energy(self, r: np.ndarray) -> np.ndarray:
         """(B,) energies from the (B, bonds) bond lengths of `geometry`."""
         s = r - self.r0
-        ab = self._coupling_stretches(s)
-        a, b = ab[..., 0], ab[..., 1]
+        ba = self._coupling_stretches(s)
+        b, a = ba[..., 0], ba[..., 1]
         e = np.concatenate((_well_energy(s, self), self.g3 * (a * b * b + a * a * b)), axis=1)
         return self.energy_sum(e)[:, 0]
 
     def forces(self, d: np.ndarray, r: np.ndarray) -> np.ndarray:
         """(B, 3N) -grad V from the bond vectors and lengths of `geometry`."""
-        s = r - self.r0
-        ab = self._coupling_stretches(s)
-        ab2 = 2 * ab[..., 0] * ab[..., 1]
-        ba = ab[..., ::-1]
-        # g3 (b^2 + 2ab) on bond_a and g3 (2ab + a^2) on bond_b, laid out like `pairs`
-        cross = self.g3[:, None] * (ab2[..., None] + ba * ba)
-        g = self.dvdr_sum(np.concatenate((_well_d1(s, self), cross.reshape(len(r), -1)), axis=1))
+        c = _per_size(self._shaped, len(r), self._constants)
+        s = r - c.r0
+        ba = self._coupling_stretches(s)
+        ab2 = c.two * ba[..., 1] * ba[..., 0]
+        # g3 (b^2 + 2ab) on bond_a, then g3 (2ab + a^2) on bond_b, coupling by coupling
+        cross = c.g3 * (ab2[..., None] + ba * ba)
+        g = self.dvdr_sum(np.concatenate((_well_d1(s, c), cross.reshape(len(r), -1)), axis=1))
         gu = g[..., None] * (d / r[..., None])
         # -gu on particle i, +gu on particle j, bond by bond
         push = np.empty(gu.shape[:2] + (2, 3))

@@ -602,3 +602,81 @@ def test_run_ensemble_order_independent(surrogate):
     by_seed_fwd = {r.seed: r.mean_bond_bohr for r in fwd.records}
     by_seed_rev = {r.seed: r.mean_bond_bohr for r in rev.records}
     assert by_seed_fwd == by_seed_rev
+
+
+@pytest.mark.parametrize(
+    "dt_fs, n_steps, window, steps",
+    [
+        (0.5, 120, (0.0, 30.0), 64),  # window ends on frame 15: stop at frame 16
+        (0.5, 120, (0.0, 31.0), 64),  # between frames 15 and 16
+        (0.5, 120, (0.0, 58.0), 120),  # the first frame past the window is the last one
+        (0.5, 120, (0.0, 60.0), 120),  # at the last frame: no frame past the window
+        (0.5, 120, None, 120),
+        (0.25, 4000, (0.0, 700.0), 2804),  # configs/default.yaml: 701 frames x stride 4
+    ],
+)
+def test_scan_stops_at_the_first_frame_past_the_window(dt_fs, n_steps, window, steps):
+    from cavimd.analysis import _window_steps
+
+    assert _window_steps(fs_to_au(dt_fs), n_steps, 4, window) == steps
+
+
+@pytest.mark.parametrize("window_end, steps", [(59.0, 120), (60.0, 124)])
+def test_windowed_scan_matches_full_duration_statistics(surrogate, monkeypatch, window_end, steps):
+    # frames are 2 fs apart; baseline crossings at 58.7 fs and 61.5 fs fall
+    # between the last frame inside each window and the first frame past it
+    from cavimd import analysis, make_specs
+    from cavimd.cavity import lambda_for_ratio
+    from cavimd.ensemble import run_conditions
+    from cavimd.model import pta_launch_positions
+
+    specs = make_specs(42, 6, 300.0, aim=(0, 1))
+    kw = dict(
+        positions=pta_launch_positions(surrogate),
+        dt=fs_to_au(0.5),
+        n_steps=240,
+        stride=4,
+        window_fs=(0.0, window_end),
+    )
+    ran = []
+
+    def spy(*args, **kwargs):
+        ran.append(kwargs["n_steps"])
+        return run_conditions(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "run_conditions", spy)
+    rows = analysis.resonance_scan(surrogate, specs, [(856.0, 0.8)], **kw)
+    assert ran == [steps]
+    omega = 856.0 / CM1_PER_HARTREE
+    mode = CavityMode(omega, lambda_for_ratio(0.8, omega), np.array([1.0, 0.0, 0.0]))
+    full = run_conditions(surrogate, [(None, specs), (mode, specs)], **kw)
+    assert all(rec.error is None for result in full for rec in result.records)
+    assert full[0].reaction_fraction == 1 / 6
+    for row, result in zip(rows, full):
+        assert (row.n, row.reaction_fraction, row.mean_bond_bohr, row.stderr_bond_bohr) == (
+            len(result.series_index),
+            result.reaction_fraction,
+            result.mean_bond_bohr,
+            result.stderr_bond_bohr,
+        )
+
+
+def test_scan_counts_a_row_that_fails_only_after_the_window(surrogate):
+    # at a 4 fs step trajectory 1 reacts at 133 fs, then blows up near 970 fs
+    from cavimd import make_specs
+    from cavimd.analysis import resonance_scan
+    from cavimd.ensemble import run_conditions
+    from cavimd.model import pta_launch_positions
+
+    specs = make_specs(1, 3, 300.0, aim=(0, 1))
+    kw = dict(
+        positions=pta_launch_positions(surrogate),
+        dt=fs_to_au(4.0),
+        n_steps=250,
+        stride=4,
+        window_fs=(0.0, 700.0),
+    )
+    full = run_conditions(surrogate, [(None, specs)], **kw)[0]
+    assert [rec.error is not None for rec in full.records] == [False, True, False]
+    base = resonance_scan(surrogate, specs, [(856.0, 1.132)], **kw)[0]
+    assert (base.n, base.reaction_fraction) == (3, 1 / 3)

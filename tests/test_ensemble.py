@@ -232,3 +232,28 @@ def test_resample_spec_resolution_in_batch(surrogate):
     # zero relative temperature means identical trajectories
     assert np.allclose(res.bond_series[0], res.bond_series[1], atol=1e-12)
     assert np.allclose(res.bond_series[0], res.bond_series[2], atol=1e-12)
+
+
+class _Unpicklable:
+    """An item that fails if it is ever pickled."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def __reduce__(self):
+        raise TypeError("a forked worker inherits its items")
+
+    def __str__(self):
+        return str(self.k)
+
+
+def test_parallel_chunks_are_inherited_not_pickled(tmp_path):
+    items = [_Unpicklable(k) for k in range(5)]
+    written = {}
+    for n_workers in (1, 2):
+        out = tmp_path / str(n_workers)
+        out.mkdir()
+        ensemble.map_chunks(_write_chunk, (out,), items, n_workers, str)
+        written[n_workers] = sorted(f.read_text() for f in out.iterdir())
+    assert written[1] == ["0 1 2 3 4"]
+    assert written[2] == ["0 1", "2 3 4"]
