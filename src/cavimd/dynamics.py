@@ -84,34 +84,23 @@ class ReactionEvent:
 
 
 class _Propagator:
-    """Accelerations of a batch of rows, each with its own cavity coefficients.
-
-    A row's state is its 3N nuclear coordinates followed by the photon
-    coordinate q, so one array operation advances both.
-    """
+    """Forces of a batch of rows, each with its own cavity coefficients."""
 
     def __init__(self, system: ModelSystem, rows: CavityRows):
-        n = len(rows.lambda_mag)
         self.system = system
         self.rows = rows
-        self.n3 = 3 * system.n_particles
-        self.masses3 = _model._rows(system.masses3, n)
+        self.masses3 = system.masses3
+        self.dipole = system.dipole.value
         self.deps = dipole_direction(system, rows.polarization)
-        self.a = np.empty((n, self.n3 + 1))
 
-    def accelerations(self, x: np.ndarray) -> np.ndarray:
-        """(B, 3N + 1) accelerations of (B, 3N + 1) states, in a buffer the next call overwrites.
-
-        A row the forces fail at comes back non-finite.
-        """
+    def accelerations(self, x: np.ndarray, q: np.ndarray):
+        """Nuclear (B, 3N) and photon (B,) accelerations; a row the forces fail at comes back non-finite."""
         t = self.system.terms
         f = t.forces(*t.geometry(x))
-        mu_eps = projection(self.rows.polarization, self.system.dipole.value(x))
-        a, n3 = self.a, self.n3
-        a[:, n3], scale = coupling_terms(self.rows, x[:, n3], mu_eps)
+        rows = self.rows
+        a_q, scale = coupling_terms(rows, q, projection(rows.polarization, self.dipole(x)))
         # scale is exactly 0 for lambda = 0 rows, which then move as matter-only ones
-        np.divide(f - scale[:, None] * self.deps, self.masses3, out=a[:, :n3])
-        return a
+        return (f - scale[:, None] * self.deps) / self.masses3, a_q
 
 
 def _frame_energies(system: ModelSystem, mode: Optional[CavityMode], x, v, q, p):
@@ -187,10 +176,11 @@ def propagate_batch(
         raise ValueError("need one mode per state and at least one state")
 
     prop = _Propagator(system, CavityRows.of(modes))
-    n_rows, n3 = len(states), prop.n3
-    # positions then q, and velocities then p, of every row
-    x = np.array([np.append(s.positions, s.photon.q) for s in states], dtype=float)
-    v = np.array([np.append(s.velocities, s.photon.p) for s in states], dtype=float)
+    x = np.array([s.positions for s in states], dtype=float)
+    v = np.array([s.velocities for s in states], dtype=float)
+    q = np.array([s.photon.q for s in states], dtype=float)
+    p = np.array([s.photon.p for s in states], dtype=float)
+    n_rows, n3 = x.shape
     n_frames = n_steps // stride + 1
     # one block per row, so each row's trajectory is a contiguous view
     xs = np.empty((n_rows, n_frames, n3))
@@ -199,35 +189,35 @@ def propagate_batch(
     ps = np.empty((n_rows, n_frames))
     errors = {}
 
-    def accelerations(x):
+    def accelerations(x, q):
         """The batch's accelerations, recording why each row first turns non-finite."""
-        a = prop.accelerations(x)
-        if not np.isfinite(a.sum()):
-            bad = ~np.isfinite(a).all(axis=1)
+        a, a_q = prop.accelerations(x, q)
+        if not np.isfinite(a.sum() + a_q.sum()):
+            bad = ~(np.isfinite(a).all(axis=1) & np.isfinite(a_q))
             new = [k for k in np.flatnonzero(bad).tolist() if k not in errors]
             if new:
-                for k, why in zip(new, _model.failure_reasons(system, x[new, :n3])):
+                for k, why in zip(new, _model.failure_reasons(system, x[new])):
                     errors[k] = "non-finite forces; offending term: " + why
-        return a
-
-    def record(frame):
-        xs[:, frame], vs[:, frame] = x[:, :n3], v[:, :n3]
-        qs[:, frame], ps[:, frame] = x[:, n3], v[:, n3]
+        return a, a_q
 
     half = 0.5 * dt
     # failures are detected row by row above, so overflow on the way is expected
     with np.errstate(over="ignore", invalid="ignore"):
-        a = accelerations(x)
-        record(0)
+        a, a_q = accelerations(x, q)
+        xs[:, 0], vs[:, 0], qs[:, 0], ps[:, 0] = x, v, q, p
         for step in range(1, n_steps + 1):
             if len(errors) == n_rows:
                 break
-            v += half * a
-            x += dt * v
-            a = accelerations(x)
-            v += half * a
+            v_half = v + half * a
+            p_half = p + half * a_q
+            x = x + dt * v_half
+            q = q + dt * p_half
+            a, a_q = accelerations(x, q)
+            v = v_half + half * a
+            p = p_half + half * a_q
             if step % stride == 0:
-                record(step // stride)
+                frame = step // stride
+                xs[:, frame], vs[:, frame], qs[:, frame], ps[:, frame] = x, v, q, p
 
     times = frame_times(dt, n_steps, stride)
     outcomes: List[Union[Tuple[Trajectory, ReactionEvent], IntegrationError]] = []

@@ -14,7 +14,6 @@ All quantities are in Hartree atomic units unless a name says otherwise
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import List, Optional, Union
 
 import numpy as np
@@ -214,29 +213,6 @@ class CouplingTerm:
             raise ValueError("coupling coefficient must be finite")
 
 
-#: largest batch whose per-size arrays are kept: a batch of trajectories is
-#: evaluated every step, while a larger one (a trajectory's frames, a
-#: Hessian's stencil) is evaluated once and would only hold memory
-_KEEP_ROWS = 256
-
-
-def _per_size(cache: dict, n: int, make):
-    """`make(n)` for batch size n, kept in `cache` (at most 8 sizes of at most `_KEEP_ROWS`)."""
-    if n > _KEEP_ROWS:
-        return make(n)
-    value = cache.get(n)
-    if value is None:
-        if len(cache) >= 8:
-            cache.clear()
-        value = cache[n] = make(n)
-    return value
-
-
-def _rows(a, n: int) -> np.ndarray:
-    """`a` repeated as n rows: a same-shape operand costs less than a broadcast one."""
-    return np.repeat(np.asarray(a, dtype=float)[None], n, axis=0)
-
-
 class _OrderedSum:
     """Fixed-order sums of the terms of every row of a batch.
 
@@ -251,13 +227,14 @@ class _OrderedSum:
         self.width = width
         self._bins: dict = {}  # batch size -> bins of every term of the batch
 
-    def _make_bins(self, n: int) -> np.ndarray:
-        return (self.columns + self.width * np.arange(n)[:, None]).ravel()
-
     def __call__(self, terms: np.ndarray) -> np.ndarray:
         """(B, K) terms -> (B, width) sums."""
         n = terms.shape[0]
-        bins = _per_size(self._bins, n, self._make_bins)
+        bins = self._bins.get(n)
+        if bins is None:
+            if len(self._bins) >= 8:
+                self._bins.clear()
+            bins = self._bins[n] = (self.columns + self.width * np.arange(n)[:, None]).ravel()
         sums = np.bincount(bins, weights=terms.ravel(), minlength=n * self.width)
         return sums.reshape(n, self.width)
 
@@ -278,7 +255,6 @@ class DipoleModel:
     _columns: np.ndarray = field(init=False, repr=False, compare=False)
     _entries: np.ndarray = field(init=False, repr=False, compare=False)
     _sum: _OrderedSum = field(init=False, repr=False, compare=False)
-    _weights: dict = field(init=False, repr=False, compare=False)  # batch size -> `_entries` rows
 
     def __post_init__(self):
         object.__setattr__(self, "charges", np.asarray(self.charges, dtype=float))
@@ -303,19 +279,14 @@ class DipoleModel:
         object.__setattr__(self, "_columns", column)
         object.__setattr__(self, "_entries", grad[component, column])
         object.__setattr__(self, "_sum", _OrderedSum(component, 3))
-        object.__setattr__(self, "_weights", {})
 
     @property
     def total_charge(self) -> float:
         return float(self.charges.sum())
 
     def value(self, x: np.ndarray) -> np.ndarray:
-        """(B, 3) dipoles of (B, 3N) positions, without validating them (e*bohr).
-
-        Columns past 3N (a propagator's photon coordinate) are not read.
-        """
-        w = _per_size(self._weights, len(x), lambda n: _rows(self._entries, n))
-        return self._sum(x.take(self._columns, axis=1) * w)
+        """(B, 3) dipoles of (B, 3N) positions, without validating them (e*bohr)."""
+        return self._sum(x.take(self._columns, axis=1) * self._entries)
 
 
 @dataclass(frozen=True)
@@ -343,8 +314,6 @@ class _BondedTerms:
     energy_sum: _OrderedSum  # every bond and coupling energy -> the row total
     dvdr_sum: _OrderedSum  # dV/dr of each bond, then bond_a's and bond_b's per coupling -> bond
     force_sum: _OrderedSum  # (bond, end i/j, xyz) -> flat particle coordinate
-    #: batch size -> its `_constants`
-    _shaped: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, n_particles: int, bonds, couplings) -> "_BondedTerms":
@@ -370,22 +339,8 @@ class _BondedTerms:
             ),
         )
 
-    def _constants(self, n: int) -> SimpleNamespace:
-        """The per-bond and per-coupling constants `forces` reads, repeated to n rows."""
-        return SimpleNamespace(
-            r0=_rows(self.r0, n),
-            d1_coeffs=tuple(_rows(c, n) for c in self.d1_coeffs),
-            x_tail=_rows(self.x_tail, n),
-            tail_slope=_rows(self.tail_slope, n),
-            g3=_rows(np.repeat(self.g3[:, None], 2, axis=1), n),  # one per end of each coupling
-            two=np.full((n, self.g3.size), 2.0),
-        )
-
     def geometry(self, x: np.ndarray):
-        """Per row of (B, 3N) positions and bond: the vector particle j -> i and its length.
-
-        Columns past 3N (a propagator's photon coordinate) are not read.
-        """
+        """Per row of (B, 3N) positions and bond: the vector particle j -> i and its length."""
         nb = self.r0.size
         ends = x.take(self.ends, axis=1).reshape(len(x), 2 * nb, 3)
         d = ends[:, :nb] - ends[:, nb:]
@@ -406,13 +361,12 @@ class _BondedTerms:
 
     def forces(self, d: np.ndarray, r: np.ndarray) -> np.ndarray:
         """(B, 3N) -grad V from the bond vectors and lengths of `geometry`."""
-        c = _per_size(self._shaped, len(r), self._constants)
-        s = r - c.r0
+        s = r - self.r0
         ba = self._coupling_stretches(s)
-        ab2 = c.two * ba[..., 1] * ba[..., 0]
+        ab2 = 2 * ba[..., 1] * ba[..., 0]
         # g3 (b^2 + 2ab) on bond_a, then g3 (2ab + a^2) on bond_b, coupling by coupling
-        cross = c.g3 * (ab2[..., None] + ba * ba)
-        g = self.dvdr_sum(np.concatenate((_well_d1(s, c), cross.reshape(len(r), -1)), axis=1))
+        cross = self.g3[:, None] * (ab2[..., None] + ba * ba)
+        g = self.dvdr_sum(np.concatenate((_well_d1(s, self), cross.reshape(len(r), -1)), axis=1))
         gu = g[..., None] * (d / r[..., None])
         # -gu on particle i, +gu on particle j, bond by bond
         push = np.empty(gu.shape[:2] + (2, 3))

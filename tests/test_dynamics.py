@@ -71,8 +71,8 @@ def test_propagator_accelerations_match_cavity_forces(surrogate, bilinear, self_
     for _ in range(25):
         x = surrogate.reference_positions + 0.15 * rng.standard_normal(18)
         photon = PhotonState(rng.normal(scale=20.0), rng.normal())
-        a = prop.accelerations(np.append(x, photon.q)[None, :])[0]
-        a, a_q = a[:-1], a[-1]
+        a, a_q = prop.accelerations(x[None, :], np.array([photon.q]))
+        a, a_q = a[0], a_q[0]
         f = forces(surrogate, x) + nuclear_cavity_force(mode, photon, surrogate, x)
         np.testing.assert_allclose(a, f / surrogate.masses3, rtol=1e-13, atol=0.0)
         assert a_q == pytest.approx(photon_force(mode, photon, dipole(surrogate, x)), rel=1e-13)
