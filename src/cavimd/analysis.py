@@ -4,7 +4,7 @@ state search, and scans over cavity conditions (frequency, coupling ratio)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -276,21 +276,33 @@ def mode_occupation(
     )
 
 
-def mean_occupation_map(maps: Sequence[OccupationMap]) -> OccupationMap:
-    """Trajectory-averaged occupation map (identical grids required)."""
-    if len(maps) == 0:
+def mean_occupation_map(maps: Iterable[OccupationMap]) -> OccupationMap:
+    """Trajectory-averaged occupation map (identical grids required).
+
+    The maps are added one at a time, in order, from 0.0 (so -0.0 sums to
+    +0.0), then divided by their count: np.mean's arithmetic over the
+    stacked maps, bit for bit, with one map held at a time.
+    """
+    maps = iter(maps)
+    first = next(maps, None)
+    if first is None:
         raise ValueError("no maps to average")
-    first = maps[0]
-    for m in maps[1:]:
+    energies, normalized, photon_q = (0.0 + a for a in (first.energies, first.normalized, first.photon_q))
+    n = 1
+    for m in maps:
         if m.energies.shape != first.energies.shape or not np.allclose(
             m.times_fs, first.times_fs, atol=1e-9
         ):
             raise ValueError("occupation maps have mismatched grids")
+        energies += m.energies
+        normalized += m.normalized
+        photon_q += m.photon_q
+        n += 1
     return OccupationMap(
         times_fs=first.times_fs.copy(),
-        energies=np.mean([m.energies for m in maps], axis=0),
-        normalized=np.mean([m.normalized for m in maps], axis=0),
-        photon_q=np.mean([m.photon_q for m in maps], axis=0),
+        energies=energies / n,
+        normalized=normalized / n,
+        photon_q=photon_q / n,
         frequencies_cm1=first.frequencies_cm1.copy(),
     )
 

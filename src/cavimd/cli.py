@@ -20,7 +20,7 @@ import os
 import sys
 import warnings
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -56,8 +56,9 @@ def write_csv(path: Path, header: Sequence[str], rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         if isinstance(rows, np.ndarray):
-            # tolist() yields Python floats, so each cell is _fmt's repr(float(x))
-            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows.tolist())
+            # tolist() yields Python floats, so each cell is _fmt's repr(float(x));
+            # one row at a time, so no table-sized list of them is built
+            fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in rows)
             return
         for row in rows:
             writer.writerow([_fmt(x) for x in row])
@@ -347,52 +348,73 @@ def cmd_spectrum(config: RunConfig, system: ModelSystem, outdir: Path, threads: 
 
 
 def _load_run_trajectories(
-    run_dir: Path, system: ModelSystem, min_frames: int, first: Optional[tuple] = None
-) -> Tuple[List[Path], List[Trajectory]]:
-    """The files and trajectories of a run, each of at least `min_frames` frames.
+    run_dir: Path, system: ModelSystem, min_frames: int, reference: list
+) -> Iterator[Trajectory]:
+    """A run's trajectories, read and checked one file at a time, in file order.
 
-    Every file must share the frame times of `first`, a (path, trajectory)
-    pair that defaults to the run's first file.
+    Each must have at least `min_frames` frames, and the frame count and
+    times of `reference`: the (path, frame count, frame times) of the first
+    file read. An empty `reference` is filled from this run's first file,
+    so that the caller can hold the next run to it.
     """
     tdir = Path(run_dir) / "trajectories"
     files = sorted(tdir.glob("trajectory_*.csv"))
     if not files:
         raise FileNotFoundError(f"no trajectories under {tdir}")
-    trajs = [read_trajectory_csv(f, system) for f in files]
-    first_file, first_traj = first or (files[0], trajs[0])
-    for f, t in zip(files, trajs):
+    for f in files:
+        t = read_trajectory_csv(f, system)
+        if not reference:
+            reference[:] = (f, t.n_frames, t.times_fs)
+        first_file, n_frames, times_fs = reference
         if t.n_frames < min_frames:
             raise ConfigError(f"{f}: {t.n_frames} frames, fewer than analyze.correlation_window")
-        if t.n_frames != first_traj.n_frames:
-            raise ConfigError(f"{f}: {t.n_frames} frames, but {first_file} has {first_traj.n_frames}")
-        if not np.allclose(t.times_fs, first_traj.times_fs, rtol=0.0, atol=1e-9):
+        if t.n_frames != n_frames:
+            raise ConfigError(f"{f}: {t.n_frames} frames, but {first_file} has {n_frames}")
+        if not np.allclose(t.times_fs, times_fs, rtol=0.0, atol=1e-9):
             raise ConfigError(f"{f}: frame times differ from those of {first_file}")
-    return files, trajs
+        yield t
+
+
+def _write_occupation_table(path: Path, times_fs, frequencies_cm1, values, photon) -> None:
+    """A per-mode table over time: one column per mode, then the photon coordinate."""
+    header = ["time_fs"] + [f"mode_{f:.2f}_cm1" for f in frequencies_cm1] + ["photon_q_au"]
+    write_csv(path, header, np.column_stack([times_fs, values, photon]))
+
+
+def _run_occupation(trajs: Iterator[Trajectory], system: ModelSystem, modes, bonds, window: int):
+    """The mean occupation map of a run, and the force correlation of `bonds` in its first trajectory.
+
+    The trajectories are taken one at a time and dropped after their step,
+    so a run costs one trajectory of memory, however many it holds.
+    """
+    corr = None
+
+    def occupations():
+        nonlocal corr
+        for t in trajs:
+            if bonds and corr is None:
+                corr = _analysis.bond_force_correlation(t, system, tuple(bonds[0]), tuple(bonds[1]), window)
+            yield _analysis.mode_occupation(t, modes, system.reference_positions)
+
+    return _analysis.mean_occupation_map(occupations()), corr
 
 
 def cmd_analyze(config: RunConfig, system: ModelSystem, outdir: Path, threads: int) -> int:
     modes = _analysis.system_normal_modes(system)
-    ref = system.reference_positions
     bonds = config.analyze.bonds
     window = config.analyze.correlation_window
-    first = None
+    reference = []
     maps = []
     for run in config.analyze.runs:
-        files, trajs = _load_run_trajectories(Path(run), system, window if bonds else 1, first)
-        first = first or (files[0], trajs[0])
-        occ = _analysis.mean_occupation_map(
-            [_analysis.mode_occupation(t, modes, ref) for t in trajs]
-        )
+        trajs = _load_run_trajectories(Path(run), system, window if bonds else 1, reference)
+        occ, corr = _run_occupation(trajs, system, modes, bonds, window)
         maps.append(occ)
         tag = Path(run).name
-        header = ["time_fs"] + [f"mode_{f:.2f}_cm1" for f in occ.frequencies_cm1] + ["photon_q_au"]
-        table = np.column_stack([occ.times_fs, occ.normalized, occ.photon_q])
-        write_csv(outdir / f"occupation_{tag}.csv", header, table)
+        _write_occupation_table(
+            outdir / f"occupation_{tag}.csv", occ.times_fs, occ.frequencies_cm1, occ.normalized, occ.photon_q
+        )
         # force correlation of the two configured bonds, in the run's first trajectory
         if bonds:
-            corr = _analysis.bond_force_correlation(
-                trajs[0], system, tuple(bonds[0]), tuple(bonds[1]), window
-            )
             write_csv(
                 outdir / f"bond_correlation_{tag}.csv",
                 ["time_fs", "correlation"],
@@ -410,9 +432,10 @@ def cmd_analyze(config: RunConfig, system: ModelSystem, outdir: Path, threads: i
             )
     if len(maps) == 2:
         diff = _analysis.occupation_difference(maps[0], maps[1])
-        header = ["time_fs"] + [f"mode_{f:.2f}_cm1" for f in diff.frequencies_cm1] + ["photon_q_au"]
-        table = np.column_stack([diff.times_fs, diff.delta, diff.photon_delta])
-        write_csv(outdir / "occupation_difference.csv", header, table)
+        _write_occupation_table(
+            outdir / "occupation_difference.csv",
+            diff.times_fs, diff.frequencies_cm1, diff.delta, diff.photon_delta,
+        )
         rb = system.reactive_bond
         weights = _analysis.sic_weighted_spectrum(modes, (rb.i, rb.j))
         write_csv(
@@ -519,6 +542,16 @@ def _check_inputs(command: str, config: RunConfig, system: ModelSystem) -> None:
     for where, (i, j) in pairs:
         if not (0 <= i < n and 0 <= j < n) or i == j:
             raise ConfigError(f"{where} must name two different particles of 0..{n - 1}, got {[i, j]}")
+    if command in ("run", "ensemble", "scan"):
+        # the frame buffers of propagate_batch: x and v (3N each), q and p, per row and frame
+        rows = 1 if command == "run" else config.ensemble.n_trajectories
+        if command == "scan":
+            rows *= len(config.scan.omega_list_cm1 or config.scan.ratio_list) + 1
+        size = rows * (config.n_steps() // config.dynamics.stride + 1) * (6 * system.n_particles + 2) * 8
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if size > memory:
+            gib = f"{size / 2**30:.3g} GiB of frame buffers, more than the {memory / 2**30:.3g} GiB"
+            raise ConfigError(f"the run needs {gib} of physical memory")
     if aim is not None:
         # the projectile is aimed along the unit vector from particle i to particle j
         i, j = aim
@@ -590,8 +623,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (CalibrationError, IntegrationError, WorkerError, _analysis.SearchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CalibrationError, IntegrationError, WorkerError, _analysis.SearchError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except OSError as exc:  # FileNotFoundError included
         print(f"error: {exc}", file=sys.stderr)

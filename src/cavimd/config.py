@@ -160,20 +160,15 @@ class RunConfig:
 
 def _parse_cavity(raw) -> CavityConfig:
     cavity = _block(
-        raw, "cavity", CavityConfig, polarization=_polarization, bilinear=_flag, self_polarization=_flag
+        raw, "cavity", CavityConfig, omega_c_cm1=_positive, lambda_au=_non_negative, ratio=_non_negative,
+        polarization=_polarization, bilinear=_flag, self_polarization=_flag,
     )
     if (cavity.lambda_au is None) == (cavity.ratio is None):
         raise ConfigError("cavity block needs exactly one of lambda_au / ratio")
-    if not cavity.omega_c_cm1 > 0:
-        raise ConfigError("omega_c_cm1 must be positive")
     omega = cavity.omega_c_cm1 / CM1_PER_HARTREE
     if cavity.ratio is None:
-        if cavity.lambda_au < 0:
-            raise ConfigError("lambda_au must be non-negative")
         cavity.ratio = float(cavity.lambda_au / np.sqrt(2.0 * omega))
     else:
-        if cavity.ratio < 0:
-            raise ConfigError("ratio must be non-negative")
         cavity.lambda_au = float(lambda_for_ratio(cavity.ratio, omega))
     return cavity
 
@@ -311,6 +306,22 @@ def _real(raw, where: str) -> float:
     return value
 
 
+def _positive(raw, where: str) -> float:
+    """A finite number above 0."""
+    value = _real(raw, where)
+    if not value > 0:
+        raise ConfigError(f"{where} must be positive, got {value!r}")
+    return value
+
+
+def _non_negative(raw, where: str) -> float:
+    """A finite number of at least 0."""
+    value = _real(raw, where)
+    if value < 0:
+        raise ConfigError(f"{where} must be non-negative, got {value!r}")
+    return value
+
+
 def _list_of(parse, length: Optional[int] = None):
     """A YAML list (of exactly `length` entries if given) read entry by entry.
 
@@ -361,9 +372,7 @@ def _parse_blocks(raw) -> RunConfig:
     system_block = _parse_system(raw["system"])
     cavity = _parse_cavity(raw["cavity"])
 
-    dynamics = _block(raw.get("dynamics"), "dynamics", DynamicsConfig, stride=_integer)
-    if not dynamics.dt_fs > 0:
-        raise ConfigError("dt_fs must be positive")
+    dynamics = _block(raw.get("dynamics"), "dynamics", DynamicsConfig, dt_fs=_positive, stride=_integer)
     if dynamics.duration_fs < dynamics.dt_fs:
         raise ConfigError("duration_fs must be at least dt_fs")
     if dynamics.stride < 1:
@@ -373,15 +382,14 @@ def _parse_blocks(raw) -> RunConfig:
         raw.get("ensemble"),
         "ensemble",
         EnsembleConfig,
+        temperature_K=_non_negative,
         n_trajectories=_integer,
         seed=_integer,
-        resample_T_K=_optional(_real),
+        resample_T_K=_optional(_non_negative),
         window_fs=_list_of(_real, 2),
         aim=_optional(_list_of(_integer, 2)),
         launch=lambda block, where: _block(block, where, LaunchConfig),
     )
-    if ensemble.temperature_K < 0:
-        raise ConfigError("temperature_K must be non-negative")
     if ensemble.n_trajectories < 1:
         raise ConfigError("n_trajectories must be >= 1")
     if not ensemble.window_fs[0] < ensemble.window_fs[1]:
@@ -406,19 +414,16 @@ def _parse_blocks(raw) -> RunConfig:
             raise ConfigError(f"unknown output format {f!r}")
 
     spectrum = _block(
-        raw.get("spectrum"), "spectrum", SpectrumConfig, lambda_list_au=_optional(_list_of(_real))
+        raw.get("spectrum"), "spectrum", SpectrumConfig,
+        lambda_list_au=_optional(_list_of(_non_negative)), broadening_cm1=_positive,
     )
-    if not spectrum.broadening_cm1 > 0:
-        raise ConfigError("broadening_cm1 must be positive")
-    if any(lam < 0 for lam in spectrum.lambda_list_au or ()):
-        raise ConfigError("spectrum.lambda_list_au entries must be non-negative")
 
     scan = _block(
         raw.get("scan"),
         "scan",
         ScanConfig,
-        omega_list_cm1=_optional(_list_of(_real)),
-        ratio_list=_optional(_list_of(_real)),
+        omega_list_cm1=_optional(_list_of(_positive)),
+        ratio_list=_optional(_list_of(_non_negative)),
     )
     if scan.omega_list_cm1 is not None and scan.ratio_list is not None:
         raise ConfigError("scan block takes omega_list_cm1 or ratio_list, not both")

@@ -174,13 +174,18 @@ def propagate_batch(
         raise ValueError("stride must be >= 1")
     if len(modes) != len(states) or not states:
         raise ValueError("need one mode per state and at least one state")
+    n3 = 3 * system.n_particles
+    for k, s in enumerate(states):
+        if s.positions.shape != (n3,) or s.velocities.shape != (n3,):
+            shapes = f"{s.positions.shape} and {s.velocities.shape}"
+            raise ValueError(f"state {k}: positions and velocities have shapes {shapes}, expected 3N = {n3} each")
 
     prop = _Propagator(system, CavityRows.of(modes))
     x = np.array([s.positions for s in states], dtype=float)
     v = np.array([s.velocities for s in states], dtype=float)
     q = np.array([s.photon.q for s in states], dtype=float)
     p = np.array([s.photon.p for s in states], dtype=float)
-    n_rows, n3 = x.shape
+    n_rows = len(states)
     n_frames = n_steps // stride + 1
     # one block per row, so each row's trajectory is a contiguous view
     xs = np.empty((n_rows, n_frames, n3))

@@ -18,6 +18,7 @@ from cavimd import (
 )
 from cavimd.analysis import (
     NormalModes,
+    OccupationMap,
     SearchError,
     barrier_frequency,
     find_transition_state,
@@ -376,6 +377,40 @@ def test_occupation_difference_zero_and_linearity(surrogate):
     span = occ.times_fs[-1] - occ.times_fs[0]
     assert diff2.accumulated[4] == pytest.approx(0.25 * span, rel=1e-12)
     assert np.abs(np.delete(diff2.accumulated, 4)).max() < 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 16])
+def test_mean_occupation_map_streams_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+
+    def cells(*shape):
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        x[rng.random(shape) < 0.1] = -0.0  # np.mean sums from +0.0, so -0.0 alone averages to +0.0
+        return x
+
+    times = np.arange(1001) * 1.0
+    freqs = np.linspace(0.0, 1700.0, 18)
+    maps = [
+        OccupationMap(times, cells(1001, 18), cells(1001, 18), cells(1001), freqs) for _ in range(n)
+    ]
+    same = lambda a, b: a.shape == b.shape and a.tobytes() == b.tobytes()  # noqa: E731
+    listed, streamed = mean_occupation_map(maps), mean_occupation_map(iter(maps))
+    for name in ("times_fs", "energies", "normalized", "photon_q", "frequencies_cm1"):
+        assert same(getattr(streamed, name), getattr(listed, name))
+    for name in ("energies", "normalized", "photon_q"):
+        assert same(listed.__dict__[name], np.mean([m.__dict__[name] for m in maps], axis=0))
+
+
+def test_mean_occupation_map_rejects_no_maps_and_mismatched_grids(surrogate):
+    nm = system_normal_modes(surrogate)
+    state = FullState(surrogate.reference_positions.copy(), np.zeros(18), PhotonState(0, 0))
+    t1, _ = propagate(surrogate, None, state, fs_to_au(0.5), 16, stride=2)
+    t2, _ = propagate(surrogate, None, state, fs_to_au(0.5), 16, stride=4)
+    with pytest.raises(ValueError, match="no maps"):
+        mean_occupation_map(iter([]))
+    maps = (mode_occupation(t, nm, surrogate.reference_positions) for t in (t1, t2))
+    with pytest.raises(ValueError, match="mismatched grids"):
+        mean_occupation_map(maps)
 
 
 def test_occupation_difference_grid_mismatch(surrogate):

@@ -599,6 +599,73 @@ def test_cli_analyze_numbers_match_library(tmp_path):
     assert np.allclose(acc_csv, diff.accumulated, rtol=1e-10, atol=1e-12)
 
 
+def _two_runs(tmp_path, n_traj, extra=""):
+    """Two ensembles of `n_traj` trajectories, and an analyze config over both."""
+    cfg = short_config(tmp_path, n_traj=n_traj)
+    assert main(["ensemble", "--config", str(cfg)]) == 0
+    assert main(["ensemble", "--config", str(cfg), "--out", str(tmp_path / "outB"), "--seed", "5"]) == 0
+    text = f"analyze:\n  runs: [{tmp_path / 'out'}, {tmp_path / 'outB'}]\n  correlation_window: 16\n" + extra
+    return short_config(tmp_path, name="ana.yaml", extra=text, n_traj=n_traj)
+
+
+def test_cli_analyze_holds_one_trajectory_at_a_time(tmp_path, monkeypatch):
+    import weakref
+
+    cfg = _two_runs(tmp_path, n_traj=4)
+    read = cli.read_trajectory_csv
+    refs, alive = [], []  # weak references to every trajectory read; how many live at each read
+
+    def recording_read(path, system):
+        alive.append(sum(ref() is not None for ref in refs))
+        traj = read(path, system)
+        refs.append(weakref.ref(traj))
+        return traj
+
+    monkeypatch.setattr(cli, "read_trajectory_csv", recording_read)
+    assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "ana")]) == 0
+    assert len(alive) == 8
+    assert max(alive) <= 1, alive
+
+
+@pytest.mark.parametrize("bonds", ["", "  bonds: []\n"], ids=["bonds", "no-bonds"])
+def test_cli_analyze_occupations_match_the_stacked_mean(tmp_path, bonds):
+    # the streamed tables, byte for byte against np.mean over every map of a run held at once
+    from cavimd.analysis import OccupationMap, mode_occupation, occupation_difference, system_normal_modes
+
+    cfg = _two_runs(tmp_path, n_traj=3, extra=bonds)
+    assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "ana")]) == 0
+    system = parse_config(cfg.read_text()).build_system()
+    modes = system_normal_modes(system)
+    means = {}
+    for run in ("out", "outB"):
+        files = sorted((tmp_path / run / "trajectories").glob("trajectory_*.csv"))
+        maps = [mode_occupation(read_trajectory_csv(f, system), modes, system.reference_positions) for f in files]
+        mean = {k: np.mean([m.__dict__[k] for m in maps], axis=0) for k in ("energies", "normalized", "photon_q")}
+        means[run] = OccupationMap(times_fs=maps[0].times_fs, frequencies_cm1=maps[0].frequencies_cm1, **mean)
+    diff = occupation_difference(means["out"], means["outB"])
+    tables = {f"occupation_{run}.csv": (m.times_fs, m.normalized, m.photon_q) for run, m in means.items()}
+    tables["occupation_difference.csv"] = (diff.times_fs, diff.delta, diff.photon_delta)
+    header = ["time_fs"] + [f"mode_{f:.2f}_cm1" for f in modes.frequencies_cm1] + ["photon_q_au"]
+    for name, columns in tables.items():
+        write_csv(tmp_path / name, header, np.column_stack(columns))
+        assert (tmp_path / "ana" / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+def test_cli_analyze_reports_the_first_bad_file_in_order(tmp_path, capsys):
+    # file 1 has too few frames and file 3 cannot be read: each file is checked as it
+    # is read, so file 1 is reported, although file 3 would fail its read
+    cfg = _two_runs(tmp_path, n_traj=4)
+    tdir = tmp_path / "out" / "trajectories"
+    short, damaged = tdir / "trajectory_000001.csv", tdir / "trajectory_000003.csv"
+    short.write_text("\n".join(short.read_text().splitlines()[:-5]) + "\n")
+    damaged.write_text("\n".join(damaged.read_text().splitlines()[:3] + ["abc,1.0"]) + "\n")
+    capsys.readouterr()
+    assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "ana")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {short}: 46 frames, but ")
+    assert str(damaged) not in err
+
+
 def test_cli_analyze_missing_inputs_exit_code(tmp_path):
     extra = f"analyze:\n  runs: [{tmp_path/'nonexistent'}]\n"
     cfg = short_config(tmp_path, extra=extra)
@@ -670,6 +737,42 @@ def test_cli_bad_input_fails_cleanly(tmp_path, monkeypatch, capsys, old, new, en
     assert "Traceback" not in err
     # rejected before anything ran or was written
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, block, message",
+    [
+        ("ensemble", "ensemble:\n  resample_T_K: -20.0\n", "ensemble.resample_T_K must be non-negative, got -20.0"),
+        ("scan", "scan:\n  omega_list_cm1: [856.0, 0.0]\n", "scan.omega_list_cm1[1] must be positive, got 0.0"),
+        ("scan", "scan:\n  ratio_list: [1.0, -0.5]\n", "scan.ratio_list[1] must be non-negative, got -0.5"),
+    ],
+    ids=["resample-negative", "omega-zero", "ratio-negative"],
+)
+def test_cli_bad_scan_and_ensemble_entries_fail_cleanly(tmp_path, capsys, command, block, message):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(MINIMAL + block + f"outputs:\n  directory: {tmp_path / 'out'}\n")
+    assert main([command, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_too_large_to_store_fails_at_once(tmp_path, capsys):
+    # 3 trajectories of 1e10 fs: terabytes of frame buffers, refused before any sampling
+    cfg = short_config(tmp_path)
+    cfg.write_text(cfg.read_text().replace("duration_fs: 50.0", "duration_fs: 1.0e10"))
+    assert main(["ensemble", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the run needs ") and "GiB of physical memory" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_out_of_memory_fails_cleanly(tmp_path, monkeypatch, capsys):
+    def no_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "run_ensemble", no_memory)
+    assert main(["ensemble", "--config", str(short_config(tmp_path))]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
 
 
 def test_cli_exit_code_missing_config(tmp_path):

@@ -172,6 +172,13 @@ def test_propagate_validations(surrogate):
         propagate(surrogate, None, state, 1.0, 10, stride=0)
 
 
+@pytest.mark.parametrize("n3", [15, 21])
+def test_propagate_rejects_a_state_of_another_length(surrogate, n3):
+    state = FullState(np.zeros(n3), np.zeros(n3), PhotonState(0, 0))
+    with pytest.raises(ValueError, match=rf"state 0: .*\({n3},\).*expected 3N = 18"):
+        propagate(surrogate, None, state, 1.0, 10)
+
+
 def test_nonfinite_forces_raise_integration_error(surrogate):
     state = FullState(surrogate.reference_positions.copy(), np.zeros(18), PhotonState(0, 0))
     state.velocities[0] = 1e6  # absurd velocity blows coordinates up in a few steps
