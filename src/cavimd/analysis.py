@@ -3,6 +3,7 @@ state search, and scans over cavity conditions (frequency, coupling ratio)."""
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from . import model as _model
 from .cavity import CavityMode, lambda_for_ratio, projection, unit_polarization
-from .dynamics import Trajectory, frame_times
+from .dynamics import Trajectory
 from .ensemble import SamplingSpec, run_conditions
 from .ensemble import run_ensemble  # noqa: F401  (bound here for wrappers such as perfbench/tracer.py)
 from .model import ModelSystem
@@ -658,5 +659,9 @@ def _window_steps(dt: float, n_steps: int, stride: int, window_fs) -> int:
     """
     if window_fs is None:
         return n_steps
-    past = np.flatnonzero(au_to_fs(frame_times(dt, n_steps, stride)) > window_fs[1] + 1e-9)
-    return min(n_steps, int(past[0]) * stride) if past.size else n_steps
+    # frame k's time as au_to_fs(frame_times(...)) computes it; bisection
+    # finds the first frame past the window without holding every frame time
+    past = bisect.bisect_right(
+        range(n_steps // stride + 1), window_fs[1] + 1e-9, key=lambda k: au_to_fs(k * stride * dt)
+    )
+    return min(n_steps, past * stride)

@@ -543,11 +543,18 @@ def _check_inputs(command: str, config: RunConfig, system: ModelSystem) -> None:
         if not (0 <= i < n and 0 <= j < n) or i == j:
             raise ConfigError(f"{where} must name two different particles of 0..{n - 1}, got {[i, j]}")
     if command in ("run", "ensemble", "scan"):
-        # the frame buffers of propagate_batch: x and v (3N each), q and p, per row and frame
+        # the frame buffers: per row and frame, a scan keeps one reactive-bond
+        # length up to its window's end, run and ensemble keep x and v (3N
+        # each), q and p
         rows = 1 if command == "run" else config.ensemble.n_trajectories
+        n_steps, stride = config.n_steps(), config.dynamics.stride
+        per_frame = 6 * system.n_particles + 2
         if command == "scan":
             rows *= len(config.scan.omega_list_cm1 or config.scan.ratio_list) + 1
-        size = rows * (config.n_steps() // config.dynamics.stride + 1) * (6 * system.n_particles + 2) * 8
+            dt = fs_to_au(config.dynamics.dt_fs)
+            n_steps = _analysis._window_steps(dt, n_steps, stride, config.ensemble.window_fs)
+            per_frame = 1
+        size = rows * (n_steps // stride + 1) * per_frame * 8
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         if size > memory:
             gib = f"{size / 2**30:.3g} GiB of frame buffers, more than the {memory / 2**30:.3g} GiB"

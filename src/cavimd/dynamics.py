@@ -12,7 +12,7 @@ cavity parameters; a single trajectory is a batch of one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -70,8 +70,12 @@ class Trajectory:
         n3 = self.positions.shape[1]
         if not (0 <= 3 * i + 2 < n3 and 0 <= 3 * j + 2 < n3):
             raise ValueError("particle index out of range")
-        d = self.positions[:, 3 * i : 3 * i + 3] - self.positions[:, 3 * j : 3 * j + 3]
-        return np.linalg.norm(d, axis=1)
+        return bond_lengths(self.positions, i, j)
+
+
+def bond_lengths(x: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Distance between particles i and j in every row of the (rows, 3N) coordinates `x`."""
+    return np.linalg.norm(x[:, 3 * i : 3 * i + 3] - x[:, 3 * j : 3 * j + 3], axis=1)
 
 
 @dataclass(frozen=True)
@@ -166,65 +170,20 @@ def propagate_batch(
     batch it runs in, and a failing row leaves the others untouched: it stays
     in the batch, and its frames from the failure on are never read.
     """
-    if not dt > 0:
-        raise ValueError("timestep must be positive")
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
-    if len(modes) != len(states) or not states:
-        raise ValueError("need one mode per state and at least one state")
-    n3 = 3 * system.n_particles
-    for k, s in enumerate(states):
-        if s.positions.shape != (n3,) or s.velocities.shape != (n3,):
-            shapes = f"{s.positions.shape} and {s.velocities.shape}"
-            raise ValueError(f"state {k}: positions and velocities have shapes {shapes}, expected 3N = {n3} each")
-
-    prop = _Propagator(system, CavityRows.of(modes))
-    x = np.array([s.positions for s in states], dtype=float)
-    v = np.array([s.velocities for s in states], dtype=float)
-    q = np.array([s.photon.q for s in states], dtype=float)
-    p = np.array([s.photon.p for s in states], dtype=float)
-    n_rows = len(states)
-    n_frames = n_steps // stride + 1
+    n_frames = _check_batch(system, modes, states, dt, n_steps, stride)
+    n_rows, n3 = len(states), 3 * system.n_particles
     # one block per row, so each row's trajectory is a contiguous view
     xs = np.empty((n_rows, n_frames, n3))
     vs = np.empty((n_rows, n_frames, n3))
     qs = np.empty((n_rows, n_frames))
     ps = np.empty((n_rows, n_frames))
-    errors = {}
 
-    def accelerations(x, q):
-        """The batch's accelerations, recording why each row first turns non-finite."""
-        a, a_q = prop.accelerations(x, q)
-        if not np.isfinite(a.sum() + a_q.sum()):
-            bad = ~(np.isfinite(a).all(axis=1) & np.isfinite(a_q))
-            new = [k for k in np.flatnonzero(bad).tolist() if k not in errors]
-            if new:
-                for k, why in zip(new, _model.failure_reasons(system, x[new])):
-                    errors[k] = "non-finite forces; offending term: " + why
-        return a, a_q
+    def record(frame, x, v, q, p):
+        xs[:, frame], vs[:, frame], qs[:, frame], ps[:, frame] = x, v, q, p
 
-    half = 0.5 * dt
-    # failures are detected row by row above, so overflow on the way is expected
-    with np.errstate(over="ignore", invalid="ignore"):
-        a, a_q = accelerations(x, q)
-        xs[:, 0], vs[:, 0], qs[:, 0], ps[:, 0] = x, v, q, p
-        for step in range(1, n_steps + 1):
-            if len(errors) == n_rows:
-                break
-            v_half = v + half * a
-            p_half = p + half * a_q
-            x = x + dt * v_half
-            q = q + dt * p_half
-            a, a_q = accelerations(x, q)
-            v = v_half + half * a
-            p = p_half + half * a_q
-            if step % stride == 0:
-                frame = step // stride
-                xs[:, frame], vs[:, frame], qs[:, frame], ps[:, frame] = x, v, q, p
-
+    errors = _integrate(system, modes, states, dt, n_steps, stride, record)
     times = frame_times(dt, n_steps, stride)
+    rb = None if system.reactive_bond_index is None else system.reactive_bond
     outcomes: List[Union[Tuple[Trajectory, ReactionEvent], IntegrationError]] = []
     for k, state in enumerate(states):
         if k in errors:
@@ -246,8 +205,108 @@ def propagate_batch(
             etot=epot + ekin + ecav,
             dipole=mu,
         )
-        outcomes.append((traj, _observe(system, traj)))
+        if rb is None:
+            event = ReactionEvent(False, None, float("inf"))
+        else:
+            event, traj.dissociated = _observe(rb, traj.bond_series(rb.i, rb.j), traj.times)
+        outcomes.append((traj, event))
     return outcomes
+
+
+def propagate_reactive_bond(
+    system: ModelSystem,
+    modes: Sequence[Optional[CavityMode]],
+    states: Sequence[FullState],
+    dt: float,
+    n_steps: int,
+    stride: int = 1,
+) -> List[Union[Tuple[np.ndarray, ReactionEvent, bool], IntegrationError]]:
+    """`propagate_batch` for what reaction statistics read: the reactive bond alone.
+
+    Per row: the reactive bond's length at every frame, its first crossing
+    of r_ts and its dissociation flag, or the IntegrationError that ended
+    it. Only that one length is stored per row and frame, computed as
+    `Trajectory.bond_series` computes it, so every value is bit for bit the
+    one `propagate_batch` gives for the row; no frame energies are evaluated.
+    """
+    n_frames = _check_batch(system, modes, states, dt, n_steps, stride)
+    rb = system.reactive_bond
+    series = np.empty((len(states), n_frames))
+
+    # an energy-drift ledger can keep each row's running maximum here, still storing no frames
+    def record(frame, x, v, q, p):
+        series[:, frame] = bond_lengths(x, rb.i, rb.j)
+
+    errors = _integrate(system, modes, states, dt, n_steps, stride, record)
+    times = frame_times(dt, n_steps, stride)
+    return [
+        IntegrationError(errors[k]) if k in errors else (dist, *_observe(rb, dist, state.time + times))
+        for k, (dist, state) in enumerate(zip(series, states))
+    ]
+
+
+def _check_batch(system, modes, states, dt, n_steps, stride) -> int:
+    """Reject a batch `_integrate` cannot run; the number of frames it records."""
+    if not dt > 0:
+        raise ValueError("timestep must be positive")
+    if n_steps < 1:
+        raise ValueError("n_steps must be >= 1")
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    if len(modes) != len(states) or not states:
+        raise ValueError("need one mode per state and at least one state")
+    n3 = 3 * system.n_particles
+    for k, s in enumerate(states):
+        if s.positions.shape != (n3,) or s.velocities.shape != (n3,):
+            shapes = f"{s.positions.shape} and {s.velocities.shape}"
+            raise ValueError(f"state {k}: positions and velocities have shapes {shapes}, expected 3N = {n3} each")
+    return n_steps // stride + 1
+
+
+def _integrate(system, modes, states, dt, n_steps, stride, record) -> Dict[int, str]:
+    """The one Verlet loop: advance a batch checked by `_check_batch`.
+
+    Calls `record(frame, x, v, q, p)` with the whole batch at frame 0 and
+    every `stride` steps. Returns, per failed row, why it failed. The loop
+    stops early once every row has failed.
+    """
+    prop = _Propagator(system, CavityRows.of(modes))
+    x = np.array([s.positions for s in states], dtype=float)
+    v = np.array([s.velocities for s in states], dtype=float)
+    q = np.array([s.photon.q for s in states], dtype=float)
+    p = np.array([s.photon.p for s in states], dtype=float)
+    n_rows = len(states)
+    errors: Dict[int, str] = {}
+
+    def accelerations(x, q):
+        """The batch's accelerations, recording why each row first turns non-finite."""
+        a, a_q = prop.accelerations(x, q)
+        if not np.isfinite(a.sum() + a_q.sum()):
+            bad = ~(np.isfinite(a).all(axis=1) & np.isfinite(a_q))
+            new = [k for k in np.flatnonzero(bad).tolist() if k not in errors]
+            if new:
+                for k, why in zip(new, _model.failure_reasons(system, x[new])):
+                    errors[k] = "non-finite forces; offending term: " + why
+        return a, a_q
+
+    half = 0.5 * dt
+    # failures are detected row by row above, so overflow on the way is expected
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, a_q = accelerations(x, q)
+        record(0, x, v, q, p)
+        for step in range(1, n_steps + 1):
+            if len(errors) == n_rows:
+                break
+            v_half = v + half * a
+            p_half = p + half * a_q
+            x = x + dt * v_half
+            q = q + dt * p_half
+            a, a_q = accelerations(x, q)
+            v = v_half + half * a
+            p = p_half + half * a_q
+            if step % stride == 0:
+                record(step // stride, x, v, q, p)
+    return errors
 
 
 def frame_times(dt: float, n_steps: int, stride: int) -> np.ndarray:
@@ -255,13 +314,10 @@ def frame_times(dt: float, n_steps: int, stride: int) -> np.ndarray:
     return np.arange(n_steps // stride + 1) * stride * dt
 
 
-def _observe(system: ModelSystem, traj: Trajectory) -> ReactionEvent:
-    """Set the trajectory's dissociation flag and find the reactive bond's first crossing of r_ts."""
-    if system.reactive_bond_index is None:
-        return ReactionEvent(False, None, float("inf"))
-    rb = system.reactive_bond
-    traj.dissociated = bool(np.any(traj.bond_series(rb.i, rb.j) > DISSOCIATION_FACTOR * rb.r_ts))
-    return detect_reaction(traj, (rb.i, rb.j), rb.r_ts)
+def _observe(rb, dist: np.ndarray, times: np.ndarray) -> Tuple[ReactionEvent, bool]:
+    """First crossing of r_ts by the reactive bond `rb`'s series `dist`, and whether it dissociated."""
+    dissociated = bool(np.any(dist > DISSOCIATION_FACTOR * rb.r_ts))
+    return _first_crossing(dist, times, rb.r_ts), dissociated
 
 
 def detect_reaction(
@@ -275,16 +331,19 @@ def detect_reaction(
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
     i, j = bond_particles
-    dist = trajectory.bond_series(i, j)
+    return _first_crossing(trajectory.bond_series(i, j), trajectory.times, threshold)
+
+
+def _first_crossing(dist: np.ndarray, times: np.ndarray, threshold: float) -> ReactionEvent:
+    """`detect_reaction` on a bond-length series `dist` recorded at `times` (a.u.)."""
     above = dist > threshold
     if not above.any():
         return ReactionEvent(False, None, threshold)
     k = int(np.argmax(above))
-    t = trajectory.times
     if k == 0:
-        t_cross = t[0]
+        t_cross = times[0]
     else:
         d0, d1 = dist[k - 1], dist[k]
         frac = (threshold - d0) / (d1 - d0) if d1 != d0 else 1.0
-        t_cross = t[k - 1] + frac * (t[k] - t[k - 1])
+        t_cross = times[k - 1] + frac * (times[k] - times[k - 1])
     return ReactionEvent(True, float(au_to_fs(t_cross)), threshold)

@@ -21,7 +21,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cavity import CavityMode, FullState, PhotonState, zero_field_init
-from .dynamics import IntegrationError, ReactionEvent, Trajectory, frame_times, propagate_batch
+from .dynamics import IntegrationError, ReactionEvent, Trajectory, frame_times
+from .dynamics import propagate_batch, propagate_reactive_bond
 from .dynamics import propagate  # noqa: F401  (bound here for wrappers such as perfbench/tracer.py)
 from .model import ModelSystem, dipole
 from .units import KB_HARTREE_PER_K, au_to_fs
@@ -322,34 +323,41 @@ def run_conditions(
     for mode, specs in conditions:
         rows += [(mode, state) for state in launch_states(system, mode, specs, positions)]
     modes, states = zip(*rows)
-    outcomes = iter(propagate_batch(system, modes, states, dt, n_steps, stride))
+    if keep_trajectories:
+        full = propagate_batch(system, modes, states, dt, n_steps, stride)
+        observed = [
+            o if isinstance(o, IntegrationError) else (o[0].bond_series(rb.i, rb.j), o[1], o[0].dissociated)
+            for o in full
+        ]
+    else:
+        observed = propagate_reactive_bond(system, modes, states, dt, n_steps, stride)
     times_fs = au_to_fs(frame_times(dt, n_steps, stride))
-    return [
-        _ensemble_result(
-            specs, [next(outcomes) for _ in specs], times_fs, rb, window_fs, keep_trajectories
-        )
-        for _, specs in conditions
-    ]
+    results, start = [], 0
+    for _, specs in conditions:
+        chunk = slice(start, start + len(specs))
+        start = chunk.stop
+        trajectories = None
+        if keep_trajectories:
+            trajectories = [o[0] for o in full[chunk] if not isinstance(o, IntegrationError)]
+        results.append(_ensemble_result(specs, observed[chunk], times_fs, rb, window_fs, trajectories))
+    return results
 
 
-def _ensemble_result(specs, outcomes, times_fs, rb, window_fs, keep_trajectories):
+def _ensemble_result(specs, observed, times_fs, rb, window_fs, trajectories):
+    """One condition's result from each row's (bond series, event, dissociated) or IntegrationError."""
     records: List[TrajectoryRecord] = []
     series_rows = []
     series_index = []
-    trajectories: List[Trajectory] = []
-    for k, (spec, outcome) in enumerate(zip(specs, outcomes)):
+    for k, (spec, outcome) in enumerate(zip(specs, observed)):
         if isinstance(outcome, IntegrationError):
             records.append(TrajectoryRecord(k, spec.seed, None, None, error=str(outcome)))
             continue
-        traj, event = outcome
-        series = traj.bond_series(rb.i, rb.j)
+        series, event, dissociated = outcome
         records.append(
-            TrajectoryRecord(k, spec.seed, event, float(series.mean()), dissociated=traj.dissociated)
+            TrajectoryRecord(k, spec.seed, event, float(series.mean()), dissociated=dissociated)
         )
         series_rows.append(series)
         series_index.append(k)
-        if keep_trajectories:
-            trajectories.append(traj)
     if not series_rows:
         raise IntegrationError(f"every trajectory in the batch failed (first: {records[0].error})")
     if window_fs is None:
@@ -363,7 +371,7 @@ def _ensemble_result(specs, outcomes, times_fs, rb, window_fs, keep_trajectories
         reaction_fraction=0.0,
         mean_bond_bohr=0.0,
         stderr_bond_bohr=float("nan"),
-        trajectories=trajectories if keep_trajectories else None,
+        trajectories=trajectories,
     )
     agg = reaction_statistics(result, window_fs)
     result.reaction_fraction = agg.reaction_fraction

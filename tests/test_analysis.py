@@ -648,6 +648,7 @@ def test_run_ensemble_order_independent(surrogate):
         (0.5, 120, (0.0, 60.0), 120),  # at the last frame: no frame past the window
         (0.5, 120, None, 120),
         (0.25, 4000, (0.0, 700.0), 2804),  # configs/default.yaml: 701 frames x stride 4
+        (0.25, 4 * 10**13, (0.0, 700.0), 2804),  # 1e13 frames, none of them held
     ],
 )
 def test_scan_stops_at_the_first_frame_past_the_window(dt_fs, n_steps, window, steps):

@@ -1,14 +1,21 @@
+import contextlib
+import copy
 import importlib.util
+import io
 import json
 import multiprocessing
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cavimd import cli
 from cavimd.cli import main, read_trajectory_csv, trajectory_header, write_csv, write_trajectory_csv
@@ -764,6 +771,96 @@ def test_cli_run_too_large_to_store_fails_at_once(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: the run needs ") and "GiB of physical memory" in err
     assert not (tmp_path / "out").exists()
+
+
+
+@pytest.mark.parametrize("short_by, code", [(1, 1), (0, 0)])
+def test_scan_size_check_counts_one_bond_length_per_row_and_frame(tmp_path, monkeypatch, capsys, short_by, code):
+    # 3 trajectories x (baseline + 1 condition), frames 0..31 up to the first past the 30 fs window
+    size = 3 * 2 * 32 * 8
+    real_sysconf = os.sysconf
+
+    def sysconf(name):
+        return {"SC_PHYS_PAGES": size - short_by, "SC_PAGE_SIZE": 1}.get(name) or real_sysconf(name)
+
+    monkeypatch.setattr(os, "sysconf", sysconf)
+    cfg = short_config(tmp_path, extra="scan:\n  omega_list_cm1: [856.0]\n")
+    cfg.write_text(cfg.read_text().replace("window_fs: [0.0, 50.0]", "window_fs: [0.0, 30.0]"))
+    assert main(["scan", "--config", str(cfg)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: the run needs ") and "GiB of physical memory" in err
+    else:
+        assert err == "" and (tmp_path / "out" / "resonance_scan.csv").exists()
+
+
+#: a config of every block, small enough that a command on it takes tens of milliseconds
+SMALL_CONFIG = {
+    "system": {"builtin": "pta_surrogate"},
+    "cavity": {
+        "omega_c_cm1": 856.0,
+        "ratio": 1.132,
+        "polarization": [1.0, 0.0, 0.0],
+        "bilinear": True,
+        "self_polarization": True,
+    },
+    "dynamics": {"dt_fs": 0.25, "duration_fs": 5.0, "stride": 4},
+    "ensemble": {
+        "temperature_K": 300.0,
+        "n_trajectories": 2,
+        "seed": 1,
+        "resample_T_K": 20.0,
+        "window_fs": [0.0, 5.0],
+        "aim": [0, 1],
+        "launch": {"sic_displacement_bohr": 0.6, "sif_stretch_bohr": 0.3},
+    },
+    "outputs": {"directory": "out", "formats": ["csv", "json"]},
+    "spectrum": {"broadening_cm1": 30.0, "lambda_list_au": [0.0, 0.1]},
+    "scan": {"omega_list_cm1": [43.0, 856.0]},
+}
+
+
+def config_leaves(node, path=()):
+    """Key paths of every value in `node` that is not a mapping, list entries included."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        if not isinstance(value, dict):
+            yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from config_leaves(value, path + (key,))
+
+
+BAD_VALUES = [
+    None, "abc", -1.0, -20.0, 0, 0.0, float("nan"), float("inf"), float("-inf"),
+    [], [1.0], [1.0, 2.0, 3.0, 4.0], True, False, {"x": 1},
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    path=st.sampled_from(list(config_leaves(SMALL_CONFIG))),
+    value=st.sampled_from(BAD_VALUES),
+    command=st.sampled_from([c for c in cli.COMMANDS if c != "analyze"]),
+)
+@example(path=("ensemble", "resample_T_K"), value=-20.0, command="run")
+@example(path=("scan", "omega_list_cm1", 1), value=0.0, command="scan")
+@example(path=("scan",), value={"ratio_list": [1.0, -0.5]}, command="scan")
+@example(path=("dynamics", "duration_fs"), value=1e10, command="ensemble")
+@example(path=("dynamics", "duration_fs"), value=1e10, command="scan")
+def test_every_bad_input_ends_in_an_error_line(path, value, command):
+    config = copy.deepcopy(SMALL_CONFIG)
+    node = config
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.yaml"
+        cfg.write_text(yaml.safe_dump(config))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert any(line.startswith("error: ") for line in err.getvalue().splitlines())
 
 
 def test_cli_out_of_memory_fails_cleanly(tmp_path, monkeypatch, capsys):

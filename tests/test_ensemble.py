@@ -257,3 +257,82 @@ def test_parallel_chunks_are_inherited_not_pickled(tmp_path):
         written[n_workers] = sorted(f.read_text() for f in out.iterdir())
     assert written[1] == ["0 1 2 3 4"]
     assert written[2] == ["0 1", "2 3 4"]
+
+
+def statistics_conditions(surrogate):
+    """A free-space and a resonant condition whose first spec blows up at once."""
+    import dataclasses
+
+    from cavimd.cavity import CavityMode, lambda_for_ratio
+    from cavimd.units import CM1_PER_HARTREE
+
+    # trajectory 2 reacts at 54.3 fs in free space
+    specs = make_specs(24, 3, 300.0, aim=(0, 1))
+    specs[0] = dataclasses.replace(specs[0], temperature_K=1e30)
+    omega = 856.0 / CM1_PER_HARTREE
+    mode = CavityMode(omega, lambda_for_ratio(1.132, omega), np.array([1.0, 0.0, 0.0]))
+    kw = dict(positions=pta_launch_positions(surrogate), dt=fs_to_au(0.5), n_steps=200, stride=4)
+    return [(None, specs), (mode, specs)], kw
+
+
+def test_statistics_only_ensemble_stores_no_frames(surrogate, monkeypatch):
+    from cavimd import dynamics
+
+    def stored_frames(*args, **kwargs):
+        raise AssertionError("a statistics-only ensemble built a frame record")
+
+    monkeypatch.setattr(dynamics, "Trajectory", stored_frames)
+    monkeypatch.setattr(dynamics, "_frame_energies", stored_frames)
+    conditions, kw = statistics_conditions(surrogate)
+    for result in ensemble.run_conditions(surrogate, conditions, **kw):
+        assert result.trajectories is None
+        assert [rec.error is None for rec in result.records] == [False, True, True]
+
+
+def test_statistics_only_ensemble_matches_the_kept_trajectories_bit_for_bit(surrogate):
+    conditions, kw = statistics_conditions(surrogate)
+    window = (0.0, 60.0)
+    lean = ensemble.run_conditions(surrogate, conditions, window_fs=window, **kw)
+    full = ensemble.run_conditions(surrogate, conditions, window_fs=window, keep_trajectories=True, **kw)
+    for a, b in zip(lean, full):
+        # the failing row fails inside the window
+        assert a.records[0].error is not None and a.records[0].error == b.records[0].error
+        assert a.records == b.records
+        assert a.series_index == b.series_index == [1, 2]
+        assert a.bond_series.tobytes() == b.bond_series.tobytes()
+        rb = surrogate.reactive_bond
+        assert b.bond_series.tobytes() == np.vstack([t.bond_series(rb.i, rb.j) for t in b.trajectories]).tobytes()
+        assert a.times_fs.tobytes() == b.times_fs.tobytes()
+        assert (a.reaction_fraction, a.mean_bond_bohr, a.stderr_bond_bohr) == (
+            b.reaction_fraction,
+            b.mean_bond_bohr,
+            b.stderr_bond_bohr,
+        )
+        for w in (window, (0.0, 50.0), (20.0, 100.0)):
+            assert reaction_statistics(a, w) == reaction_statistics(b, w)
+    assert any(rec.event.occurred for result in lean for rec in result.records[1:])
+
+
+def test_default_scan_traces_under_4_mb(surrogate):
+    # 48 rows x 701 frames of one bond length each; whole frames took 13.4 MB
+    import tracemalloc
+
+    from cavimd.analysis import resonance_scan
+
+    specs = make_specs(1, 16, 300.0, aim=(0, 1))
+    tracemalloc.start()
+    try:
+        resonance_scan(
+            surrogate,
+            specs,
+            [(43.0, 1.132), (856.0, 1.132)],
+            positions=pta_launch_positions(surrogate),
+            dt=fs_to_au(0.25),
+            n_steps=4000,
+            stride=4,
+            window_fs=(0.0, 700.0),
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
