@@ -419,6 +419,15 @@ def barrier_frequency(curvature: float, reduced_mass: float) -> float:
     return float(np.sqrt(abs(curvature) / reduced_mass))
 
 
+def _bond_constraint(ends, ends2, u):
+    """The constraint normal kron(ends, u) and kron(ends ends^T, I3 - u u^T), as kron's own products.
+
+    `ends2` is np.outer(ends, ends)[:, None, :, None].
+    """
+    n = np.outer(ends, u).ravel()
+    return n, (ends2 * (np.eye(3) - np.outer(u, u))[:, None, :]).reshape(n.size, n.size)
+
+
 def _newton(system: ModelSystem, x, bond: Optional[Tuple[int, int]] = None, r: float = 0.0):
     """Stationary point of V by minimum-norm Newton steps; returns (x, max |gradient|).
 
@@ -431,13 +440,16 @@ def _newton(system: ModelSystem, x, bond: Optional[Tuple[int, int]] = None, r: f
     (Nocedal & Wright, Numerical Optimization, 2nd ed., ch. 18).
     """
     x = np.array(x, dtype=float)
+    if bond is not None:
+        ends = np.zeros(x.size // 3)
+        ends[list(bond)] = 1.0, -1.0
+        ends2 = np.outer(ends, ends)[:, None, :, None]
+        eye = np.eye(x.size)
     for iteration in range(61):
         if bond is not None:
-            ends = np.zeros(x.size // 3)
-            ends[list(bond)] = 1.0, -1.0
             d = ends @ x.reshape(-1, 3)  # x_i - x_j
             u = d / np.linalg.norm(d)
-            n = np.kron(ends, u)  # constraint normal: u on particle i, -u on j
+            n, curvature = _bond_constraint(ends, ends2, u)
             x += 0.5 * (r - np.linalg.norm(d)) * n
         g = -_model.forces(system, x)
         if bond is not None:
@@ -449,8 +461,8 @@ def _newton(system: ModelSystem, x, bond: Optional[Tuple[int, int]] = None, r: f
         hess = _model.fd_hessian(system, x)
         if bond is not None:
             # mu times the Hessian of c = |x_i - x_j| - r, then project onto the tangent plane
-            hess -= mu / r * np.kron(np.outer(ends, ends), np.eye(3) - np.outer(u, u))
-            proj = np.eye(x.size) - 0.5 * np.outer(n, n)
+            hess -= mu / r * curvature
+            proj = eye - 0.5 * np.outer(n, n)
             hess = proj @ hess @ proj
         step, *_ = np.linalg.lstsq(hess, -g, rcond=1e-11)
         x = x + step / max(1.0, np.abs(step).max() / 0.2)

@@ -333,15 +333,16 @@ def cmd_spectrum(config: RunConfig, system: ModelSystem, outdir: Path, threads: 
             by_freq = {float(f): float(w) for f, w in zip(eff.frequencies_cm1, weights)}
             for ln in lines:
                 ln.si_c_weight = by_freq.get(ln.frequency_cm1, 0.0)
+        table = np.array([[ln.frequency_cm1, ln.strength, ln.si_c_weight] for ln in lines])
         write_csv(
             outdir / f"spectrum_lines_{tag}.csv",
             ["frequency_cm1", "strength_au", "si_c_weight"],
-            [[ln.frequency_cm1, ln.strength, ln.si_c_weight] for ln in lines],
+            table.reshape(-1, 3),
         )
         write_csv(
             outdir / f"spectrum_curve_{tag}.csv",
             ["frequency_cm1", "intensity_au"],
-            list(zip(grid, curve)),
+            np.column_stack((grid, curve)),
         )
     _emit_manifest(outdir, config, "spectrum")
     return 0

@@ -13,6 +13,7 @@ All quantities are in Hartree atomic units unless a name says otherwise
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
@@ -551,6 +552,25 @@ def dipole_gradient(system: ModelSystem) -> np.ndarray:
     return system.dipole.gradient.copy()
 
 
+@functools.lru_cache(maxsize=4)
+def _fd_stencil(n: int, h: float):
+    """fd_hessian's index arrays (diag, k < l) and displacement rows `steps`, read-only."""
+    diag = np.arange(n)
+    k, l = np.triu_indices(n, 1)
+    m = k.size
+    # rows: 0, then +-h e_k, then (+-h e_k) + (+-h e_l) in the order ++, +-, -+, --
+    steps = np.zeros((1 + 2 * n + 4 * m, n))
+    steps[1 + diag, diag] = h
+    steps[1 + n + diag, diag] = -h
+    for q, (sk, sl) in enumerate(((h, h), (h, -h), (-h, h), (-h, -h))):
+        rows = 1 + 2 * n + q * m + np.arange(m)
+        steps[rows, k] = sk
+        steps[rows, l] = sl
+    for a in (diag, k, l, steps):
+        a.setflags(write=False)
+    return diag, k, l, steps
+
+
 def fd_hessian(system: ModelSystem, positions, h: float = 1e-3, symmetrize: bool = True) -> np.ndarray:
     """Central-difference Hessian of potential_energy (symmetric 4-point stencil).
 
@@ -564,18 +584,12 @@ def fd_hessian(system: ModelSystem, positions, h: float = 1e-3, symmetrize: bool
     if not h > 0:
         raise ValueError("finite-difference step must be positive")
     n = x.size
-    diag = np.arange(n)
-    k, l = np.triu_indices(n, 1)
+    diag, k, l, steps = _fd_stencil(n, float(h))
     m = k.size
-    # rows: x, then x +- h e_k, then x + (+-h e_k) + (+-h e_l) in the order ++, +-, -+, --
-    geoms = np.tile(x, (1 + 2 * n + 4 * m, 1))
-    geoms[1 + diag, diag] += h
-    geoms[1 + n + diag, diag] -= h
     base = 1 + 2 * n
-    for q, (sk, sl) in enumerate(((h, h), (h, -h), (-h, h), (-h, -h))):
-        rows = base + q * m + np.arange(m)
-        geoms[rows, k] += sk
-        geoms[rows, l] += sl
+    # +0.0 off the displaced coordinates turns a -0.0 into +0.0 at most;
+    # energies read only coordinate differences, so no energy changes
+    geoms = x + steps
     e = potential_energy(system, geoms)
     e0 = e[0]
     epp, epm, emp, emm = e[base:].reshape(4, m)

@@ -20,6 +20,7 @@ from cavimd.analysis import (
     NormalModes,
     OccupationMap,
     SearchError,
+    _bond_constraint,
     barrier_frequency,
     find_transition_state,
     mean_occupation_map,
@@ -511,6 +512,22 @@ def test_find_transition_state_surrogate_barrier(surrogate):
     assert ts.barrier_ev == pytest.approx(0.35, abs=1e-4)
     assert ts.gradient_norm < 1e-8
     assert ts.n_negative == 1
+
+
+def test_bond_constraint_equals_kron_bit_for_bit():
+    rng = np.random.default_rng(19)
+    units = [v / np.linalg.norm(v) for v in rng.standard_normal((20, 3))]
+    units += [np.array([0.0, -1.0, 0.0]), np.array([-0.6, 0.0, 0.8]), np.array([0.0, 0.0, -1.0])]
+    for bond in ((1, 4), (4, 1), (0, 5)):
+        ends = np.zeros(6)
+        ends[list(bond)] = 1.0, -1.0
+        ends2 = np.outer(ends, ends)[:, None, :, None]
+        for u in units:
+            n, curvature = _bond_constraint(ends, ends2, u)
+            want_n = np.kron(ends, u)
+            want_c = np.kron(np.outer(ends, ends), np.eye(3) - np.outer(u, u))
+            assert np.array_equal(n.view(np.uint64), want_n.view(np.uint64))
+            assert np.array_equal(curvature.view(np.uint64), want_c.view(np.uint64))
 
 
 def test_find_transition_state_requires_interior_maximum():

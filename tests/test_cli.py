@@ -452,12 +452,33 @@ def test_trajectory_csv_format_is_pinned(tmp_path):
     assert same(back.dipole, cells[:, 19:22] / ANGSTROM_PER_BOHR)
 
 
+def write_float64_cells(path, header, table):
+    """`table` written through write_csv's cell path, every cell an np.float64."""
+    write_csv(path, header, [[np.float64(x) for x in row] for row in table])
+
+
 def test_write_csv_array_and_rows_give_same_bytes(tmp_path):
-    table = np.array([AWKWARD, [-x for x in AWKWARD], [float(k) for k in range(len(AWKWARD))]])
+    special = [-0.0, 1e-5, 1e16, np.nan, np.inf, -np.inf] + AWKWARD[:3]
+    table = np.array([AWKWARD, [-x for x in AWKWARD], [float(k) for k in range(len(AWKWARD))], special])
     header = [f"c{k}" for k in range(table.shape[1])]
     write_csv(tmp_path / "array.csv", header, table)
     write_csv(tmp_path / "rows.csv", header, [[float(x) for x in row] for row in table])
-    assert (tmp_path / "array.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    write_float64_cells(tmp_path / "cells.csv", header, table)
+    body = (tmp_path / "array.csv").read_bytes()
+    assert body == (tmp_path / "rows.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+    assert body.splitlines()[-1].startswith(b"-0.0,1e-05,1e+16,nan,inf,-inf,")
+
+
+def test_cli_spectrum_tables_match_the_float64_cell_path(tmp_path, monkeypatch):
+    tables = []
+    spy = lambda path, header, rows: tables.append((path, header, rows)) or write_csv(path, header, rows)
+    monkeypatch.setattr(cli, "write_csv", spy)
+    assert main(["spectrum", "--config", str(short_config(tmp_path))]) == 0
+    assert len(tables) == 4  # lines and curve, bare and coupled
+    for path, header, rows in tables:
+        assert isinstance(rows, np.ndarray) and rows.dtype == float
+        write_float64_cells(tmp_path / "reference.csv", header, rows)
+        assert path.read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def _drop_last_cell(lines):

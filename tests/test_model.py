@@ -95,6 +95,51 @@ def test_dimension_and_finiteness_errors(surrogate):
                 call(x)
 
 
+def inline_fd_hessian(system, x, h, symmetrize):
+    """fd_hessian with its stencil built on every call, by in-place += on tiled rows."""
+    n = x.size
+    diag = np.arange(n)
+    k, l = np.triu_indices(n, 1)
+    m = k.size
+    geoms = np.tile(x, (1 + 2 * n + 4 * m, 1))
+    geoms[1 + diag, diag] += h
+    geoms[1 + n + diag, diag] -= h
+    base = 1 + 2 * n
+    for q, (sk, sl) in enumerate(((h, h), (h, -h), (-h, h), (-h, -h))):
+        rows = base + q * m + np.arange(m)
+        geoms[rows, k] += sk
+        geoms[rows, l] += sl
+    e = potential_energy(system, geoms)
+    e0 = e[0]
+    epp, epm, emp, emm = e[base:].reshape(4, m)
+    hess = np.empty((n, n))
+    hess[diag, diag] = (e[1 : 1 + n] - 2 * e0 + e[1 + n : base]) / h**2
+    hess[k, l] = (epp - epm - emp + emm) / (4 * h**2)
+    hess[l, k] = (epp - emp - epm + emm) / (4 * h**2)
+    return 0.5 * (hess + hess.T) if symmetrize else hess
+
+
+def test_fd_hessian_cached_stencil_is_bit_identical_to_an_inline_one(surrogate):
+    rng = np.random.default_rng(19)
+    x0 = surrogate.reference_positions
+    geoms = [x0 + 0.05 * rng.standard_normal(x0.size) for _ in range(50)]
+    geoms[0][4] = -0.0
+    for h in (1e-3, 1e-4):
+        for symmetrize in (True, False):
+            for x in geoms:
+                got = model.fd_hessian(surrogate, x, h=h, symmetrize=symmetrize)
+                want = inline_fd_hessian(surrogate, x, h, symmetrize)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_fd_hessian_stencil_is_read_only(surrogate):
+    model.fd_hessian(surrogate, surrogate.reference_positions)
+    for a in model._fd_stencil(surrogate.reference_positions.size, 1e-3):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1
+
+
 def test_energy_invariant_under_rigid_motion(surrogate):
     rng = np.random.default_rng(3)
     x = surrogate.reference_positions + 0.1 * rng.standard_normal(18)
