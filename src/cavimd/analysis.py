@@ -3,7 +3,6 @@ state search, and scans over cavity conditions (frequency, coupling ratio)."""
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -11,11 +10,11 @@ import numpy as np
 
 from . import model as _model
 from .cavity import CavityMode, lambda_for_ratio, projection, unit_polarization
-from .dynamics import Trajectory
+from .dynamics import TIME_TOL_FS, Trajectory, window_frames
 from .ensemble import SamplingSpec, run_conditions
 from .ensemble import run_ensemble  # noqa: F401  (bound here for wrappers such as perfbench/tracer.py)
 from .model import ModelSystem
-from .units import CM1_PER_HARTREE, EV_PER_HARTREE, au_to_fs
+from .units import CM1_PER_HARTREE, EV_PER_HARTREE
 
 #: modes below this frequency count as the near-zero (translation/rotation/soft) block
 NEAR_ZERO_CM1 = 1.0
@@ -48,14 +47,6 @@ class NormalModes:
     def n_modes(self) -> int:
         return self.frequencies_cm1.size
 
-    @property
-    def near_zero_mask(self) -> np.ndarray:
-        return np.abs(self.frequencies_cm1) < NEAR_ZERO_CM1
-
-    @property
-    def n_near_zero(self) -> int:
-        return int(self.near_zero_mask.sum())
-
 
 def hessian(system: ModelSystem, positions, h: float = 1e-3) -> np.ndarray:
     """Symmetrized central-difference Hessian of the bonded potential."""
@@ -68,7 +59,7 @@ def normal_modes(
     dipole_grad: Optional[np.ndarray] = None,
     reference_positions: Optional[np.ndarray] = None,
 ) -> NormalModes:
-    """Diagonalize M^{-1/2} H M^{-1/2}; masses per particle or per DOF."""
+    """Diagonalize M^{-1/2} H M^{-1/2}; one mass per particle."""
     hess = np.asarray(hessian_matrix, dtype=float)
     n = hess.shape[0]
     if hess.shape != (n, n):
@@ -77,12 +68,9 @@ def normal_modes(
     if np.abs(hess - hess.T).max() > 1e-8 * scale:
         raise ValueError("hessian must be symmetric")
     m = np.asarray(masses, dtype=float)
-    if m.size * 3 == n:
-        m3 = np.repeat(m, 3)
-    elif m.size == n:
-        m3 = m
-    else:
-        raise ValueError("masses must have one entry per particle or per DOF")
+    if m.size * 3 != n:
+        raise ValueError("masses must have one entry per particle")
+    m3 = np.repeat(m, 3)
     if not np.all(m3 > 0):
         raise ValueError("masses must be positive")
     inv_sqrt = 1.0 / np.sqrt(m3)
@@ -106,15 +94,13 @@ def normal_modes(
     )
 
 
-def system_normal_modes(
-    system: ModelSystem, positions: Optional[np.ndarray] = None, h: float = 1e-3
-) -> NormalModes:
+def system_normal_modes(system: ModelSystem, positions: Optional[np.ndarray] = None) -> NormalModes:
     """Normal modes of a system at `positions` (default: its reference geometry)."""
     if positions is None:
         positions = system.reference_positions
     if positions is None:
         raise ValueError("positions required (system has no reference geometry)")
-    hess = hessian(system, positions, h=h)
+    hess = hessian(system, positions)
     return normal_modes(
         hess, system.masses, _model.dipole_gradient(system), reference_positions=positions
     )
@@ -292,7 +278,7 @@ def mean_occupation_map(maps: Iterable[OccupationMap]) -> OccupationMap:
     n = 1
     for m in maps:
         if m.energies.shape != first.energies.shape or not np.allclose(
-            m.times_fs, first.times_fs, atol=1e-9
+            m.times_fs, first.times_fs, atol=TIME_TOL_FS
         ):
             raise ValueError("occupation maps have mismatched grids")
         energies += m.energies
@@ -313,7 +299,7 @@ def occupation_difference(
 ) -> OccupationDifference:
     """Pointwise difference of normalized occupations plus per-mode time integrals."""
     if map_a.normalized.shape != map_b.normalized.shape or not np.allclose(
-        map_a.times_fs, map_b.times_fs, atol=1e-9
+        map_a.times_fs, map_b.times_fs, atol=TIME_TOL_FS
     ):
         raise ValueError("occupation maps have mismatched grids")
     delta = map_a.normalized - map_b.normalized
@@ -671,9 +657,4 @@ def _window_steps(dt: float, n_steps: int, stride: int, window_fs) -> int:
     """
     if window_fs is None:
         return n_steps
-    # frame k's time as au_to_fs(frame_times(...)) computes it; bisection
-    # finds the first frame past the window without holding every frame time
-    past = bisect.bisect_right(
-        range(n_steps // stride + 1), window_fs[1] + 1e-9, key=lambda k: au_to_fs(k * stride * dt)
-    )
-    return min(n_steps, past * stride)
+    return min(n_steps, window_frames(dt, n_steps, stride, window_fs).stop * stride)

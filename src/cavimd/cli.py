@@ -27,7 +27,7 @@ import numpy as np
 from . import analysis as _analysis
 from . import model as _model
 from .config import ConfigError, RunConfig, make_manifest, parse_config
-from .dynamics import IntegrationError, Trajectory, propagate
+from .dynamics import TIME_TOL_FS, IntegrationError, Trajectory, propagate
 from .ensemble import EnsembleResult, WorkerError, launch_states, make_specs, map_chunks, run_ensemble
 from .model import CalibrationError, ModelSystem
 from .units import (
@@ -172,15 +172,13 @@ def _ensemble_inputs(config: RunConfig, system: ModelSystem):
     return dict(
         positions=config.launch_positions(system),
         dt=fs_to_au(config.dynamics.dt_fs),
-        n_steps=config.n_steps(),
+        n_steps=config.dynamics.n_steps(),
         stride=config.dynamics.stride,
         window_fs=ens.window_fs,
     ), specs
 
 
-def _write_ensemble_outputs(
-    outdir: Path, config: RunConfig, system: ModelSystem, result: EnsembleResult
-) -> None:
+def _write_ensemble_outputs(outdir: Path, config: RunConfig, result: EnsembleResult) -> None:
     formats = config.outputs.formats
     if "csv" in formats:
         rows = []
@@ -255,7 +253,7 @@ def cmd_ensemble(config: RunConfig, system: ModelSystem, outdir: Path, threads: 
     tdir.mkdir(parents=True, exist_ok=True)
     rows = list(zip(result.series_index, result.trajectories))
     map_chunks(_write_trajectories, (system, tdir), rows, threads, _trajectory_files)
-    _write_ensemble_outputs(outdir, config, system, result)
+    _write_ensemble_outputs(outdir, config, result)
     _emit_manifest(outdir, config, "ensemble")
     return 0
 
@@ -371,7 +369,7 @@ def _load_run_trajectories(
             raise ConfigError(f"{f}: {t.n_frames} frames, fewer than analyze.correlation_window")
         if t.n_frames != n_frames:
             raise ConfigError(f"{f}: {t.n_frames} frames, but {first_file} has {n_frames}")
-        if not np.allclose(t.times_fs, times_fs, rtol=0.0, atol=1e-9):
+        if not np.allclose(t.times_fs, times_fs, rtol=0.0, atol=TIME_TOL_FS):
             raise ConfigError(f"{f}: frame times differ from those of {first_file}")
         yield t
 
@@ -478,8 +476,6 @@ def cmd_model_check(config: RunConfig, system: ModelSystem, outdir: Path, thread
     rng = np.random.default_rng(7)
     checks = {}
     x0 = system.reference_positions
-    if x0 is None:
-        raise ConfigError("model-check needs a reference geometry")
     # force consistency on random displaced geometries, each a batch row
     xs = x0 + 0.1 * rng.standard_normal((50, x0.size))
     f = _model.forces(system, xs)
@@ -500,7 +496,7 @@ def cmd_model_check(config: RunConfig, system: ModelSystem, outdir: Path, thread
     if system.reactive_bond_index is not None:
         rb = system.reactive_bond
         weights = _analysis.sic_weighted_spectrum(modes, (rb.i, rb.j))
-        k = int(np.argmin(np.abs(modes.frequencies_cm1 - 856.0)))
+        k = int(np.argmin(np.abs(modes.frequencies_cm1 - _model.PTA_MODE_CM1)))
         checks["mode_856_cm1"] = float(modes.frequencies_cm1[k])
         checks["mode_856_sic_weight"] = float(weights[k])
         checks["ts_frequency_cm1"] = rb.well.ts_frequency_cm1(system.reduced_mass(rb.i, rb.j))
@@ -548,7 +544,7 @@ def _check_inputs(command: str, config: RunConfig, system: ModelSystem) -> None:
         # length up to its window's end, run and ensemble keep x and v (3N
         # each), q and p
         rows = 1 if command == "run" else config.ensemble.n_trajectories
-        n_steps, stride = config.n_steps(), config.dynamics.stride
+        n_steps, stride = config.dynamics.n_steps(), config.dynamics.stride
         per_frame = 6 * system.n_particles + 2
         if command == "scan":
             rows *= len(config.scan.omega_list_cm1 or config.scan.ratio_list) + 1

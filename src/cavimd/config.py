@@ -20,7 +20,8 @@ import numpy as np
 import yaml
 
 from . import __version__ as _pkg_version
-from .cavity import CavityMode, lambda_for_ratio
+from .cavity import CavityMode, coupling_ratio, lambda_for_ratio
+from .dynamics import TIME_TOL_FS, window_frames
 from .ensemble import RNG_ALGORITHM
 from .model import (
     PTA_LAUNCH_SIC_BOHR,
@@ -36,7 +37,7 @@ from .model import (
     calibrate_reactive_bond,
     pta_launch_positions,
 )
-from .units import CM1_PER_HARTREE, EV_PER_HARTREE, UNIT_TABLE
+from .units import CM1_PER_HARTREE, EV_PER_HARTREE, UNIT_TABLE, fs_to_au
 
 
 class ConfigError(ValueError):
@@ -138,7 +139,17 @@ class RunConfig:
     analyze: AnalyzeConfig
 
     def build_system(self) -> ModelSystem:
-        return build_system(self.system_block)
+        """Instantiate the system block's ModelSystem.
+
+        Every value an inline system's model classes reject is a ConfigError;
+        one raised for a single particle, bond or coupling names that entry.
+        """
+        if self.system_block.get("builtin") == "pta_surrogate":
+            return build_pta_surrogate()
+        try:
+            return _build_inline(self.system_block)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from None
 
     def launch_positions(self, system: ModelSystem) -> np.ndarray:
         if self.system_block.get("builtin") == "pta_surrogate":
@@ -146,12 +157,7 @@ class RunConfig:
             return pta_launch_positions(
                 system, lc.sic_displacement_bohr, lc.sif_stretch_bohr
             )
-        if system.reference_positions is None:
-            raise ConfigError("inline system needs positions_bohr")
         return system.reference_positions.copy()
-
-    def n_steps(self) -> int:
-        return self.dynamics.n_steps()
 
     def resolved_dict(self) -> dict:
         d = {f.name: asdict(getattr(self, f.name)) for f in fields(self)[1:]}
@@ -167,7 +173,7 @@ def _parse_cavity(raw) -> CavityConfig:
         raise ConfigError("cavity block needs exactly one of lambda_au / ratio")
     omega = cavity.omega_c_cm1 / CM1_PER_HARTREE
     if cavity.ratio is None:
-        cavity.ratio = float(cavity.lambda_au / np.sqrt(2.0 * omega))
+        cavity.ratio = float(coupling_ratio(cavity.lambda_au, omega))
     else:
         cavity.lambda_au = float(lambda_for_ratio(cavity.ratio, omega))
     return cavity
@@ -185,20 +191,6 @@ def _parse_system(block: dict) -> dict:
         return {"builtin": "pta_surrogate"}
     _require_keys(block, allowed, {"particles", "positions_bohr", "bonds"}, "system")
     return json.loads(json.dumps(block))
-
-
-def build_system(system_block: dict) -> ModelSystem:
-    """Instantiate a ModelSystem from a validated system block.
-
-    Every value an inline system's model classes reject is a ConfigError;
-    one raised for a single particle, bond or coupling names that entry.
-    """
-    if system_block.get("builtin") == "pta_surrogate":
-        return build_pta_surrogate()
-    try:
-        return _build_inline(system_block)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _entry(where: str, build, *args):
@@ -396,10 +388,15 @@ def _parse_blocks(raw) -> RunConfig:
         raise ConfigError("window_fs must be an increasing pair")
     if ensemble.window_fs[0] < 0:
         raise ConfigError("ensemble.window_fs must not start before 0 fs")
-    last_frame_fs = dynamics.n_steps() // dynamics.stride * dynamics.stride * dynamics.dt_fs
-    if ensemble.window_fs[1] > last_frame_fs + 1e-9:
+    n_steps, stride = dynamics.n_steps(), dynamics.stride
+    last_frame_fs = n_steps // stride * stride * dynamics.dt_fs
+    if ensemble.window_fs[1] > last_frame_fs + TIME_TOL_FS:
         raise ConfigError(
             f"ensemble.window_fs ends after the last recorded frame, at {last_frame_fs:g} fs"
+        )
+    if not window_frames(fs_to_au(dynamics.dt_fs), n_steps, stride, ensemble.window_fs):
+        raise ConfigError(
+            f"ensemble.window_fs holds no recorded frame; frames are {stride * dynamics.dt_fs:g} fs apart"
         )
 
     outputs = _block(

@@ -11,6 +11,7 @@ cavity parameters; a single trajectory is a batch of one.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -33,6 +34,9 @@ from .units import au_to_fs
 
 #: a bond stretched past this multiple of the barrier position counts as dissociated
 DISSOCIATION_FACTOR = 5.0
+
+#: frame times (fs) closer than this count as the same time
+TIME_TOL_FS = 1e-9
 
 
 class IntegrationError(RuntimeError):
@@ -312,6 +316,18 @@ def _integrate(system, modes, states, dt, n_steps, stride, record) -> Dict[int, 
 def frame_times(dt: float, n_steps: int, stride: int) -> np.ndarray:
     """Times (a.u., from t = 0) of the frames `propagate_batch` records."""
     return np.arange(n_steps // stride + 1) * stride * dt
+
+
+def window_frames(dt: float, n_steps: int, stride: int, window_fs: Tuple[float, float]) -> range:
+    """Indices of the recorded frames inside `window_fs`, within TIME_TOL_FS.
+
+    Frame k's time is au_to_fs(frame_times(...)[k]); bisection finds the
+    window's ends without holding every frame time.
+    """
+    frames = range(n_steps // stride + 1)
+    key = lambda k: au_to_fs(k * stride * dt)  # noqa: E731
+    first = bisect.bisect_left(frames, window_fs[0] - TIME_TOL_FS, key=key)
+    return range(first, bisect.bisect_right(frames, window_fs[1] + TIME_TOL_FS, key=key))
 
 
 def _observe(rb, dist: np.ndarray, times: np.ndarray) -> Tuple[ReactionEvent, bool]:

@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cavity import CavityMode, FullState, PhotonState, zero_field_init
-from .dynamics import IntegrationError, ReactionEvent, Trajectory, frame_times
+from .dynamics import TIME_TOL_FS, IntegrationError, ReactionEvent, Trajectory, frame_times
 from .dynamics import propagate_batch, propagate_reactive_bond
 from .dynamics import propagate  # noqa: F401  (bound here for wrappers such as perfbench/tracer.py)
 from .model import ModelSystem, dipole
@@ -212,12 +212,9 @@ class EnsembleResult:
 class Aggregates:
     """Windowed ensemble statistics."""
 
-    window_fs: Tuple[float, float]
-    n: int
     reaction_fraction: float
     mean_bond_bohr: float
     stderr_bond_bohr: float
-    per_trajectory_bohr: Tuple[float, ...]
 
 
 def launch_states(
@@ -395,11 +392,11 @@ def reaction_statistics(result: EnsembleResult, window_fs: Tuple[float, float]) 
     times = result.times_fs
     if not t0 < t1:
         raise ValueError("window must have positive extent")
-    if t0 < times[0] - 1e-9 or t1 > times[-1] + 1e-9:
+    if t0 < times[0] - TIME_TOL_FS or t1 > times[-1] + TIME_TOL_FS:
         raise ValueError(
             f"window [{t0}, {t1}] fs outside trajectory span [{times[0]}, {times[-1]}] fs"
         )
-    mask = (times >= t0 - 1e-9) & (times <= t1 + 1e-9)
+    mask = (times >= t0 - TIME_TOL_FS) & (times <= t1 + TIME_TOL_FS)
     if mask.sum() < 1:
         raise ValueError("window contains no frames")
     per_traj = result.bond_series[:, mask].mean(axis=1)
@@ -412,11 +409,4 @@ def reaction_statistics(result: EnsembleResult, window_fs: Tuple[float, float]) 
         ev = rec.event
         if ev is not None and ev.occurred and t0 <= ev.crossing_time_fs <= t1:
             crossings += 1
-    return Aggregates(
-        window_fs=(t0, t1),
-        n=n,
-        reaction_fraction=crossings / n,
-        mean_bond_bohr=mean,
-        stderr_bond_bohr=stderr,
-        per_trajectory_bohr=tuple(float(x) for x in per_traj),
-    )
+    return Aggregates(reaction_fraction=crossings / n, mean_bond_bohr=mean, stderr_bond_bohr=stderr)

@@ -639,7 +639,6 @@ def calibrate_reactive_bond(
     r_ts: float,
     curvature_min: float,
     curvature_ts: float,
-    tol: float = 1e-10,
 ) -> ReactiveWell:
     """Solve for double-well coefficients matching six constraints.
 
@@ -691,7 +690,7 @@ def calibrate_reactive_bond(
         scale = max(abs(barrier), abs(curvature_min), 1.0)
         residual = max(abs(v - barrier), abs(d1), abs(d2 - curvature_ts)) / scale
         last_residual = residual
-        if residual > tol:
+        if residual > 1e-10:
             continue
         x_tail = _well_shape_valid(coeffs, t, r0)
         if x_tail is None:
@@ -728,6 +727,10 @@ _PTA_R0 = {"sif": 3.10, "sime": 3.55, "sic": 3.60, "cc": 2.28, "cph": 2.72}
 # the saddle energy; the larger ones feed the non-reactive bath modes
 _PTA_K = {"sif": 0.21, "sime": 0.18, "cc": 0.95, "cph": 0.30}
 _PTA_R_TS = 4.55
+# the surrogate's targets: the Si-C stretch mode, the barrier-top frequency and the barrier
+PTA_MODE_CM1 = 856.0
+PTA_TS_CM1 = 86.0
+PTA_BARRIER_EV = 0.35
 _PTA_G3 = {
     (PTA_BOND_SIF, PTA_BOND_SIC): 8.0e-4,
     (PTA_BOND_SIC, PTA_BOND_CC): 8.0e-4,
@@ -778,23 +781,19 @@ def _assemble_pta(curvature_min: float, curvature_ts: float, barrier: float) -> 
     )
 
 
-def build_pta_surrogate(
-    mode_target_cm1: float = 856.0,
-    ts_frequency_cm1: float = 86.0,
-    barrier_ev: float = 0.35,
-) -> ModelSystem:
+def build_pta_surrogate() -> ModelSystem:
     """Six-bead F-Si(-Me)-C-C-Ph chain tuned to the headline observables.
 
-    The reactive Si-C bond is calibrated to the requested barrier and
-    barrier-top frequency; the well curvature is then adjusted by secant
-    iteration until the most Si-C-stretch-like normal mode sits at
-    `mode_target_cm1` (within 0.5 cm^-1).
+    The reactive Si-C bond is calibrated to the barrier PTA_BARRIER_EV and
+    barrier-top frequency PTA_TS_CM1; the well curvature is then adjusted by
+    secant iteration until the most Si-C-stretch-like normal mode sits at
+    PTA_MODE_CM1 (within 0.5 cm^-1).
     """
-    barrier = barrier_ev / EV_PER_HARTREE
+    barrier = PTA_BARRIER_EV / EV_PER_HARTREE
     # the well depends on the Si-C reduced mass, so ask the bare particle set
     bare = ModelSystem(_PTA_PARTICLES, (), (), DipoleModel(np.array(_PTA_CHARGES)))
     mu_red = bare.reduced_mass(PTA_SI, PTA_C1)
-    curvature_ts = -mu_red * (ts_frequency_cm1 / CM1_PER_HARTREE) ** 2
+    curvature_ts = -mu_red * (PTA_TS_CM1 / CM1_PER_HARTREE) ** 2
 
     # analysis imports this module, so its normal-mode path is bound at call time
     from .analysis import NEAR_ZERO_CM1, sic_weighted_spectrum, system_normal_modes
@@ -808,20 +807,20 @@ def build_pta_surrogate(
         weights[modes.frequencies_cm1 < NEAR_ZERO_CM1] = 0.0
         return float(modes.frequencies_cm1[np.argmax(weights)])
 
-    c0 = mu_red * (mode_target_cm1 / CM1_PER_HARTREE) ** 2
+    c0 = mu_red * (PTA_MODE_CM1 / CM1_PER_HARTREE) ** 2
     c1 = 1.1 * c0
-    f0 = mode_freq(c0) - mode_target_cm1
-    f1 = mode_freq(c1) - mode_target_cm1
+    f0 = mode_freq(c0) - PTA_MODE_CM1
+    f1 = mode_freq(c1) - PTA_MODE_CM1
     for _ in range(30):
         if abs(f1) < 0.5:
             break
         if f1 == f0:
             raise CalibrationError("surrogate frequency tuning stalled")
         c0, c1, f0 = c1, c1 - f1 * (c1 - c0) / (f1 - f0), f1
-        f1 = mode_freq(c1) - mode_target_cm1
+        f1 = mode_freq(c1) - PTA_MODE_CM1
     else:
         raise CalibrationError(
-            f"surrogate frequency tuning did not converge (last {f1 + mode_target_cm1:.2f} cm^-1)"
+            f"surrogate frequency tuning did not converge (last {f1 + PTA_MODE_CM1:.2f} cm^-1)"
         )
     return _assemble_pta(c1, curvature_ts, barrier)
 

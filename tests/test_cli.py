@@ -75,6 +75,9 @@ AIM_COINCIDENT = """system:
 """
 
 
+WINDOW_GAP = "ensemble:\n  window_fs: [1.1, 1.2]\n"
+
+
 def short_config(tmp_path, name="cfg.yaml", extra="", n_traj=3, duration=50.0):
     text = SHORT_RUN.replace("PLACEHOLDER", str(tmp_path / "out"))
     text = text.replace("n_trajectories: 3", f"n_trajectories: {n_traj}")
@@ -385,7 +388,7 @@ def test_trajectory_csv_roundtrip_fidelity(tmp_path):
     v = resolve_velocities(system, specs, launch)[0]
     mode = cfg_obj.cavity.mode()
     state = FullState(launch.copy(), v, zero_field_init(mode, dipole(system, launch)))
-    ref, _ = propagate(system, mode, state, fs_to_au(0.25), cfg_obj.n_steps(), 4)
+    ref, _ = propagate(system, mode, state, fs_to_au(0.25), cfg_obj.dynamics.n_steps(), 4)
     assert np.allclose(traj.positions, ref.positions, rtol=1e-12, atol=1e-12)
     assert np.allclose(traj.velocities, ref.velocities, rtol=1e-12, atol=1e-14)
     assert np.allclose(traj.etot, ref.etot, rtol=1e-10, atol=1e-14)
@@ -773,8 +776,11 @@ def test_cli_bad_input_fails_cleanly(tmp_path, monkeypatch, capsys, old, new, en
         ("ensemble", "ensemble:\n  resample_T_K: -20.0\n", "ensemble.resample_T_K must be non-negative, got -20.0"),
         ("scan", "scan:\n  omega_list_cm1: [856.0, 0.0]\n", "scan.omega_list_cm1[1] must be positive, got 0.0"),
         ("scan", "scan:\n  ratio_list: [1.0, -0.5]\n", "scan.ratio_list[1] must be non-negative, got -0.5"),
+        # frames are 1 fs apart, and none lies in [1.1, 1.2] fs
+        ("ensemble", WINDOW_GAP, "ensemble.window_fs holds no recorded frame; frames are 1 fs apart"),
+        ("scan", WINDOW_GAP + "scan:\n  omega_list_cm1: [856.0]\n", "ensemble.window_fs holds no recorded frame; frames are 1 fs apart"),
     ],
-    ids=["resample-negative", "omega-zero", "ratio-negative"],
+    ids=["resample-negative", "omega-zero", "ratio-negative", "window-gap-ensemble", "window-gap-scan"],
 )
 def test_cli_bad_scan_and_ensemble_entries_fail_cleanly(tmp_path, capsys, command, block, message):
     cfg = tmp_path / "cfg.yaml"
