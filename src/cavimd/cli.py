@@ -15,12 +15,13 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import os
 import sys
 import warnings
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -70,10 +71,6 @@ def write_json(path: Path, payload: dict) -> None:
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _emit_manifest(outdir: Path, config: RunConfig, command: str) -> None:
-    write_json(outdir / "manifest.json", make_manifest(config, command))
 
 
 # --- trajectory file format -----------------------------------------------------
@@ -164,11 +161,9 @@ def read_trajectory_csv(path: Path, system: ModelSystem) -> Trajectory:
 
 # --- commands ---------------------------------------------------------------------
 
-def _ensemble_inputs(config: RunConfig, system: ModelSystem):
+def _ensemble_inputs(config: RunConfig, system: ModelSystem, count: int):
     ens = config.ensemble
-    specs = make_specs(
-        ens.seed, ens.n_trajectories, ens.temperature_K, aim=ens.aim, resample_T_K=ens.resample_T_K
-    )
+    specs = make_specs(ens.seed, count, ens.temperature_K, aim=ens.aim, resample_T_K=ens.resample_T_K)
     return dict(
         positions=config.launch_positions(system),
         dt=fs_to_au(config.dynamics.dt_fs),
@@ -220,10 +215,11 @@ def _write_ensemble_outputs(outdir: Path, config: RunConfig, result: EnsembleRes
 
 
 def cmd_run(config: RunConfig, system: ModelSystem, outdir: Path, threads: int) -> int:
-    kwargs, specs = _ensemble_inputs(config, system)
+    # one spec, since spec 0 does not depend on the count; with the launch and
+    # the batch step of `cavimd ensemble`, this is its trajectory 0
+    kwargs, specs = _ensemble_inputs(config, system, 1)
     mode = config.cavity.mode()
-    # the launch and the batch step of `cavimd ensemble`, so this is its trajectory 0
-    state = launch_states(system, mode, specs[:1], kwargs["positions"])[0]
+    state = launch_states(system, mode, specs, kwargs["positions"])[0]
     traj, event = propagate(
         system, mode, state, kwargs["dt"], kwargs["n_steps"], kwargs["stride"]
     )
@@ -242,24 +238,22 @@ def cmd_run(config: RunConfig, system: ModelSystem, outdir: Path, threads: int) 
                 "threshold_A": threshold * ANGSTROM_PER_BOHR if np.isfinite(threshold) else None,
             },
         )
-    _emit_manifest(outdir, config, "run")
     return 0
 
 
 def cmd_ensemble(config: RunConfig, system: ModelSystem, outdir: Path, threads: int) -> int:
-    kwargs, specs = _ensemble_inputs(config, system)
+    kwargs, specs = _ensemble_inputs(config, system, config.ensemble.n_trajectories)
     result = run_ensemble(system, config.cavity.mode(), specs, keep_trajectories=True, **kwargs)
     tdir = outdir / "trajectories"
     tdir.mkdir(parents=True, exist_ok=True)
     rows = list(zip(result.series_index, result.trajectories))
     map_chunks(_write_trajectories, (system, tdir), rows, threads, _trajectory_files)
     _write_ensemble_outputs(outdir, config, result)
-    _emit_manifest(outdir, config, "ensemble")
     return 0
 
 
 def cmd_scan(config: RunConfig, system: ModelSystem, outdir: Path, threads: int) -> int:
-    kwargs, specs = _ensemble_inputs(config, system)
+    kwargs, specs = _ensemble_inputs(config, system, config.ensemble.n_trajectories)
     if config.scan.omega_list_cm1 is not None:
         conditions = [(w, config.cavity.ratio) for w in config.scan.omega_list_cm1]
         name = "resonance_scan.csv"
@@ -293,7 +287,6 @@ def cmd_scan(config: RunConfig, system: ModelSystem, outdir: Path, threads: int)
         ["kind", "omega_c_cm1", "lambda_au", "ratio", "n", "reaction_fraction", "mean_sic_A", "stderr_sic_A"],
         table,
     )
-    _emit_manifest(outdir, config, "scan")
     return 0
 
 
@@ -342,36 +335,7 @@ def cmd_spectrum(config: RunConfig, system: ModelSystem, outdir: Path, threads: 
             ["frequency_cm1", "intensity_au"],
             np.column_stack((grid, curve)),
         )
-    _emit_manifest(outdir, config, "spectrum")
     return 0
-
-
-def _load_run_trajectories(
-    run_dir: Path, system: ModelSystem, min_frames: int, reference: list
-) -> Iterator[Trajectory]:
-    """A run's trajectories, read and checked one file at a time, in file order.
-
-    Each must have at least `min_frames` frames, and the frame count and
-    times of `reference`: the (path, frame count, frame times) of the first
-    file read. An empty `reference` is filled from this run's first file,
-    so that the caller can hold the next run to it.
-    """
-    tdir = Path(run_dir) / "trajectories"
-    files = sorted(tdir.glob("trajectory_*.csv"))
-    if not files:
-        raise FileNotFoundError(f"no trajectories under {tdir}")
-    for f in files:
-        t = read_trajectory_csv(f, system)
-        if not reference:
-            reference[:] = (f, t.n_frames, t.times_fs)
-        first_file, n_frames, times_fs = reference
-        if t.n_frames < min_frames:
-            raise ConfigError(f"{f}: {t.n_frames} frames, fewer than analyze.correlation_window")
-        if t.n_frames != n_frames:
-            raise ConfigError(f"{f}: {t.n_frames} frames, but {first_file} has {n_frames}")
-        if not np.allclose(t.times_fs, times_fs, rtol=0.0, atol=TIME_TOL_FS):
-            raise ConfigError(f"{f}: frame times differ from those of {first_file}")
-        yield t
 
 
 def _write_occupation_table(path: Path, times_fs, frequencies_cm1, values, photon) -> None:
@@ -380,40 +344,55 @@ def _write_occupation_table(path: Path, times_fs, frequencies_cm1, values, photo
     write_csv(path, header, np.column_stack([times_fs, values, photon]))
 
 
-def _run_occupation(trajs: Iterator[Trajectory], system: ModelSystem, modes, bonds, window: int):
-    """The mean occupation map of a run, and the force correlation of `bonds` in its first trajectory.
-
-    The trajectories are taken one at a time and dropped after their step,
-    so a run costs one trajectory of memory, however many it holds.
-    """
-    corr = None
-
-    def occupations():
-        nonlocal corr
-        for t in trajs:
-            if bonds and corr is None:
-                corr = _analysis.bond_force_correlation(t, system, tuple(bonds[0]), tuple(bonds[1]), window)
-            yield _analysis.mode_occupation(t, modes, system.reference_positions)
-
-    return _analysis.mean_occupation_map(occupations()), corr
-
-
 def cmd_analyze(config: RunConfig, system: ModelSystem, outdir: Path, threads: int) -> int:
+    """Every run is read and checked before any table is written, so a bad run writes nothing."""
     modes = _analysis.system_normal_modes(system)
     bonds = config.analyze.bonds
     window = config.analyze.correlation_window
-    reference = []
-    maps = []
+    # every run's files first, so that a run without any fails before a file is read;
+    # _check_inputs keeps the run names, and so the output names, distinct
+    runs = {}
     for run in config.analyze.runs:
-        trajs = _load_run_trajectories(Path(run), system, window if bonds else 1, reference)
-        occ, corr = _run_occupation(trajs, system, modes, bonds, window)
-        maps.append(occ)
-        tag = Path(run).name
+        tdir = Path(run) / "trajectories"
+        runs[Path(run).name] = files = sorted(tdir.glob("trajectory_*.csv"))
+        if not files:
+            raise FileNotFoundError(f"no trajectories under {tdir}")
+
+    def occupations():
+        """Per file, in run order: the run, its occupation map and, for a run's first file, the bond correlation.
+
+        Each file is checked against the first file read, and dropped after
+        its step, so a run costs one trajectory of memory however many it holds.
+        """
+        first = None
+        for tag, files in runs.items():
+            for f in files:
+                t = read_trajectory_csv(f, system)
+                if first is None:
+                    first = (f, t.n_frames, t.times_fs)
+                first_file, n_frames, times_fs = first
+                if bonds and t.n_frames < window:
+                    raise ConfigError(f"{f}: {t.n_frames} frames, fewer than analyze.correlation_window")
+                if t.n_frames != n_frames:
+                    raise ConfigError(f"{f}: {t.n_frames} frames, but {first_file} has {n_frames}")
+                if not np.allclose(t.times_fs, times_fs, rtol=0.0, atol=TIME_TOL_FS):
+                    raise ConfigError(f"{f}: frame times differ from those of {first_file}")
+                corr = None
+                if bonds and f == files[0]:
+                    corr = _analysis.bond_force_correlation(t, system, tuple(bonds[0]), tuple(bonds[1]), window)
+                yield tag, _analysis.mode_occupation(t, modes, system.reference_positions), corr
+
+    maps, corrs = {}, {}
+    for tag, group in itertools.groupby(occupations(), key=lambda item: item[0]):
+        _, occ, corrs[tag] = next(group)
+        maps[tag] = _analysis.mean_occupation_map(itertools.chain([occ], (m for _, m, _ in group)))
+    for tag, occ in maps.items():
         _write_occupation_table(
             outdir / f"occupation_{tag}.csv", occ.times_fs, occ.frequencies_cm1, occ.normalized, occ.photon_q
         )
         # force correlation of the two configured bonds, in the run's first trajectory
         if bonds:
+            corr = corrs[tag]
             write_csv(
                 outdir / f"bond_correlation_{tag}.csv",
                 ["time_fs", "correlation"],
@@ -430,7 +409,7 @@ def cmd_analyze(config: RunConfig, system: ModelSystem, outdir: Path, threads: i
                 },
             )
     if len(maps) == 2:
-        diff = _analysis.occupation_difference(maps[0], maps[1])
+        diff = _analysis.occupation_difference(*maps.values())
         _write_occupation_table(
             outdir / "occupation_difference.csv",
             diff.times_fs, diff.frequencies_cm1, diff.delta, diff.photon_delta,
@@ -446,7 +425,6 @@ def cmd_analyze(config: RunConfig, system: ModelSystem, outdir: Path, threads: i
             ]
             + [["photon", diff.photon_accumulated, 0.0]],
         )
-    _emit_manifest(outdir, config, "analyze")
     return 0
 
 
@@ -468,7 +446,6 @@ def cmd_calibrate(config: RunConfig, system: ModelSystem, outdir: Path, threads:
             "ts_frequency_cm1": well.ts_frequency_cm1(mu_red),
         },
     )
-    _emit_manifest(outdir, config, "calibrate")
     return 0
 
 
@@ -504,10 +481,17 @@ def cmd_model_check(config: RunConfig, system: ModelSystem, outdir: Path, thread
     ok = checks["force_fd_ok"] and checks["reference_is_stationary"]
     checks["passed"] = bool(ok)
     write_json(outdir / "model_check.json", checks)
-    _emit_manifest(outdir, config, "model-check")
     for key in ("force_fd_ok", "reference_is_stationary"):
         print(f"{'PASS' if checks[key] else 'FAIL'} {key}")
     return 0 if ok else 2
+
+
+def _reject_shared_outputs(key: str, entries, tags: List[str], pattern: str) -> None:
+    """Reject two entries of `key` with one output tag: the second would overwrite the first's files."""
+    for k, j in enumerate(map(tags.index, tags)):
+        if j != k:
+            where = f"{key}[{j}] = {entries[j]!r} and [{k}] = {entries[k]!r}"
+            raise ConfigError(f"{where} both write {pattern.format(tags[k])}")
 
 
 def _check_inputs(command: str, config: RunConfig, system: ModelSystem) -> None:
@@ -527,14 +511,10 @@ def _check_inputs(command: str, config: RunConfig, system: ModelSystem) -> None:
         if len(bonds) not in (0, 2):
             raise ConfigError(f"analyze.bonds takes none or two particle pairs, got {len(bonds)}")
         pairs += [(f"analyze.bonds[{k}]", pair) for k, pair in enumerate(bonds)]
+        _reject_shared_outputs("analyze.runs", runs, [Path(run).name for run in runs], "occupation_{}.csv")
     if command == "spectrum":
-        # entries with one tag would write, and overwrite, one pair of files
         lams = config.spectrum.lambda_list_au or ()
-        tags = [_spectrum_tag(lam) for lam in lams]
-        for k, j in enumerate(map(tags.index, tags)):
-            if j != k:
-                where = f"spectrum.lambda_list_au[{j}] = {lams[j]!r} and [{k}] = {lams[k]!r}"
-                raise ConfigError(f"{where} both write spectrum_*_{tags[k]}.csv")
+        _reject_shared_outputs("spectrum.lambda_list_au", lams, list(map(_spectrum_tag, lams)), "spectrum_*_{}.csv")
     n = system.n_particles
     for where, (i, j) in pairs:
         if not (0 <= i < n and 0 <= j < n) or i == j:
@@ -623,7 +603,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _check_inputs(args.command, config, system)
         outdir = Path(config.outputs.directory)
         outdir.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](config, system, outdir, threads)
+        code = COMMANDS[args.command](config, system, outdir, threads)
+        write_json(outdir / "manifest.json", make_manifest(config, args.command))
+        return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

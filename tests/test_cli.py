@@ -581,6 +581,21 @@ def test_cli_spectrum_entries_sharing_files_fail_cleanly(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_analyze_runs_sharing_a_name_fail_cleanly(tmp_path, capsys):
+    # both runs would write occupation_out.csv and bond_correlation_out.*, the second over the first
+    cfg = short_config(tmp_path, n_traj=1)
+    runs = [tmp_path / "a" / "out", tmp_path / "b" / "out"]
+    for run in runs:
+        assert main(["run", "--config", str(cfg), "--out", str(run)]) == 0
+    cfg.write_text(cfg.read_text() + f"analyze:\n  runs: [{runs[0]}, {runs[1]}]\n  correlation_window: 16\n")
+    capsys.readouterr()
+    assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "ana")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: analyze.runs[0] = '{runs[0]}' and [1] = '{runs[1]}' both write occupation_out.csv\n"
+    )
+    assert not (tmp_path / "ana").exists()
+
+
 def test_cli_analyze_two_runs_need_a_reactive_bond(tmp_path, capsys):
     cfg = short_config(tmp_path, extra=f"analyze:\n  runs: [{tmp_path / 'a'}, {tmp_path / 'b'}]\n")
     cfg.write_text(cfg.read_text().replace(BUILTIN, TWO_BEADS))
@@ -697,10 +712,70 @@ def test_cli_analyze_reports_the_first_bad_file_in_order(tmp_path, capsys):
     assert str(damaged) not in err
 
 
+def _other_system_header(lines):
+    return [",".join(trajectory_header(_two_bead_system()))] + lines[1:]
+
+
+@pytest.mark.parametrize(
+    "damage, code, message",
+    [
+        (lambda lines: lines[:3] + [lines[3][: len(lines[3]) // 2]], 1, ": line 4: "),
+        (_other_system_header, 1, ": unexpected trajectory columns"),
+        (lambda lines: lines[:-5], 1, ": 46 frames, but "),
+        ("unlink", 3, "no trajectories under "),
+        ("rmdir", 3, "no trajectories under "),
+    ],
+    ids=["truncated", "other-system", "fewer-frames", "no-files", "no-directory"],
+)
+def test_cli_analyze_bad_second_run_writes_nothing(tmp_path, capsys, monkeypatch, damage, code, message):
+    # every run is read and checked before a table is written, so the first run's tables are not left behind;
+    # and every run's files are listed before one is read
+    cfg = _two_runs(tmp_path, n_traj=2)
+    read, reads = cli.read_trajectory_csv, []
+    monkeypatch.setattr(cli, "read_trajectory_csv", lambda path, system: reads.append(path) or read(path, system))
+    tdir = tmp_path / "outB" / "trajectories"
+    files = sorted(tdir.glob("trajectory_*.csv"))
+    if callable(damage):
+        files[1].write_text("\n".join(damage(files[1].read_text().splitlines())) + "\n")
+    else:
+        for f in files:
+            f.unlink()
+        if damage == "rmdir":
+            tdir.rmdir()
+    capsys.readouterr()
+    assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "ana")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {files[1] if callable(damage) else ''}") and message in err, err
+    assert list((tmp_path / "ana").iterdir()) == []
+    assert len(reads) == (4 if callable(damage) else 0)
+
+
 def test_cli_analyze_missing_inputs_exit_code(tmp_path):
     extra = f"analyze:\n  runs: [{tmp_path/'nonexistent'}]\n"
     cfg = short_config(tmp_path, extra=extra)
     assert main(["analyze", "--config", str(cfg)]) == 3
+
+
+@pytest.mark.parametrize("resample", ["", "  resample_T_K: 20.0\n"], ids=["base", "resample"])
+def test_cli_run_builds_one_sampling_spec(tmp_path, monkeypatch, resample):
+    # run propagates trajectory 0 only, and spec 0 does not depend on the count, resampled or not
+    counts = []
+    make_specs = cli.make_specs
+
+    def recording_make_specs(seed, count, *args, **kwargs):
+        counts.append(count)
+        return make_specs(seed, count, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "make_specs", recording_make_specs)
+    outputs = {}
+    for n_traj in (1, 100_000):
+        cfg = short_config(tmp_path, name=f"cfg{n_traj}.yaml", n_traj=n_traj)
+        cfg.write_text(cfg.read_text().replace("  seed: 11\n", "  seed: 11\n" + resample))
+        out = tmp_path / f"run{n_traj}"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        outputs[n_traj] = [(out / name).read_bytes() for name in ("trajectories/trajectory_000000.csv", "summary.json")]
+    assert counts == [1, 1]
+    assert outputs[1] == outputs[100_000]
 
 
 def test_cli_calibrate_and_model_check(tmp_path):
@@ -844,7 +919,20 @@ SMALL_CONFIG = {
     "outputs": {"directory": "out", "formats": ["csv", "json"]},
     "spectrum": {"broadening_cm1": 30.0, "lambda_list_au": [0.0, 0.1]},
     "scan": {"omega_list_cm1": [43.0, 856.0]},
+    # the two runs of `small_runs`, under its directory; their 6 frames hold the window
+    "analyze": {"runs": ["ensemble", "run"], "correlation_window": 4, "bonds": [[1, 3], [1, 0]]},
 }
+
+
+@pytest.fixture(scope="session")
+def small_runs(tmp_path_factory):
+    """A directory holding an `ensemble` and a `run` output of SMALL_CONFIG, built once per session."""
+    base = tmp_path_factory.mktemp("small_runs")
+    cfg = base / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(SMALL_CONFIG))
+    for command in ("ensemble", "run"):
+        assert main([command, "--config", str(cfg), "--out", str(base / command)]) == 0
+    return base
 
 
 def config_leaves(node, path=()):
@@ -866,28 +954,35 @@ BAD_VALUES = [
 @given(
     path=st.sampled_from(list(config_leaves(SMALL_CONFIG))),
     value=st.sampled_from(BAD_VALUES),
-    command=st.sampled_from([c for c in cli.COMMANDS if c != "analyze"]),
+    command=st.sampled_from(list(cli.COMMANDS)),
 )
 @example(path=("ensemble", "resample_T_K"), value=-20.0, command="run")
 @example(path=("scan", "omega_list_cm1", 1), value=0.0, command="scan")
 @example(path=("scan",), value={"ratio_list": [1.0, -0.5]}, command="scan")
 @example(path=("dynamics", "duration_fs"), value=1e10, command="ensemble")
 @example(path=("dynamics", "duration_fs"), value=1e10, command="scan")
-def test_every_bad_input_ends_in_an_error_line(path, value, command):
+@example(path=("analyze", "runs", 1), value="abc", command="analyze")
+def test_every_bad_input_ends_in_an_error_line(small_runs, path, value, command):
     config = copy.deepcopy(SMALL_CONFIG)
     node = config
     for key in path[:-1]:
         node = node[key]
     node[path[-1]] = value
+    runs = config["analyze"]["runs"]
+    if isinstance(runs, list):
+        config["analyze"]["runs"] = [str(small_runs / run) if isinstance(run, str) else run for run in runs]
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = Path(tmp) / "cfg.yaml"
+        cfg, out = Path(tmp) / "cfg.yaml", Path(tmp) / "out"
         cfg.write_text(yaml.safe_dump(config))
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main([command, "--config", str(cfg), "--out", str(Path(tmp) / "out")])
+            code = main([command, "--config", str(cfg), "--out", str(out)])
+        # analyze checks every run before it writes a table
+        written = [] if command != "analyze" or not out.exists() else list(out.iterdir())
     assert code in (0, 1, 2, 3)
     if code:
         assert any(line.startswith("error: ") for line in err.getvalue().splitlines())
+        assert written == []
 
 
 def test_cli_out_of_memory_fails_cleanly(tmp_path, monkeypatch, capsys):
