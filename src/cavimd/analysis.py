@@ -9,7 +9,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import model as _model
-from .cavity import CavityMode, lambda_for_ratio, projection, unit_polarization
+from .cavity import CavityMode, CavityRows, lambda_for_ratio, projection, unit_polarization
 from .dynamics import TIME_TOL_FS, Trajectory, window_frames
 from .ensemble import SamplingSpec, run_conditions
 from .ensemble import run_ensemble  # noqa: F401  (bound here for wrappers such as perfbench/tracer.py)
@@ -158,21 +158,21 @@ def polariton_modes(modes: NormalModes, mode: CavityMode) -> NormalModes:
         K_photon= omega_c^2
         K_cross = omega_c * dt_j                (bilinear)
 
-    with dt_j = lambda (eps . d_j). Switches on the CavityMode select the
-    terms. For lambda = 0 the input modes plus the bare cavity line are
-    recovered exactly. Mode-dipole rows of the result are matter-part
-    combinations of the bare ones, so `ir_spectrum` applies unchanged.
+    with dt_j = lambda (eps . d_j). A term switched off on the CavityMode
+    has the zero coefficient that CavityRows gives it. For lambda = 0 the
+    input modes plus the bare cavity line are recovered exactly. Mode-dipole
+    rows of the result are matter-part combinations of the bare ones, so
+    `ir_spectrum` applies unchanged.
     """
     n = modes.n_modes
-    dt = mode.lambda_mag * (modes.mode_dipole @ mode.polarization)
+    rows = CavityRows.of([mode])
+    d_eps = modes.mode_dipole @ mode.polarization
+    sp = rows.self_polarization_lambda[0] * d_eps
     k = np.zeros((n + 1, n + 1))
     k[np.diag_indices(n)] = modes.eigenvalues
-    if mode.self_polarization_on:
-        k[:n, :n] += np.outer(dt, dt)
-    k[n, n] = mode.omega_c**2
-    if mode.bilinear_on:
-        k[:n, n] = mode.omega_c * dt
-        k[n, :n] = mode.omega_c * dt
+    k[:n, :n] += np.outer(sp, sp)
+    k[n, n] = rows.omega2[0]
+    k[:n, n] = k[n, :n] = rows.bilinear_omega[0] * (mode.lambda_mag * d_eps)
     evals, vecs = np.linalg.eigh(k)
     freqs = np.sign(evals) * np.sqrt(np.abs(evals)) * CM1_PER_HARTREE
     mode_dip = vecs[:n, :].T @ modes.mode_dipole

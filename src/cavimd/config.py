@@ -409,11 +409,15 @@ def _parse_blocks(raw) -> RunConfig:
     for f in outputs.formats:
         if f not in ("csv", "json"):
             raise ConfigError(f"unknown output format {f!r}")
+    if not outputs.formats:
+        raise ConfigError("outputs.formats must not be empty")
 
     spectrum = _block(
         raw.get("spectrum"), "spectrum", SpectrumConfig,
         lambda_list_au=_optional(_list_of(_non_negative)), broadening_cm1=_positive,
     )
+    if spectrum.lambda_list_au == ():
+        raise ConfigError("spectrum.lambda_list_au must not be empty")
 
     scan = _block(
         raw.get("scan"),

@@ -731,6 +731,8 @@ _PTA_R_TS = 4.55
 PTA_MODE_CM1 = 856.0
 PTA_TS_CM1 = 86.0
 PTA_BARRIER_EV = 0.35
+# well curvature (hartree/bohr^2) that puts the Si-C stretch mode at PTA_MODE_CM1
+_PTA_CURVATURE_MIN = 0.18036179093914953
 _PTA_G3 = {
     (PTA_BOND_SIF, PTA_BOND_SIC): 8.0e-4,
     (PTA_BOND_SIC, PTA_BOND_CC): 8.0e-4,
@@ -759,70 +761,35 @@ _PTA_PARTICLES = tuple(
 )
 
 
-def _assemble_pta(curvature_min: float, curvature_ts: float, barrier: float) -> ModelSystem:
+def build_pta_surrogate() -> ModelSystem:
+    """Six-bead F-Si(-Me)-C-C-Ph chain tuned to the headline observables.
+
+    The reactive Si-C bond is calibrated to the barrier PTA_BARRIER_EV, the
+    barrier-top frequency PTA_TS_CM1 and the well curvature
+    _PTA_CURVATURE_MIN, which puts the most Si-C-stretch-like normal mode
+    within 0.5 cm^-1 of PTA_MODE_CM1.
+    """
+    # the barrier top depends on the Si-C reduced mass, so ask the bare particle set
+    bare = ModelSystem(_PTA_PARTICLES, (), (), DipoleModel(np.array(_PTA_CHARGES)))
+    curvature_ts = -bare.reduced_mass(PTA_SI, PTA_C1) * (PTA_TS_CM1 / CM1_PER_HARTREE) ** 2
     well = calibrate_reactive_bond(
-        barrier, _PTA_R0["sic"], _PTA_R_TS, curvature_min, curvature_ts
+        PTA_BARRIER_EV / EV_PER_HARTREE, _PTA_R0["sic"], _PTA_R_TS, _PTA_CURVATURE_MIN, curvature_ts
     )
-    bonds = [
+    bonds = (
         HarmonicBond(PTA_F, PTA_SI, _PTA_K["sif"], _PTA_R0["sif"]),
         HarmonicBond(PTA_ME, PTA_SI, _PTA_K["sime"], _PTA_R0["sime"]),
         ReactiveBond(PTA_SI, PTA_C1, well),
         HarmonicBond(PTA_C1, PTA_C2, _PTA_K["cc"], _PTA_R0["cc"]),
         HarmonicBond(PTA_C2, PTA_PH, _PTA_K["cph"], _PTA_R0["cph"]),
-    ]
-    couplings = [CouplingTerm(a, b, g) for (a, b), g in _PTA_G3.items()]
+    )
     return ModelSystem(
         particles=_PTA_PARTICLES,
-        bonds=tuple(bonds),
-        couplings=tuple(couplings),
-        dipole=DipoleModel(np.array(_PTA_CHARGES)),
+        bonds=bonds,
+        couplings=tuple(CouplingTerm(a, b, g) for (a, b), g in _PTA_G3.items()),
+        dipole=bare.dipole,
         reactive_bond_index=PTA_BOND_SIC,
         reference_positions=_pta_reference_positions(),
     )
-
-
-def build_pta_surrogate() -> ModelSystem:
-    """Six-bead F-Si(-Me)-C-C-Ph chain tuned to the headline observables.
-
-    The reactive Si-C bond is calibrated to the barrier PTA_BARRIER_EV and
-    barrier-top frequency PTA_TS_CM1; the well curvature is then adjusted by
-    secant iteration until the most Si-C-stretch-like normal mode sits at
-    PTA_MODE_CM1 (within 0.5 cm^-1).
-    """
-    barrier = PTA_BARRIER_EV / EV_PER_HARTREE
-    # the well depends on the Si-C reduced mass, so ask the bare particle set
-    bare = ModelSystem(_PTA_PARTICLES, (), (), DipoleModel(np.array(_PTA_CHARGES)))
-    mu_red = bare.reduced_mass(PTA_SI, PTA_C1)
-    curvature_ts = -mu_red * (PTA_TS_CM1 / CM1_PER_HARTREE) ** 2
-
-    # analysis imports this module, so its normal-mode path is bound at call time
-    from .analysis import NEAR_ZERO_CM1, sic_weighted_spectrum, system_normal_modes
-
-    def mode_freq(cmin):
-        """Frequency of the genuine vibration with the largest Si-C stretch weight."""
-        system = _assemble_pta(cmin, curvature_ts, barrier)
-        modes = system_normal_modes(system)
-        rb = system.reactive_bond
-        weights = sic_weighted_spectrum(modes, (rb.i, rb.j))
-        weights[modes.frequencies_cm1 < NEAR_ZERO_CM1] = 0.0
-        return float(modes.frequencies_cm1[np.argmax(weights)])
-
-    c0 = mu_red * (PTA_MODE_CM1 / CM1_PER_HARTREE) ** 2
-    c1 = 1.1 * c0
-    f0 = mode_freq(c0) - PTA_MODE_CM1
-    f1 = mode_freq(c1) - PTA_MODE_CM1
-    for _ in range(30):
-        if abs(f1) < 0.5:
-            break
-        if f1 == f0:
-            raise CalibrationError("surrogate frequency tuning stalled")
-        c0, c1, f0 = c1, c1 - f1 * (c1 - c0) / (f1 - f0), f1
-        f1 = mode_freq(c1) - PTA_MODE_CM1
-    else:
-        raise CalibrationError(
-            f"surrogate frequency tuning did not converge (last {f1 + PTA_MODE_CM1:.2f} cm^-1)"
-        )
-    return _assemble_pta(c1, curvature_ts, barrier)
 
 
 def stretch_bond(system: ModelSystem, positions, bond_index: int, delta: float) -> np.ndarray:

@@ -25,6 +25,7 @@ from cavimd.analysis import (
 )
 from cavimd.cavity import cavity_energy, nuclear_cavity_force
 from cavimd.cli import main as cli_main
+from cavimd.dynamics import window_frames
 from cavimd.model import forces, potential_energy, dipole
 from cavimd.units import CM1_PER_HARTREE, EMASS_PER_AMU, KB_HARTREE_PER_K, fs_to_au
 
@@ -374,4 +375,67 @@ def test_criterion_12_reproducibility(tmp_path):
     report(
         "criterion-12 reproducibility",
         f"{len(csvs_a)} CSV files byte-identical across repeated runs",
+    )
+
+
+# (free space, 43 cm^-1, 856 cm^-1) (fraction, window mean) at cavimd seed 16(n-1)+1, n = 1-20,
+# frozen from the runs up to the window's end (16 paired trajectories per seed)
+EXPECTED_20_SEEDS = {
+    1: ((0.625, 7.058692597629959), (0.5, 6.430004136931284), (0.125, 3.913513506561566)),
+    17: ((0.6875, 6.27824520216329), (0.5625, 5.87158982108465), (0.25, 4.440844058330294)),
+    33: ((0.5625, 6.262701993273272), (0.5, 5.669198515769104), (0.3125, 4.99216006335089)),
+    49: ((0.625, 7.615152579251735), (0.5625, 6.6519357990287515), (0.375, 5.493519015184095)),
+    65: ((0.6875, 7.460222071855828), (0.6875, 6.790870195281313), (0.4375, 5.037613780596435)),
+    81: ((0.75, 7.926407536623143), (0.6875, 7.0107696887250395), (0.5, 6.698253211286847)),
+    97: ((0.5, 7.808480332310906), (0.625, 6.866709708019378), (0.25, 6.599544994912489)),
+    113: ((0.5, 6.844737667463544), (0.5625, 6.585613853871197), (0.3125, 5.507617009487457)),
+    129: ((0.4375, 5.424638604346088), (0.3125, 5.029646677217619), (0.1875, 4.306891229114793)),
+    145: ((0.5, 7.783903952783257), (0.5, 6.889150226548647), (0.3125, 5.772092823824211)),
+    161: ((0.5, 5.950106544217057), (0.5625, 5.740049696100288), (0.3125, 4.535164139209211)),
+    177: ((0.4375, 8.393629408209158), (0.5, 7.20812586486553), (0.375, 7.020936553792275)),
+    193: ((0.625, 7.520933422819841), (0.625, 6.760568224144536), (0.4375, 5.735199190776942)),
+    209: ((0.4375, 6.281683099839631), (0.4375, 5.598296835352695), (0.3125, 4.559962394118943)),
+    225: ((0.5, 5.34504306258279), (0.5, 5.088454225893018), (0.3125, 4.8025983204962)),
+    241: ((0.75, 7.766556559708151), (0.6875, 7.225100059617661), (0.3125, 4.654830189974603)),
+    257: ((0.5625, 7.4127164560760495), (0.5625, 6.755485557170097), (0.3125, 5.363246137450851)),
+    273: ((0.5625, 5.8207598947021655), (0.4375, 5.2426842691158), (0.1875, 4.378029268716236)),
+    289: ((0.625, 5.9357988548830125), (0.625, 5.6865502806633526), (0.0625, 3.8014274819879725)),
+    305: ((0.3125, 6.5503334701814016), (0.3125, 6.038479394370441), (0.3125, 5.947385035175401)),
+}
+
+
+def test_headline_across_20_seeds(surrogate):
+    """Free space, 43 and 856 cm^-1 at 20 seeds, all 60 conditions in one batch run as a scan runs."""
+    dt = fs_to_au(0.25)
+    modes = [None] + [
+        cm.CavityMode(w, cm.lambda_for_ratio(1.132, w), EX) for w in (43.0 / CM1_PER_HARTREE, W856)
+    ]
+    conditions = [
+        (mode, cm.make_specs(seed, 16, 300.0, aim=(0, 1))) for seed in EXPECTED_20_SEEDS for mode in modes
+    ]
+    results = cm.run_conditions(
+        surrogate,
+        conditions,
+        positions=cm.pta_launch_positions(surrogate),
+        dt=dt,
+        # up to the first frame past the window's end
+        n_steps=window_frames(dt, 4000, 4, WINDOW).stop * 4,
+        stride=4,
+        window_fs=WINDOW,
+    )
+    fractions = np.array([r.reaction_fraction for r in results]).reshape(20, 3)
+    means = np.array([r.mean_bond_bohr for r in results]).reshape(20, 3)
+    expected = np.array(list(EXPECTED_20_SEEDS.values()))
+    assert fractions.tolist() == expected[:, :, 0].tolist()
+    np.testing.assert_allclose(means, expected[:, :, 1], rtol=1e-9, atol=0)
+    # the headline: resonance lowers the fraction below free space, far beyond the seed spread
+    free, res = fractions[:, 0], fractions[:, 2]
+    assert np.count_nonzero(res < free) == 19
+    diff = free - res
+    stderr = diff.std(ddof=1) / np.sqrt(len(diff))
+    assert diff.mean() > 4 * stderr
+    report(
+        "headline across 20 seeds",
+        f"fractions free/43/856 = {'/'.join(f'{f:.3f}' for f in fractions.mean(axis=0))}, "
+        f"free - res = {diff.mean():.3f} +- {stderr:.3f}",
     )

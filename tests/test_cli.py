@@ -826,6 +826,8 @@ def test_cli_exit_code_validation_error(tmp_path):
         ("window_fs: [0.0, 50.0]", "window_fs: [-10.0, 40.0]", None, []),
         ("duration_fs: 50.0", "duration_fs: 50.0\n  stride: 1000", None, []),
         (BUILTIN, AIM_COINCIDENT, None, []),
+        ("outputs:", "spectrum:\n  lambda_list_au: []\noutputs:", None, []),
+        ("outputs:", "outputs:\n  formats: []", None, []),
     ],
 )
 def test_cli_bad_input_fails_cleanly(tmp_path, monkeypatch, capsys, old, new, env, flags):

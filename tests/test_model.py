@@ -249,13 +249,17 @@ def test_reactive_well_is_c2_at_the_tail_join():
 
 
 def test_surrogate_mode_anchor(surrogate):
-    from cavimd.analysis import sic_weighted_spectrum, system_normal_modes
+    from cavimd.analysis import NEAR_ZERO_CM1, sic_weighted_spectrum, system_normal_modes
 
     nm = system_normal_modes(surrogate)
     k = int(np.argmin(np.abs(nm.frequencies_cm1 - 856.0)))
     assert abs(nm.frequencies_cm1[k] - 856.0) < 5.0
     weights = sic_weighted_spectrum(nm, (model.PTA_SI, model.PTA_C1))
     assert weights[k] > 0.3
+    # the condition _PTA_CURVATURE_MIN was tuned to: the genuine vibration with
+    # the largest Si-C weight sits within 0.5 cm^-1 of PTA_MODE_CM1
+    stretch = np.argmax(np.where(nm.frequencies_cm1 >= NEAR_ZERO_CM1, weights, 0.0))
+    assert abs(nm.frequencies_cm1[stretch] - model.PTA_MODE_CM1) < 0.5
 
 
 def test_surrogate_charge_and_ts_curvature(surrogate):
