@@ -10,7 +10,7 @@ import numpy as np
 
 from . import model as _model
 from .cavity import CavityMode, CavityRows, lambda_for_ratio, projection, unit_polarization
-from .dynamics import TIME_TOL_FS, Trajectory, window_frames
+from .dynamics import TIME_TOL_FS, Trajectory, window_steps
 from .ensemble import SamplingSpec, run_conditions
 from .ensemble import run_ensemble  # noqa: F401  (bound here for wrappers such as perfbench/tracer.py)
 from .model import ModelSystem
@@ -611,7 +611,7 @@ def resonance_scan(
     """
     if len(conditions) < 1:
         raise ValueError("at least one cavity condition is required")
-    n_steps = _window_steps(dt, n_steps, stride, window_fs)
+    n_steps = window_steps(dt, n_steps, stride, window_fs)
     rows = [("baseline", None, 0.0, 0.0)]
     modes: List[Optional[CavityMode]] = [None]
     for omega_cm1, ratio in conditions:
@@ -646,15 +646,3 @@ def resonance_scan(
         )
         for row, result in zip(rows, results)
     ]
-
-
-def _window_steps(dt: float, n_steps: int, stride: int, window_fs) -> int:
-    """Steps up to the first frame past the window's end (all `n_steps` without one).
-
-    That frame is kept: a crossing between it and the frame before can
-    interpolate to a time inside the window. A first crossing found later
-    lies past the window, and no window mean reads a later frame.
-    """
-    if window_fs is None:
-        return n_steps
-    return min(n_steps, window_frames(dt, n_steps, stride, window_fs).stop * stride)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import itertools
 import json
 import os
 import sys
@@ -28,7 +27,7 @@ import numpy as np
 from . import analysis as _analysis
 from . import model as _model
 from .config import ConfigError, RunConfig, make_manifest, parse_config
-from .dynamics import TIME_TOL_FS, IntegrationError, Trajectory, propagate
+from .dynamics import TIME_TOL_FS, IntegrationError, Trajectory, propagate, window_steps
 from .ensemble import EnsembleResult, WorkerError, launch_states, make_specs, map_chunks, run_ensemble
 from .model import CalibrationError, ModelSystem
 from .units import (
@@ -111,7 +110,7 @@ def _trajectory_files(rows) -> str:
 
 
 def _first_bad_line(path: Path, width: int) -> Optional[str]:
-    """Where the first frame of a trajectory file is not `width` numbers, by file line number."""
+    """Where the first frame of a trajectory file is not `width` finite numbers, by file line number."""
     with open(path, newline="") as fh:
         for n, line in enumerate(fh, 1):
             cells = line.split("#", 1)[0].strip()  # as np.loadtxt reads it
@@ -122,7 +121,8 @@ def _first_bad_line(path: Path, width: int) -> Optional[str]:
                 return f"line {n}: {len(cells)} columns, expected {width}"
             for c, cell in enumerate(cells, 1):
                 try:
-                    float(cell)
+                    if not np.isfinite(float(cell)):
+                        return f"line {n}: column {c} ({cell!r}) is not a finite number"
                 except ValueError:
                     return f"line {n}: could not convert column {c} ({cell!r}) to float"
     return None
@@ -142,7 +142,7 @@ def read_trajectory_csv(path: Path, system: ModelSystem) -> Trajectory:
             raise ConfigError(f"{path}: {_first_bad_line(path, len(expected)) or exc}") from None
     if data.shape[0] == 0:
         raise ConfigError(f"{path}: no frames after the header")
-    if data.shape[1] != len(expected):
+    if data.shape[1] != len(expected) or not np.isfinite(data).all():
         raise ConfigError(f"{path}: {_first_bad_line(path, len(expected))}")
     n3 = 3 * system.n_particles
     times = data[:, 0] * AUT_PER_FS
@@ -303,27 +303,20 @@ def cmd_spectrum(config: RunConfig, system: ModelSystem, outdir: Path, threads: 
         # one entry at zero coupling, where both would be the bare spectrum
         lam_list = tuple(dict.fromkeys((0.0, config.cavity.lambda_au)))
     broadening = config.spectrum.broadening_cm1
-    rb = system.reactive_bond if system.reactive_bond_index is not None else None
+    bond = None if system.reactive_bond_index is None else (system.reactive_bond.i, system.reactive_bond.j)
     for lam in lam_list:
         cav = dataclasses.replace(config.cavity, lambda_au=lam).mode()
         tag = _spectrum_tag(lam)
-        if cav is None:
-            eff = modes
-            weights = (
-                _analysis.sic_weighted_spectrum(modes, (rb.i, rb.j)) if rb is not None else None
-            )
-        else:
-            eff = _analysis.polariton_modes(modes, cav)
-            weights = (
-                _analysis.polariton_sic_weights(eff, modes, (rb.i, rb.j))
-                if rb is not None
-                else None
-            )
+        eff = modes if cav is None else _analysis.polariton_modes(modes, cav)
         lines, grid, curve = _analysis.ir_spectrum(eff, pol, broadening)
-        if weights is not None:
-            by_freq = {float(f): float(w) for f, w in zip(eff.frequencies_cm1, weights)}
-            for ln in lines:
-                ln.si_c_weight = by_freq.get(ln.frequency_cm1, 0.0)
+        if bond is not None:
+            if cav is None:
+                weights = _analysis.sic_weighted_spectrum(modes, bond)
+            else:
+                weights = _analysis.polariton_sic_weights(eff, modes, bond)
+            # ir_spectrum keeps the modes above NEAR_ZERO_CM1, in order: one line each
+            for ln, w in zip(lines, weights[eff.frequencies_cm1 > _analysis.NEAR_ZERO_CM1]):
+                ln.si_c_weight = float(w)
         table = np.array([[ln.frequency_cm1, ln.strength, ln.si_c_weight] for ln in lines])
         write_csv(
             outdir / f"spectrum_lines_{tag}.csv",
@@ -358,39 +351,33 @@ def cmd_analyze(config: RunConfig, system: ModelSystem, outdir: Path, threads: i
         if not files:
             raise FileNotFoundError(f"no trajectories under {tdir}")
 
-    def occupations():
-        """Per file, in run order: the run, its occupation map and, for a run's first file, the bond correlation.
+    first, maps, corrs = None, {}, {}  # first: the first file read, with its frame count and times
 
-        Each file is checked against the first file read, and dropped after
-        its step, so a run costs one trajectory of memory however many it holds.
-        """
-        first = None
-        for tag, files in runs.items():
-            for f in files:
-                t = read_trajectory_csv(f, system)
-                if first is None:
-                    first = (f, t.n_frames, t.times_fs)
-                first_file, n_frames, times_fs = first
-                if bonds and t.n_frames < window:
-                    raise ConfigError(f"{f}: {t.n_frames} frames, fewer than analyze.correlation_window")
-                if t.n_frames != n_frames:
-                    raise ConfigError(f"{f}: {t.n_frames} frames, but {first_file} has {n_frames}")
-                if not np.allclose(t.times_fs, times_fs, rtol=0.0, atol=TIME_TOL_FS):
-                    raise ConfigError(f"{f}: frame times differ from those of {first_file}")
-                corr = None
-                if bonds and f == files[0]:
-                    corr = _analysis.bond_force_correlation(t, system, tuple(bonds[0]), tuple(bonds[1]), window)
-                yield tag, _analysis.mode_occupation(t, modes, system.reference_positions), corr
+    def occupations(tag, files):
+        """A run's occupation maps; each file is checked against `first`, then dropped after its step."""
+        nonlocal first
+        for f in files:
+            t = read_trajectory_csv(f, system)
+            first = first or (f, t.n_frames, t.times_fs)
+            first_file, n_frames, times_fs = first
+            if bonds and t.n_frames < window:
+                raise ConfigError(f"{f}: {t.n_frames} frames, fewer than analyze.correlation_window")
+            if t.n_frames != n_frames:
+                raise ConfigError(f"{f}: {t.n_frames} frames, but {first_file} has {n_frames}")
+            if not np.allclose(t.times_fs, times_fs, rtol=0.0, atol=TIME_TOL_FS):
+                raise ConfigError(f"{f}: frame times differ from those of {first_file}")
+            if bonds and f == files[0]:
+                # force correlation of the two configured bonds, in the run's first trajectory
+                corrs[tag] = _analysis.bond_force_correlation(t, system, tuple(bonds[0]), tuple(bonds[1]), window)
+            yield _analysis.mode_occupation(t, modes, system.reference_positions)
 
-    maps, corrs = {}, {}
-    for tag, group in itertools.groupby(occupations(), key=lambda item: item[0]):
-        _, occ, corrs[tag] = next(group)
-        maps[tag] = _analysis.mean_occupation_map(itertools.chain([occ], (m for _, m, _ in group)))
+    # one trajectory held at a time, however many a run has
+    for tag, files in runs.items():
+        maps[tag] = _analysis.mean_occupation_map(occupations(tag, files))
     for tag, occ in maps.items():
         _write_occupation_table(
             outdir / f"occupation_{tag}.csv", occ.times_fs, occ.frequencies_cm1, occ.normalized, occ.photon_q
         )
-        # force correlation of the two configured bonds, in the run's first trajectory
         if bonds:
             corr = corrs[tag]
             write_csv(
@@ -468,7 +455,7 @@ def cmd_model_check(config: RunConfig, system: ModelSystem, outdir: Path, thread
     checks["reference_is_stationary"] = checks["reference_force_max"] < 1e-10
     checks["total_charge"] = float(system.dipole.total_charge)
     modes = _analysis.system_normal_modes(system)
-    vib = modes.frequencies_cm1[modes.frequencies_cm1 > 1.0]
+    vib = modes.frequencies_cm1[modes.frequencies_cm1 > _analysis.NEAR_ZERO_CM1]
     checks["vibrational_modes_cm1"] = [float(f) for f in vib]
     if system.reactive_bond_index is not None:
         rb = system.reactive_bond
@@ -528,8 +515,7 @@ def _check_inputs(command: str, config: RunConfig, system: ModelSystem) -> None:
         per_frame = 6 * system.n_particles + 2
         if command == "scan":
             rows *= len(config.scan.omega_list_cm1 or config.scan.ratio_list) + 1
-            dt = fs_to_au(config.dynamics.dt_fs)
-            n_steps = _analysis._window_steps(dt, n_steps, stride, config.ensemble.window_fs)
+            n_steps = window_steps(fs_to_au(config.dynamics.dt_fs), n_steps, stride, config.ensemble.window_fs)
             per_frame = 1
         size = rows * (n_steps // stride + 1) * per_frame * 8
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")

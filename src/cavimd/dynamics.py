@@ -330,6 +330,18 @@ def window_frames(dt: float, n_steps: int, stride: int, window_fs: Tuple[float, 
     return range(first, bisect.bisect_right(frames, window_fs[1] + TIME_TOL_FS, key=key))
 
 
+def window_steps(dt: float, n_steps: int, stride: int, window_fs: Optional[Tuple[float, float]]) -> int:
+    """Steps up to the first frame past the window's end (all `n_steps` without one).
+
+    That frame is kept: a crossing between it and the frame before can
+    interpolate to a time inside the window. A first crossing found later
+    lies past the window, and no window mean reads a later frame.
+    """
+    if window_fs is None:
+        return n_steps
+    return min(n_steps, window_frames(dt, n_steps, stride, window_fs).stop * stride)
+
+
 def _observe(rb, dist: np.ndarray, times: np.ndarray) -> Tuple[ReactionEvent, bool]:
     """First crossing of r_ts by the reactive bond `rb`'s series `dist`, and whether it dissociated."""
     dissociated = bool(np.any(dist > DISSOCIATION_FACTOR * rb.r_ts))

@@ -25,7 +25,7 @@ from cavimd.analysis import (
 )
 from cavimd.cavity import cavity_energy, nuclear_cavity_force
 from cavimd.cli import main as cli_main
-from cavimd.dynamics import window_frames
+from cavimd.dynamics import window_steps
 from cavimd.model import forces, potential_energy, dipole
 from cavimd.units import CM1_PER_HARTREE, EMASS_PER_AMU, KB_HARTREE_PER_K, fs_to_au
 
@@ -419,7 +419,7 @@ def test_headline_across_20_seeds(surrogate):
         positions=cm.pta_launch_positions(surrogate),
         dt=dt,
         # up to the first frame past the window's end
-        n_steps=window_frames(dt, 4000, 4, WINDOW).stop * 4,
+        n_steps=window_steps(dt, 4000, 4, WINDOW),
         stride=4,
         window_fs=WINDOW,
     )

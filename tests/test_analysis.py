@@ -676,9 +676,9 @@ def test_run_ensemble_order_independent(surrogate):
     ],
 )
 def test_scan_stops_at_the_first_frame_past_the_window(dt_fs, n_steps, window, steps):
-    from cavimd.analysis import _window_steps
+    from cavimd.dynamics import window_steps
 
-    assert _window_steps(fs_to_au(dt_fs), n_steps, 4, window) == steps
+    assert window_steps(fs_to_au(dt_fs), n_steps, 4, window) == steps
 
 
 @pytest.mark.parametrize("window_end, steps", [(59.0, 120), (60.0, 124)])

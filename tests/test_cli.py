@@ -300,6 +300,30 @@ def test_cli_spectrum_outputs(tmp_path):
     assert upper - lower > 50.0
 
 
+def test_cli_spectrum_weighs_each_line_by_its_own_mode(tmp_path):
+    # the si_c_weight column holds the weights of the modes ir_spectrum keeps, in their order
+    from cavimd import analysis
+
+    cfg = short_config(tmp_path)
+    assert main(["spectrum", "--config", str(cfg)]) == 0
+    config = parse_config(cfg.read_text())
+    system = config.build_system()
+    bond = (system.reactive_bond.i, system.reactive_bond.j)
+    modes = analysis.system_normal_modes(system)
+    polaritons = analysis.polariton_modes(modes, config.cavity.mode())
+    out = tmp_path / "out"
+    (coupled,) = sorted(out.glob("spectrum_lines_lambda_*.csv"))
+    for path, eff, weights in [
+        (out / "spectrum_lines_bare.csv", modes, analysis.sic_weighted_spectrum(modes, bond)),
+        (coupled, polaritons, analysis.polariton_sic_weights(polaritons, modes, bond)),
+    ]:
+        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        kept = eff.frequencies_cm1 > analysis.NEAR_ZERO_CM1
+        np.testing.assert_array_equal(table[:, 0], eff.frequencies_cm1[kept])
+        np.testing.assert_array_equal(table[:, 2], weights[kept])
+        assert np.count_nonzero(table[:, 2]) > 0
+
+
 def test_cli_spectrum_at_zero_coupling_computes_the_bare_spectrum_once(tmp_path, monkeypatch):
     cfg = short_config(tmp_path)
     cfg.write_text(cfg.read_text().replace("ratio: 1.132", "ratio: 0.0"))
@@ -716,6 +740,17 @@ def _other_system_header(lines):
     return [",".join(trajectory_header(_two_bead_system()))] + lines[1:]
 
 
+def _set_cell(prefix, value):
+    """Damage that sets line 4's cell in the first column whose name starts with `prefix` to `value`."""
+
+    def damage(lines):
+        cells = lines[3].split(",")
+        cells[next(c for c, name in enumerate(lines[0].split(",")) if name.startswith(prefix))] = value
+        return lines[:3] + [",".join(cells)] + lines[4:]
+
+    return damage
+
+
 @pytest.mark.parametrize(
     "damage, code, message",
     [
@@ -724,8 +759,10 @@ def _other_system_header(lines):
         (lambda lines: lines[:-5], 1, ": 46 frames, but "),
         ("unlink", 3, "no trajectories under "),
         ("rmdir", 3, "no trajectories under "),
+        (_set_cell("x_", "nan"), 1, ": line 4: column 2 ('nan') is not a finite number"),
+        (_set_cell("vx_", "inf"), 1, ": line 4: column 20 ('inf') is not a finite number"),
     ],
-    ids=["truncated", "other-system", "fewer-frames", "no-files", "no-directory"],
+    ids=["truncated", "other-system", "fewer-frames", "no-files", "no-directory", "nan-position", "inf-velocity"],
 )
 def test_cli_analyze_bad_second_run_writes_nothing(tmp_path, capsys, monkeypatch, damage, code, message):
     # every run is read and checked before a table is written, so the first run's tables are not left behind;
