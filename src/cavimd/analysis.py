@@ -414,10 +414,26 @@ def _bond_constraint(ends, ends2, u):
     return n, (ends2 * (np.eye(3) - np.outer(u, u))[:, None, :]).reshape(n.size, n.size)
 
 
+#: step (bohr) of the force differences behind each Newton step's Hessian
+_JACOBIAN_H = 1e-4
+
+
+def _force_jacobian(system: ModelSystem, x) -> np.ndarray:
+    """Symmetrized Hessian of V from one `forces` call on the 2n rows x +- h e_k.
+
+    Central differences of the analytic gradient (Nocedal & Wright, sec. 8.1).
+    """
+    n = x.size
+    steps = _JACOBIAN_H * np.eye(n)
+    f = _model.forces(system, np.concatenate((x + steps, x - steps)))
+    hess = (f[n:] - f[:n]) / (2 * _JACOBIAN_H)
+    return 0.5 * (hess + hess.T)
+
+
 def _newton(system: ModelSystem, x, bond: Optional[Tuple[int, int]] = None, r: float = 0.0):
     """Stationary point of V by minimum-norm Newton steps; returns (x, max |gradient|).
 
-    Steps solve H s = -g by least squares on the finite-difference Hessian,
+    Steps solve H s = -g by least squares on the Hessian of `_force_jacobian`,
     so rigid-body directions stay untouched, and are capped at 0.2 bohr per
     coordinate. With `bond` = (i, j) the distance |x_i - x_j| is held at `r`:
     each iteration first moves both ends half-way back onto it, then takes the
@@ -444,7 +460,7 @@ def _newton(system: ModelSystem, x, bond: Optional[Tuple[int, int]] = None, r: f
         grad_norm = float(np.abs(g).max())
         if grad_norm < 1e-11 or iteration == 60:
             return x, grad_norm
-        hess = _model.fd_hessian(system, x)
+        hess = _force_jacobian(system, x)
         if bond is not None:
             # mu times the Hessian of c = |x_i - x_j| - r, then project onto the tangent plane
             hess -= mu / r * curvature
@@ -469,15 +485,20 @@ def find_transition_state(
     steps (minimum-norm steps, so rigid-body directions stay untouched). The
     barrier is measured from the relaxed reactant minimum; omega_b comes
     from the relaxed-profile curvature with the bond pair's reduced mass.
-    A solve that ends with |grad| above 1e-8 raises SearchError.
+    A solve that ends with |grad| above 1e-8 raises SearchError. Normal
+    modes (fd_hessian) only count the saddle's negative modes.
     """
     b = system.reactive_bond  # ValueError without one
     if start_positions is None:
         start_positions = system.reference_positions
     if start_positions is None:
         raise ValueError("start positions required")
-    if not (r_min < r_max and n_points >= 3):
-        raise ValueError("scan needs r_min < r_max and at least 3 points")
+    if not 0 < r_min < np.inf:
+        raise ValueError(f"r_min must be a positive finite bond length, got {r_min!r}")
+    if not r_min < r_max < np.inf:
+        raise ValueError(f"r_max must be finite and above r_min = {r_min!r}, got {r_max!r}")
+    if not isinstance(n_points, (int, np.integer)) or n_points < 3:
+        raise ValueError(f"n_points must be an integer >= 3, got {n_points!r}")
 
     def solve(x0, r=None):
         """(E, x, |grad|) at the stationary point from x0, with the bond held at r if given."""

@@ -16,12 +16,14 @@ from cavimd import (
     system_normal_modes,
     td_spectrum,
 )
+from cavimd import model
 from cavimd.analysis import (
     NEAR_ZERO_CM1,
     NormalModes,
     OccupationMap,
     SearchError,
     _bond_constraint,
+    _force_jacobian,
     barrier_frequency,
     find_transition_state,
     mean_occupation_map,
@@ -541,6 +543,65 @@ def test_find_transition_state_requires_interior_maximum():
     sys_ = make_reactive_pair()
     with pytest.raises(SearchError):
         find_transition_state(sys_, 3.6, 4.2, 13)  # scan stops before the barrier
+
+
+@pytest.mark.parametrize(
+    "r_min, r_max, n_points, bad",
+    [
+        (0.0, 5.1, 25, "r_min .* got 0.0"),
+        (-1.0, 5.1, 25, "r_min .* got -1.0"),
+        (3.9, np.inf, 25, "r_max .* got inf"),
+        (3.9, 5.1, 25.5, "n_points .* got 25.5"),
+    ],
+    ids=["r_min-zero", "r_min-negative", "r_max-inf", "n_points-fractional"],
+)
+def test_find_transition_state_rejects_bad_scan(surrogate, r_min, r_max, n_points, bad):
+    with pytest.raises(ValueError, match=bad):
+        find_transition_state(surrogate, r_min, r_max, n_points)
+
+
+def test_force_jacobian_matches_fd_hessian(surrogate):
+    rng = np.random.default_rng(25)
+    for _ in range(5):
+        x = surrogate.reference_positions + 0.05 * rng.standard_normal(18)
+        jac = _force_jacobian(surrogate, x)
+        want = fd_hessian(surrogate, x)
+        assert np.array_equal(jac, jac.T)
+        assert np.abs(jac - want).max() <= 1e-6 * np.abs(want).max()
+
+
+def test_find_transition_state_agrees_across_jittered_starts(surrogate):
+    rng = np.random.default_rng(26)
+    starts = [surrogate.reference_positions + 0.02 * rng.standard_normal(18) for _ in range(4)]
+    results = [find_transition_state(surrogate, 3.9, 5.1, 25, start_positions=x) for x in starts]
+    barriers = [ts.barrier_ev for ts in results]
+    omegas = [ts.omega_b_cm1 for ts in results]
+    assert max(barriers) - min(barriers) <= 1e-12
+    assert max(omegas) - min(omegas) <= 1e-7
+    assert all(ts.n_negative == 1 for ts in results)
+    assert all(ts.gradient_norm < 1e-12 for ts in results)
+
+
+def test_find_transition_state_builds_normal_modes_once(surrogate, monkeypatch):
+    # the Newton steps take their Hessian from the forces; fd_hessian only counts the saddle's modes
+    calls = []
+    real = model.fd_hessian
+    monkeypatch.setattr(model, "fd_hessian", lambda *a, **k: calls.append(1) or real(*a, **k))
+    find_transition_state(surrogate, 3.9, 5.1, 25)
+    assert len(calls) == 1
+
+
+def test_surrogate_normal_mode_frequencies_are_pinned(surrogate):
+    # bit for bit: the spectrum and occupation outputs read these modes, which the TS search no longer
+    # shares. Values from numpy 2.4.6 with OpenBLAS 0.3.31; another LAPACK build may move the last bits.
+    want = [
+        -0.5382012752896811, -0.5378262147913702, -0.3752724340816532, -0.13409180293159545,
+        -0.12196148530037186, 0.04325050507598251, 0.054598959649525346, 0.06597874118565561,
+        0.06607070866401209, 0.15862917299726845, 0.19095720994601528, 0.7207380773110947,
+        0.7209032972172056, 287.2173780074355, 520.483260372138, 679.9875618823648,
+        856.0687250417556, 2175.3225802588136,
+    ]
+    assert system_normal_modes(surrogate).frequencies_cm1.tolist() == want
 
 
 # --- bond weights ----------------------------------------------------------------
