@@ -48,8 +48,8 @@ class NormalModes:
         return self.frequencies_cm1.size
 
 
-def hessian(system: ModelSystem, positions, h: float = 1e-3) -> np.ndarray:
-    """Symmetrized central-difference Hessian of the bonded potential."""
+def hessian(system: ModelSystem, positions, h: float = 1e-4) -> np.ndarray:
+    """Symmetrized central difference of the bonded forces (`model.fd_hessian`)."""
     return _model.fd_hessian(system, positions, h=h, symmetrize=True)
 
 
@@ -414,28 +414,13 @@ def _bond_constraint(ends, ends2, u):
     return n, (ends2 * (np.eye(3) - np.outer(u, u))[:, None, :]).reshape(n.size, n.size)
 
 
-#: step (bohr) of the force differences behind each Newton step's Hessian
-_JACOBIAN_H = 1e-4
-
-
-def _force_jacobian(system: ModelSystem, x) -> np.ndarray:
-    """Symmetrized Hessian of V from one `forces` call on the 2n rows x +- h e_k.
-
-    Central differences of the analytic gradient (Nocedal & Wright, sec. 8.1).
-    """
-    n = x.size
-    steps = _JACOBIAN_H * np.eye(n)
-    f = _model.forces(system, np.concatenate((x + steps, x - steps)))
-    hess = (f[n:] - f[:n]) / (2 * _JACOBIAN_H)
-    return 0.5 * (hess + hess.T)
-
-
 def _newton(system: ModelSystem, x, bond: Optional[Tuple[int, int]] = None, r: float = 0.0):
     """Stationary point of V by minimum-norm Newton steps; returns (x, max |gradient|).
 
-    Steps solve H s = -g by least squares on the Hessian of `_force_jacobian`,
-    so rigid-body directions stay untouched, and are capped at 0.2 bohr per
-    coordinate. With `bond` = (i, j) the distance |x_i - x_j| is held at `r`:
+    Steps solve H s = -g by least squares on `model.fd_hessian`, the force
+    difference behind every normal mode, so rigid-body directions stay
+    untouched, and are capped at 0.2 bohr per coordinate. With `bond` =
+    (i, j) the distance |x_i - x_j| is held at `r`:
     each iteration first moves both ends half-way back onto it, then takes the
     step in the constraint's tangent plane, with the gradient projected off
     the normal n and the Hessian of the Lagrangian V - mu c, mu = n.g / n.n
@@ -460,7 +445,7 @@ def _newton(system: ModelSystem, x, bond: Optional[Tuple[int, int]] = None, r: f
         grad_norm = float(np.abs(g).max())
         if grad_norm < 1e-11 or iteration == 60:
             return x, grad_norm
-        hess = _force_jacobian(system, x)
+        hess = _model.fd_hessian(system, x)
         if bond is not None:
             # mu times the Hessian of c = |x_i - x_j| - r, then project onto the tangent plane
             hess -= mu / r * curvature
@@ -485,8 +470,9 @@ def find_transition_state(
     steps (minimum-norm steps, so rigid-body directions stay untouched). The
     barrier is measured from the relaxed reactant minimum; omega_b comes
     from the relaxed-profile curvature with the bond pair's reduced mass.
-    A solve that ends with |grad| above 1e-8 raises SearchError. Normal
-    modes (fd_hessian) only count the saddle's negative modes.
+    A solve that ends with |grad| above 1e-8 raises SearchError. The one
+    force-difference Hessian (`model.fd_hessian`) drives every Newton step,
+    and its normal modes, built once, count the saddle's negative modes.
     """
     b = system.reactive_bond  # ValueError without one
     if start_positions is None:
@@ -542,7 +528,7 @@ def find_transition_state(
     curv = (e_p - 2 * e_ts + e_m) / delta**2
     omega_b_cm1 = barrier_frequency(curv, system.reduced_mass(b.i, b.j)) * CM1_PER_HARTREE
 
-    saddle_modes = normal_modes(_model.fd_hessian(system, x), system.masses)
+    saddle_modes = normal_modes(hessian(system, x), system.masses)
     n_negative = int((saddle_modes.eigenvalues < -1e-9).sum())
     return TSResult(
         geometry=x,

@@ -332,8 +332,8 @@ def cmd_spectrum(config: RunConfig, system: ModelSystem, outdir: Path, threads: 
 
 
 def _write_occupation_table(path: Path, times_fs, frequencies_cm1, values, photon) -> None:
-    """A per-mode table over time: one column per mode, then the photon coordinate."""
-    header = ["time_fs"] + [f"mode_{f:.2f}_cm1" for f in frequencies_cm1] + ["photon_q_au"]
+    """A per-mode table over time: one column per mode, named by index and frequency, then the photon."""
+    header = ["time_fs"] + [f"mode_{k}_{f:.2f}_cm1" for k, f in enumerate(frequencies_cm1)] + ["photon_q_au"]
     write_csv(path, header, np.column_stack([times_fs, values, photon]))
 
 

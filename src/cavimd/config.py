@@ -451,10 +451,17 @@ def config_hash(config: RunConfig) -> str:
 
 
 def make_manifest(config: RunConfig, command: str) -> dict:
-    """Self-describing provenance record written next to every output set."""
+    """Self-describing provenance record written next to every output set.
+
+    The numpy and BLAS builds are recorded because LAPACK's `eigh` output,
+    and so every normal-mode table, may differ in its last bits between them.
+    """
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "package": "cavimd",
         "version": _pkg_version,
+        "numpy_version": np.__version__,
+        "blas": {"name": blas["name"], "version": blas["version"]},
         "command": command,
         "created_utc": datetime.now(timezone.utc).isoformat(),
         "config_sha256": config_hash(config),

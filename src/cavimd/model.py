@@ -13,7 +13,6 @@ All quantities are in Hartree atomic units unless a name says otherwise
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
@@ -552,51 +551,23 @@ def dipole_gradient(system: ModelSystem) -> np.ndarray:
     return system.dipole.gradient.copy()
 
 
-@functools.lru_cache(maxsize=4)
-def _fd_stencil(n: int, h: float):
-    """fd_hessian's index arrays (diag, k < l) and displacement rows `steps`, read-only."""
-    diag = np.arange(n)
-    k, l = np.triu_indices(n, 1)
-    m = k.size
-    # rows: 0, then +-h e_k, then (+-h e_k) + (+-h e_l) in the order ++, +-, -+, --
-    steps = np.zeros((1 + 2 * n + 4 * m, n))
-    steps[1 + diag, diag] = h
-    steps[1 + n + diag, diag] = -h
-    for q, (sk, sl) in enumerate(((h, h), (h, -h), (-h, h), (-h, -h))):
-        rows = 1 + 2 * n + q * m + np.arange(m)
-        steps[rows, k] = sk
-        steps[rows, l] = sl
-    for a in (diag, k, l, steps):
-        a.setflags(write=False)
-    return diag, k, l, steps
+def fd_hessian(system: ModelSystem, positions, h: float = 1e-4, symmetrize: bool = True) -> np.ndarray:
+    """Hessian of potential_energy as the central difference of the analytic forces.
 
-
-def fd_hessian(system: ModelSystem, positions, h: float = 1e-3, symmetrize: bool = True) -> np.ndarray:
-    """Central-difference Hessian of potential_energy (symmetric 4-point stencil).
-
-    Every displaced geometry is one row of a single batched energy call. The
-    off-diagonal stencil visits the same four displaced geometries for
-    (k,l) and (l,k), so the raw asymmetry is pure summation roundoff; the
-    returned matrix is (H + H^T)/2 unless `symmetrize` is disabled.
+    One batched `forces` call evaluates the 2n rows x + h e_k, then x - h e_k
+    (Nocedal & Wright, Numerical Optimization, 2nd ed., sec. 8.1). Row k of
+    the raw difference is column k of the Hessian up to O(h^2), so the raw
+    asymmetry is truncation error and roundoff; the returned matrix is
+    (H + H^T)/2 unless `symmetrize` is disabled.
     """
     x = np.asarray(positions, dtype=float)
     _geometry(system, x, flat=True)
     if not h > 0:
         raise ValueError("finite-difference step must be positive")
     n = x.size
-    diag, k, l, steps = _fd_stencil(n, float(h))
-    m = k.size
-    base = 1 + 2 * n
-    # +0.0 off the displaced coordinates turns a -0.0 into +0.0 at most;
-    # energies read only coordinate differences, so no energy changes
-    geoms = x + steps
-    e = potential_energy(system, geoms)
-    e0 = e[0]
-    epp, epm, emp, emm = e[base:].reshape(4, m)
-    hess = np.empty((n, n))
-    hess[diag, diag] = (e[1 : 1 + n] - 2 * e0 + e[1 + n : base]) / h**2
-    hess[k, l] = (epp - epm - emp + emm) / (4 * h**2)
-    hess[l, k] = (epp - emp - epm + emm) / (4 * h**2)
+    steps = h * np.eye(n)
+    f = forces(system, np.concatenate((x + steps, x - steps)))
+    hess = (f[n:] - f[:n]) / (2 * h)
     if not np.all(np.isfinite(hess)):
         raise ValueError("non-finite Hessian entries")
     if symmetrize:

@@ -715,10 +715,20 @@ def test_cli_analyze_occupations_match_the_stacked_mean(tmp_path, bonds):
     diff = occupation_difference(means["out"], means["outB"])
     tables = {f"occupation_{run}.csv": (m.times_fs, m.normalized, m.photon_q) for run, m in means.items()}
     tables["occupation_difference.csv"] = (diff.times_fs, diff.delta, diff.photon_delta)
-    header = ["time_fs"] + [f"mode_{f:.2f}_cm1" for f in modes.frequencies_cm1] + ["photon_q_au"]
+    header = ["time_fs"] + [f"mode_{k}_{f:.2f}_cm1" for k, f in enumerate(modes.frequencies_cm1)] + ["photon_q_au"]
     for name, columns in tables.items():
         write_csv(tmp_path / name, header, np.column_stack(columns))
         assert (tmp_path / "ana" / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+def test_cli_analyze_occupation_columns_have_unique_names(tmp_path):
+    # near-degenerate rigid-body modes share a rounded frequency; csv.DictReader would drop repeats
+    cfg = _two_runs(tmp_path, n_traj=2)
+    assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "ana")]) == 0
+    for name in ("occupation_out.csv", "occupation_outB.csv", "occupation_difference.csv"):
+        header = (tmp_path / "ana" / name).read_text().splitlines()[0].split(",")
+        assert len(header) == 20
+        assert len(set(header)) == len(header), name
 
 
 def test_cli_analyze_reports_the_first_bad_file_in_order(tmp_path, capsys):
@@ -1087,6 +1097,10 @@ def test_manifest_contents(tmp_path):
     assert "cm^-1 per Hartree" in manifest["unit_constants"]
     assert manifest["resolved_config"]["cavity"]["lambda_au"] == pytest.approx(0.1, abs=1e-3)
     assert len(manifest["config_sha256"]) == 64
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert manifest["numpy_version"] == np.__version__
+    assert manifest["blas"] == {"name": blas["name"], "version": blas["version"]}
+    assert all(isinstance(v, str) and v for v in manifest["blas"].values())
 
 
 def test_manifest_records_the_seed_that_ran(tmp_path):
