@@ -173,42 +173,54 @@ def _ensemble_inputs(config: RunConfig, system: ModelSystem, count: int):
     ), specs
 
 
+def _angstrom(bohr: Optional[float]) -> Optional[float]:
+    """A length in Angstrom; empty (JSON null) for a missing or non-finite one."""
+    return bohr * ANGSTROM_PER_BOHR if bohr is not None and np.isfinite(bohr) else None
+
+
+def _window_cells(stats) -> dict:
+    """A condition's window statistics, from an EnsembleResult or a ScanRow.
+
+    The standard error is empty for a single trajectory, where it is NaN.
+    """
+    return {
+        "reaction_fraction": stats.reaction_fraction,
+        "mean_sic_A": _angstrom(stats.mean_bond_bohr),
+        "stderr_sic_A": _angstrom(stats.stderr_bond_bohr),
+    }
+
+
+def _outcome_cells(seed: int, event, dissociated: bool) -> dict:
+    """A trajectory's outcome; a failed trajectory has no `event`."""
+    return {
+        "seed": seed,
+        "reacted": event is not None and event.occurred,
+        "crossing_time_fs": None if event is None else event.crossing_time_fs,
+        "dissociated": dissociated,
+    }
+
+
 def _write_ensemble_outputs(outdir: Path, config: RunConfig, result: EnsembleResult) -> None:
     formats = config.outputs.formats
     if "csv" in formats:
-        rows = []
-        for rec in result.records:
-            ev = rec.event
-            rows.append(
-                [
-                    rec.index,
-                    rec.seed,
-                    bool(ev.occurred) if ev else False,
-                    ev.crossing_time_fs if ev and ev.occurred else None,
-                    rec.dissociated,
-                    rec.mean_bond_bohr * ANGSTROM_PER_BOHR if rec.mean_bond_bohr is not None else None,
-                    rec.error or "",
-                ]
-            )
-        write_csv(
-            outdir / "ensemble.csv",
-            ["index", "seed", "reacted", "crossing_time_fs", "dissociated", "mean_sic_A", "error"],
-            rows,
-        )
+        rows = [
+            {
+                "index": rec.index,
+                **_outcome_cells(rec.seed, rec.event, rec.dissociated),
+                "mean_sic_A": _angstrom(rec.mean_bond_bohr),
+                "error": rec.error or "",
+            }
+            for rec in result.records
+        ]
+        write_csv(outdir / "ensemble.csv", list(rows[0]), [list(row.values()) for row in rows])
     if "json" in formats:
         write_json(
             outdir / "summary.json",
             {
                 "n_trajectories": result.n_trajectories,
                 "window_fs": list(config.ensemble.window_fs),
-                "reaction_fraction": result.reaction_fraction,
-                "mean_sic_A": result.mean_bond_bohr * ANGSTROM_PER_BOHR,
-                "stderr_sic_A": (
-                    None
-                    if np.isnan(result.stderr_bond_bohr)
-                    else result.stderr_bond_bohr * ANGSTROM_PER_BOHR
-                ),
-                "threshold_A": result.threshold_bohr * ANGSTROM_PER_BOHR,
+                **_window_cells(result),
+                "threshold_A": _angstrom(result.threshold_bohr),
                 "errors": [rec.error for rec in result.records if rec.error],
             },
         )
@@ -227,17 +239,9 @@ def cmd_run(config: RunConfig, system: ModelSystem, outdir: Path, threads: int) 
     tdir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(tdir / "trajectory_000000.csv", system, traj)
     if "json" in config.outputs.formats:
-        threshold = event.threshold_bohr  # inf without a reactive bond, which JSON cannot hold
-        write_json(
-            outdir / "summary.json",
-            {
-                "seed": specs[0].seed,
-                "reacted": bool(event.occurred),
-                "crossing_time_fs": event.crossing_time_fs,
-                "dissociated": traj.dissociated,
-                "threshold_A": threshold * ANGSTROM_PER_BOHR if np.isfinite(threshold) else None,
-            },
-        )
+        # the threshold is inf without a reactive bond, which JSON cannot hold
+        summary = _outcome_cells(specs[0].seed, event, traj.dissociated)
+        write_json(outdir / "summary.json", {**summary, "threshold_A": _angstrom(event.threshold_bohr)})
     return 0
 
 
@@ -270,23 +274,9 @@ def cmd_scan(config: RunConfig, system: ModelSystem, outdir: Path, threads: int)
         **kwargs,
     )
     table = [
-        [
-            r.kind,
-            r.omega_c_cm1,
-            r.lambda_au,
-            r.ratio,
-            r.n,
-            r.reaction_fraction,
-            r.mean_bond_bohr * ANGSTROM_PER_BOHR,
-            (None if np.isnan(r.stderr_bond_bohr) else r.stderr_bond_bohr * ANGSTROM_PER_BOHR),
-        ]
-        for r in rows
+        [r.kind, r.omega_c_cm1, r.lambda_au, r.ratio, r.n, *_window_cells(r).values()] for r in rows
     ]
-    write_csv(
-        outdir / name,
-        ["kind", "omega_c_cm1", "lambda_au", "ratio", "n", "reaction_fraction", "mean_sic_A", "stderr_sic_A"],
-        table,
-    )
+    write_csv(outdir / name, ["kind", "omega_c_cm1", "lambda_au", "ratio", "n", *_window_cells(rows[0])], table)
     return 0
 
 
@@ -470,6 +460,8 @@ def cmd_model_check(config: RunConfig, system: ModelSystem, outdir: Path, thread
     write_json(outdir / "model_check.json", checks)
     for key in ("force_fd_ok", "reference_is_stationary"):
         print(f"{'PASS' if checks[key] else 'FAIL'} {key}")
+        if not checks[key]:
+            print(f"error: model check {key} failed; see {outdir / 'model_check.json'}", file=sys.stderr)
     return 0 if ok else 2
 
 
@@ -597,6 +589,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except (CalibrationError, IntegrationError, WorkerError, _analysis.SearchError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:  # such as an input past floating-point range
+        print(f"error: numerics failed: {exc!r}", file=sys.stderr)
         return 2
     except OSError as exc:  # FileNotFoundError included
         print(f"error: {exc}", file=sys.stderr)

@@ -154,9 +154,7 @@ class RunConfig:
     def launch_positions(self, system: ModelSystem) -> np.ndarray:
         if self.system_block.get("builtin") == "pta_surrogate":
             lc = self.ensemble.launch
-            return pta_launch_positions(
-                system, lc.sic_displacement_bohr, lc.sif_stretch_bohr
-            )
+            return _entry("ensemble.launch", pta_launch_positions, system, lc.sic_displacement_bohr, lc.sif_stretch_bohr)
         return system.reference_positions.copy()
 
     def resolved_dict(self) -> dict:
@@ -335,9 +333,10 @@ def _optional(parse):
 
 def _polarization(raw, where: str) -> tuple:
     pol = np.asarray(_list_of(_real, 3)(raw, where))
-    if np.linalg.norm(pol) < 1e-12:
-        raise ConfigError(f"{where} must be a non-zero 3-vector")
-    return tuple(float(x) for x in pol / np.linalg.norm(pol))
+    norm = np.linalg.norm(pol)
+    if not 1e-12 <= norm < np.inf:
+        raise ConfigError(f"{where} must be a non-zero 3-vector of finite length")
+    return tuple(float(x) for x in pol / norm)
 
 
 def _block(raw, name: str, cls, **parsers):
@@ -365,8 +364,9 @@ def _parse_blocks(raw) -> RunConfig:
     cavity = _parse_cavity(raw["cavity"])
 
     dynamics = _block(raw.get("dynamics"), "dynamics", DynamicsConfig, dt_fs=_positive, stride=_integer)
-    if dynamics.duration_fs < dynamics.dt_fs:
-        raise ConfigError("duration_fs must be at least dt_fs")
+    # the step count indexes a range of frames, so it must fit a Py_ssize_t
+    if not 1 <= dynamics.duration_fs / dynamics.dt_fs < np.iinfo(np.intp).max:
+        raise ConfigError(f"dynamics.duration_fs / dt_fs must be at least 1 and below {np.iinfo(np.intp).max}")
     if dynamics.stride < 1:
         raise ConfigError("stride must be >= 1")
 

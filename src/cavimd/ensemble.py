@@ -359,22 +359,17 @@ def _ensemble_result(specs, observed, times_fs, rb, window_fs, trajectories):
         raise IntegrationError(f"every trajectory in the batch failed (first: {records[0].error})")
     if window_fs is None:
         window_fs = (float(times_fs[0]), float(times_fs[-1]))
-    result = EnsembleResult(
+    bond_series = np.vstack(series_rows)
+    events = [records[k].event for k in series_index]
+    return EnsembleResult(
         records=records,
         times_fs=times_fs,
-        bond_series=np.vstack(series_rows),
+        bond_series=bond_series,
         series_index=series_index,
         threshold_bohr=rb.r_ts,
-        reaction_fraction=0.0,
-        mean_bond_bohr=0.0,
-        stderr_bond_bohr=float("nan"),
+        **vars(_window_statistics(times_fs, bond_series, events, window_fs)),
         trajectories=trajectories,
     )
-    agg = reaction_statistics(result, window_fs)
-    result.reaction_fraction = agg.reaction_fraction
-    result.mean_bond_bohr = agg.mean_bond_bohr
-    result.stderr_bond_bohr = agg.stderr_bond_bohr
-    return result
 
 
 def run_ensemble(
@@ -388,8 +383,13 @@ def reaction_statistics(result: EnsembleResult, window_fs: Tuple[float, float]) 
     """Window statistics: per-trajectory time-averaged bond length, their
     mean and standard error, and the fraction of first crossings inside the
     window."""
+    events = [result.records[k].event for k in result.series_index]
+    return _window_statistics(result.times_fs, result.bond_series, events, window_fs)
+
+
+def _window_statistics(times, bond_series, events, window_fs) -> Aggregates:
+    """`reaction_statistics` of the rows of `bond_series`, with `events` their reaction events."""
     t0, t1 = float(window_fs[0]), float(window_fs[1])
-    times = result.times_fs
     if not t0 < t1:
         raise ValueError("window must have positive extent")
     if t0 < times[0] - TIME_TOL_FS or t1 > times[-1] + TIME_TOL_FS:
@@ -399,14 +399,12 @@ def reaction_statistics(result: EnsembleResult, window_fs: Tuple[float, float]) 
     mask = (times >= t0 - TIME_TOL_FS) & (times <= t1 + TIME_TOL_FS)
     if mask.sum() < 1:
         raise ValueError("window contains no frames")
-    per_traj = result.bond_series[:, mask].mean(axis=1)
+    per_traj = bond_series[:, mask].mean(axis=1)
     n = per_traj.size
     mean = float(per_traj.mean())
     stderr = float(per_traj.std(ddof=1) / np.sqrt(n)) if n > 1 else float("nan")
     crossings = 0
-    ok_records = [result.records[k] for k in result.series_index]
-    for rec in ok_records:
-        ev = rec.event
+    for ev in events:
         if ev is not None and ev.occurred and t0 <= ev.crossing_time_fs <= t1:
             crossings += 1
     return Aggregates(reaction_fraction=crossings / n, mean_bond_bohr=mean, stderr_bond_bohr=stderr)

@@ -421,9 +421,11 @@ class ModelSystem:
             if ref.shape != (3 * n,) or not np.all(np.isfinite(ref)):
                 raise ValueError("reference_positions must be a flat 3N array of finite numbers")
             try:
-                _geometry(self, ref)
+                finite = np.isfinite(potential_energy(self, ref)) and np.isfinite(forces(self, ref)).all()
             except GeometryError as exc:
                 raise ValueError(f"reference_positions: {exc.rows[0]}") from None
+            if not finite:
+                raise ValueError(f"reference_positions: energy or forces not finite at {failure_reasons(self, ref[None])[0]}")
             object.__setattr__(self, "reference_positions", ref)
 
     @property
@@ -633,49 +635,52 @@ def calibrate_reactive_bond(
 
     t = r_ts - r0
     c2 = 0.5 * curvature_min
-    mat = np.array(
-        [
-            [3 * t**2, 4 * t**3, 5 * t**4],
-            [t**3, t**4, t**5],
-            [6 * t, 12 * t**2, 20 * t**3],
-        ]
-    )
     last_residual = None
-    for c6 in np.linspace(0.0, 2.0, 201):
-        rhs = np.array(
+    try:
+        mat = np.array(
             [
-                -2 * c2 * t - 6 * c6 * t**5,
-                barrier - c2 * t**2 - c6 * t**6,
-                curvature_ts - 2 * c2 - 30 * c6 * t**4,
+                [3 * t**2, 4 * t**3, 5 * t**4],
+                [t**3, t**4, t**5],
+                [6 * t, 12 * t**2, 20 * t**3],
             ]
         )
-        try:
-            c3, c4, c5 = np.linalg.solve(mat, rhs)
-        except np.linalg.LinAlgError:
-            continue
-        coeffs = (c2, float(c3), float(c4), float(c5), float(c6))
-        # re-evaluate the constraints before accepting
-        v = sum(c * t**n for n, c in zip(range(2, 7), coeffs))
-        d1 = sum(n * c * t ** (n - 1) for n, c in zip(range(2, 7), coeffs))
-        d2 = sum(n * (n - 1) * c * t ** (n - 2) for n, c in zip(range(2, 7), coeffs))
-        scale = max(abs(barrier), abs(curvature_min), 1.0)
-        residual = max(abs(v - barrier), abs(d1), abs(d2 - curvature_ts)) / scale
-        last_residual = residual
-        if residual > 1e-10:
-            continue
-        x_tail = _well_shape_valid(coeffs, t, r0)
-        if x_tail is None:
-            continue
-        tail_value = sum(c * x_tail**n for n, c in zip(range(2, 7), coeffs))
-        tail_slope = sum(n * c * x_tail ** (n - 1) for n, c in zip(range(2, 7), coeffs))
-        return ReactiveWell(
-            r0=r0,
-            r_ts=r_ts,
-            coeffs=coeffs,
-            x_tail=x_tail,
-            tail_value=float(tail_value),
-            tail_slope=float(tail_slope),
-        )
+        for c6 in np.linspace(0.0, 2.0, 201):
+            rhs = np.array(
+                [
+                    -2 * c2 * t - 6 * c6 * t**5,
+                    barrier - c2 * t**2 - c6 * t**6,
+                    curvature_ts - 2 * c2 - 30 * c6 * t**4,
+                ]
+            )
+            try:
+                c3, c4, c5 = np.linalg.solve(mat, rhs)
+            except np.linalg.LinAlgError:
+                continue
+            coeffs = (c2, float(c3), float(c4), float(c5), float(c6))
+            # re-evaluate the constraints before accepting
+            v = sum(c * t**n for n, c in zip(range(2, 7), coeffs))
+            d1 = sum(n * c * t ** (n - 1) for n, c in zip(range(2, 7), coeffs))
+            d2 = sum(n * (n - 1) * c * t ** (n - 2) for n, c in zip(range(2, 7), coeffs))
+            scale = max(abs(barrier), abs(curvature_min), 1.0)
+            residual = max(abs(v - barrier), abs(d1), abs(d2 - curvature_ts)) / scale
+            last_residual = residual
+            if residual > 1e-10:
+                continue
+            x_tail = _well_shape_valid(coeffs, t, r0)
+            if x_tail is None:
+                continue
+            tail_value = sum(c * x_tail**n for n, c in zip(range(2, 7), coeffs))
+            tail_slope = sum(n * c * x_tail ** (n - 1) for n, c in zip(range(2, 7), coeffs))
+            return ReactiveWell(
+                r0=r0,
+                r_ts=r_ts,
+                coeffs=coeffs,
+                x_tail=x_tail,
+                tail_value=float(tail_value),
+                tail_slope=float(tail_slope),
+            )
+    except OverflowError:  # a Python float power of the targets is out of range
+        last_residual = "out of floating-point range"
     raise CalibrationError(
         "no valid double-well shape for targets "
         f"barrier={barrier:.6g}, r0={r0}, r_ts={r_ts}, "
@@ -800,4 +805,6 @@ def pta_launch_positions(
     u /= np.linalg.norm(u)
     for p in (PTA_C1, PTA_C2, PTA_PH):
         pts[p] += sic_displacement_bohr * u
-    return stretch_bond(system, x, PTA_BOND_SIF, sif_stretch_bohr)
+    x = stretch_bond(system, x, PTA_BOND_SIF, sif_stretch_bohr)
+    _geometry(system, x, flat=True)  # a far displacement can overflow, or round particles together
+    return x

@@ -75,6 +75,19 @@ AIM_COINCIDENT = """system:
 """
 
 
+#: three beads at rest, with a reactive bond from the first to the second and a harmonic one to the third
+THREE_BEADS = """system:
+  particles:
+    - {label: A, mass_amu: 19.0, charge: -0.5}
+    - {label: B, mass_amu: 12.0, charge: 0.5}
+    - {label: C, mass_amu: 28.0, charge: 0.0}
+  positions_bohr: [[0.0, 0.0, 0.0], [3.5, 0.0, 0.0], [7.0, 0.0, 0.0]]
+  bonds:
+    - {kind: reactive, i: 0, j: 1, r0: 3.5, r_ts: 4.5, barrier_ev: 0.35, curvature_min: 0.2, curvature_ts: -0.01}
+    - {kind: harmonic, i: 1, j: 2, k: 0.2, r0: 3.5}
+"""
+
+
 WINDOW_GAP = "ensemble:\n  window_fs: [1.1, 1.2]\n"
 
 
@@ -158,6 +171,7 @@ cavity:
         ("k: 0.2", "k: -0.3", "force constant must be positive"),
         ("i: 0, j: 1", "i: 0, j: 0", "bond endpoints must differ"),
         ("[2.0, 0.0, 0.0]]", "[0.0, 0.0, 0.0]]", "reference_positions: particles 0 and 1 are coincident"),
+        ("r0: 2.0", "r0: 1.0e+300", r"reference_positions: energy or forces not finite at bond 0 \(harmonic"),
     ]:
         with pytest.raises(ConfigError, match=message):
             parse_config(text.replace(old, new)).build_system()
@@ -875,6 +889,7 @@ def test_cli_exit_code_validation_error(tmp_path):
         (BUILTIN, AIM_COINCIDENT, None, []),
         ("outputs:", "spectrum:\n  lambda_list_au: []\noutputs:", None, []),
         ("outputs:", "outputs:\n  formats: []", None, []),
+        ("ratio: 1.132", "ratio: 1.132\n  polarization: [1.0e+300, 0.0, 0.0]", None, []),
     ],
 )
 def test_cli_bad_input_fails_cleanly(tmp_path, monkeypatch, capsys, old, new, env, flags):
@@ -903,8 +918,23 @@ def test_cli_bad_input_fails_cleanly(tmp_path, monkeypatch, capsys, old, new, en
         # frames are 1 fs apart, and none lies in [1.1, 1.2] fs
         ("ensemble", WINDOW_GAP, "ensemble.window_fs holds no recorded frame; frames are 1 fs apart"),
         ("scan", WINDOW_GAP + "scan:\n  omega_list_cm1: [856.0]\n", "ensemble.window_fs holds no recorded frame; frames are 1 fs apart"),
+        # more steps than a range of frames can index
+        (
+            "run",
+            "dynamics:\n  dt_fs: 1.0e-300\n",
+            f"dynamics.duration_fs / dt_fs must be at least 1 and below {np.iinfo(np.intp).max}",
+        ),
+        # the leaving group's beads, displaced this far, round to one point
+        (
+            "scan",
+            "ensemble:\n  launch: {sic_displacement_bohr: 1.0e+30}\nscan:\n  omega_list_cm1: [856.0]\n",
+            "ensemble.launch: row 0: particles 3 and 4 are coincident",
+        ),
     ],
-    ids=["resample-negative", "omega-zero", "ratio-negative", "window-gap-ensemble", "window-gap-scan"],
+    ids=[
+        "resample-negative", "omega-zero", "ratio-negative", "window-gap-ensemble", "window-gap-scan",
+        "too-many-steps", "launch-out-of-range",
+    ],
 )
 def test_cli_bad_scan_and_ensemble_entries_fail_cleanly(tmp_path, capsys, command, block, message):
     cfg = tmp_path / "cfg.yaml"
@@ -923,6 +953,40 @@ def test_cli_run_too_large_to_store_fails_at_once(tmp_path, capsys):
     assert err.startswith("error: the run needs ") and "GiB of physical memory" in err
     assert not (tmp_path / "out").exists()
 
+
+
+@pytest.mark.parametrize(
+    "command, old, new, message",
+    [
+        ("spectrum", "outputs:", "spectrum:\n  broadening_cm1: 1.0e+300\noutputs:", "numerics failed: OverflowError"),
+        ("spectrum", "outputs:", "spectrum:\n  lambda_list_au: [1.0e+300]\noutputs:", "numerics failed: LinAlgError"),
+        ("spectrum", "charge: -0.5", "charge: 1.0e+300", "numerics failed: OverflowError"),
+        ("calibrate", "r_ts: 4.5", "r_ts: 1.0e+300", "bonds[0]: no valid double-well shape for targets"),
+        ("calibrate", "curvature_min: 0.2", "curvature_min: 1.0", "bonds[0]: no valid double-well shape for targets"),
+    ],
+    ids=["broadening", "coupling", "charge", "barrier-position", "stiff-well"],
+)
+def test_cli_numerics_out_of_range_fail_cleanly(tmp_path, capsys, command, old, new, message):
+    cfg = short_config(tmp_path)
+    text = cfg.read_text().replace(BUILTIN, THREE_BEADS)
+    assert old in text
+    cfg.write_text(text.replace(old, new, 1))
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+    assert not (tmp_path / "out" / "calibration.json").exists()
+
+
+def test_cli_failed_model_check_prints_an_error_line(tmp_path, capsys):
+    cfg = short_config(tmp_path)
+    # the bond's rest length is 2.0 bohr, so the reference is not stationary
+    cfg.write_text(cfg.read_text().replace(BUILTIN, TWO_BEADS.replace("[2.0, 0.0, 0.0]]", "[2.5, 0.0, 0.0]]")))
+    assert main(["model-check", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "PASS force_fd_ok\nFAIL reference_is_stationary\n"
+    report = tmp_path / "out" / "model_check.json"
+    assert err == f"error: model check reference_is_stationary failed; see {report}\n"
+    assert json.loads(report.read_text())["passed"] is False
 
 
 @pytest.mark.parametrize("short_by, code", [(1, 1), (0, 0)])
@@ -994,9 +1058,15 @@ def config_leaves(node, path=()):
 
 
 BAD_VALUES = [
-    None, "abc", -1.0, -20.0, 0, 0.0, float("nan"), float("inf"), float("-inf"),
+    None, "abc", -1.0, -20.0, 0, 0.0, float("nan"), float("inf"), float("-inf"), 1e300, -1e300, 1e-300,
     [], [1.0], [1.0, 2.0, 3.0, 4.0], True, False, {"x": 1},
 ]
+
+#: THREE_BEADS with a harmonic bond so far from its rest length at the reference that the energy and
+#: the forces of its coupling to the reactive bond overflow
+FAR_FROM_REST = yaml.safe_load(
+    THREE_BEADS.replace("r0: 3.5}", "r0: 1.0e+300}") + "  couplings:\n    - {bond_a: 0, bond_b: 1, g3: 0.001}\n"
+)["system"]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -1011,6 +1081,10 @@ BAD_VALUES = [
 @example(path=("dynamics", "duration_fs"), value=1e10, command="ensemble")
 @example(path=("dynamics", "duration_fs"), value=1e10, command="scan")
 @example(path=("analyze", "runs", 1), value="abc", command="analyze")
+@example(path=("dynamics", "dt_fs"), value=1e-300, command="spectrum")
+@example(path=("cavity", "polarization", 0), value=1e300, command="run")
+@example(path=("ensemble", "launch", "sic_displacement_bohr"), value=10**30, command="scan")
+@example(path=("system",), value=FAR_FROM_REST, command="spectrum")
 def test_every_bad_input_ends_in_an_error_line(small_runs, path, value, command):
     config = copy.deepcopy(SMALL_CONFIG)
     node = config

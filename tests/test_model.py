@@ -23,6 +23,8 @@ from conftest import random_rotation
 
 BARRIER_HA = 0.35 / EV_PER_HARTREE
 MU_SIC = (28.0 * 12.0 / 40.0) * EMASS_PER_AMU
+#: the surrogate's barrier-top curvature, which puts its Si-C barrier frequency at 86 cm^-1
+CURVATURE_TS_86 = -MU_SIC * (86.0 / CM1_PER_HARTREE) ** 2
 
 
 def fd_forces(system, x, h=1e-4):
@@ -199,6 +201,29 @@ def test_dipole_gradient_blocks_and_linearity(surrogate):
         assert np.allclose(col, grad[:, k], atol=1e-10)
 
 
+def test_valid_d_extra_enters_the_dipole(diatomic):
+    rng = np.random.default_rng(3)
+    blocks = rng.standard_normal((3, 2, 3))
+    d_extra = (blocks - blocks.mean(axis=1, keepdims=True)).reshape(3, 6)  # particle blocks sum to zero
+    system = ModelSystem(
+        particles=diatomic.particles,
+        bonds=diatomic.bonds,
+        couplings=(),
+        dipole=DipoleModel(diatomic.dipole.charges, d_extra),
+        reference_positions=diatomic.reference_positions,
+    )
+    grad = dipole_gradient(system)
+    assert np.array_equal(grad, dipole_gradient(diatomic) + d_extra)
+    xs = diatomic.reference_positions + 0.1 * rng.standard_normal((5, 6))
+    batch = system.dipole.value(xs)
+    for x, mu in zip(xs, batch):
+        assert np.array_equal(dipole(system, x), mu)
+        assert mu == pytest.approx(grad @ x, abs=1e-12)
+        # a neutral system with cancelling blocks: a rigid translation leaves the dipole unchanged
+        moved = (x.reshape(-1, 3) + rng.standard_normal(3)).reshape(-1)
+        assert dipole(system, moved) == pytest.approx(mu, abs=1e-12)
+
+
 def test_d_extra_blocks_must_cancel():
     bad = np.zeros((3, 6))
     bad[0, 0] = 1.0  # block sum is not zero
@@ -210,19 +235,21 @@ def test_d_extra_blocks_must_cancel():
 
 
 def test_calibration_reproduces_all_constraints():
-    targets = dict(barrier=BARRIER_HA, r0=3.6, r_ts=4.55, curvature_min=0.26, curvature_ts=-2.351e-3)
-    well = calibrate_reactive_bond(**targets)
-    assert well.energy(targets["r0"]) == pytest.approx(0.0, abs=1e-12)
-    assert well.d1(targets["r0"]) == pytest.approx(0.0, abs=1e-12)
-    assert well.d2(targets["r0"]) == pytest.approx(targets["curvature_min"], abs=1e-9)
-    assert well.energy(targets["r_ts"]) == pytest.approx(targets["barrier"], abs=1e-9)
-    assert well.d1(targets["r_ts"]) == pytest.approx(0.0, abs=1e-9)
-    assert well.d2(targets["r_ts"]) == pytest.approx(targets["curvature_ts"], abs=1e-9)
+    # neither set takes c6 = 0; the second is the surrogate's own targets with a stiffer well
+    for curvature_min, curvature_ts, c6 in [(0.26, -2.351e-3, 0.01), (0.5, CURVATURE_TS_86, 0.14)]:
+        targets = dict(barrier=BARRIER_HA, r0=3.6, r_ts=4.55, curvature_min=curvature_min, curvature_ts=curvature_ts)
+        well = calibrate_reactive_bond(**targets)
+        assert well.coeffs[4] == pytest.approx(c6, abs=1e-12)  # the smallest c6 of the search that works
+        assert well.energy(targets["r0"]) == pytest.approx(0.0, abs=1e-12)
+        assert well.d1(targets["r0"]) == pytest.approx(0.0, abs=1e-12)
+        assert well.d2(targets["r0"]) == pytest.approx(targets["curvature_min"], abs=1e-9)
+        assert well.energy(targets["r_ts"]) == pytest.approx(targets["barrier"], abs=1e-9)
+        assert well.d1(targets["r_ts"]) == pytest.approx(0.0, abs=1e-9)
+        assert well.d2(targets["r_ts"]) == pytest.approx(targets["curvature_ts"], abs=1e-9)
 
 
 def test_calibration_ts_frequency_target():
-    curvature_ts = -MU_SIC * (86.0 / CM1_PER_HARTREE) ** 2
-    well = calibrate_reactive_bond(BARRIER_HA, 3.6, 4.55, 0.26, curvature_ts)
+    well = calibrate_reactive_bond(BARRIER_HA, 3.6, 4.55, 0.26, CURVATURE_TS_86)
     assert well.ts_frequency_cm1(MU_SIC) == pytest.approx(86.0, rel=1e-3)
 
 
@@ -233,6 +260,12 @@ def test_calibration_rejects_degenerate_targets():
         calibrate_reactive_bond(-0.01, 3.6, 4.55, 0.26, -2e-3)
     with pytest.raises(CalibrationError):
         calibrate_reactive_bond(BARRIER_HA, 3.6, 4.55, 0.26, +2e-3)
+    # no c6 in the search gives this stiff a well a single barrier
+    with pytest.raises(CalibrationError, match=r"no valid double-well shape .* \(last constraint residual [0-9.e-]+\)"):
+        calibrate_reactive_bond(BARRIER_HA, 3.6, 4.55, 1.0, CURVATURE_TS_86)
+    # a barrier so far out that its powers overflow a float
+    with pytest.raises(CalibrationError, match=r"r_ts=1e\+300, .*residual out of floating-point range"):
+        calibrate_reactive_bond(BARRIER_HA, 3.6, 1e300, 0.26, -2e-3)
 
 
 def test_reactive_well_is_c2_at_the_tail_join():
@@ -294,6 +327,9 @@ def test_launch_geometry_loads_the_reactive_bond(surrogate):
         + g3 * (a_sif * a_sic**2 + a_sif**2 * a_sic)
     )
     assert potential_energy(surrogate, x) == pytest.approx(expected, abs=1e-12)
+    # so far a displacement that the leaving group's beads round to one point
+    with pytest.raises(model.GeometryError, match="particles 3 and 4 are coincident"):
+        pta_launch_positions(surrogate, 1e30)
 
 
 def test_coupling_term_energy_and_forces():
