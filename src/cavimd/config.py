@@ -333,7 +333,8 @@ def _optional(parse):
 
 def _polarization(raw, where: str) -> tuple:
     pol = np.asarray(_list_of(_real, 3)(raw, where))
-    norm = np.linalg.norm(pol)
+    with np.errstate(over="ignore"):  # an overflowing length is rejected below
+        norm = np.linalg.norm(pol)
     if not 1e-12 <= norm < np.inf:
         raise ConfigError(f"{where} must be a non-zero 3-vector of finite length")
     return tuple(float(x) for x in pol / norm)

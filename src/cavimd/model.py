@@ -18,7 +18,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .units import EMASS_PER_AMU, CM1_PER_HARTREE, EV_PER_HARTREE
+from .units import EMASS_PER_AMU, CM1_PER_HARTREE
 
 
 class CalibrationError(RuntimeError):
@@ -62,6 +62,12 @@ def _poly_d1(x, d):
     """First derivative of `_poly` for d = (2 c2, 3 c3, 4 c4, 5 c5, 6 c6)."""
     d2, d3, d4, d5, d6 = d
     return x * (d2 + x * (d3 + x * (d4 + x * (d5 + x * d6))))
+
+
+def _poly_d2(x, c):
+    """Second derivative of `_poly` for c = (c2, ..., c6)."""
+    c2, c3, c4, c5, c6 = c
+    return 2 * c2 + x * (6 * c3 + x * (12 * c4 + x * (20 * c5 + x * 30 * c6)))
 
 
 def _d1_coeffs(c) -> tuple:
@@ -135,10 +141,6 @@ class ReactiveWell:
     def d1_coeffs(self) -> tuple:
         return _d1_coeffs(self.coeffs)
 
-    def _poly_d2(self, x):
-        c2, c3, c4, c5, c6 = self.coeffs
-        return 2 * c2 + x * (6 * c3 + x * (12 * c4 + x * (20 * c5 + x * 30 * c6)))
-
     def energy(self, r):
         return _well_energy(np.subtract(r, self.r0), self)[()]
 
@@ -147,7 +149,7 @@ class ReactiveWell:
 
     def d2(self, r):
         x = np.subtract(r, self.r0)
-        return np.where(x > self.x_tail, 0.0, self._poly_d2(x))[()]
+        return np.where(x > self.x_tail, 0.0, _poly_d2(x, self.coeffs))[()]
 
     @property
     def barrier(self) -> float:
@@ -159,7 +161,7 @@ class ReactiveWell:
 
     @property
     def curvature_ts(self) -> float:
-        return self._poly_d2(self.r_ts - self.r0)
+        return _poly_d2(self.r_ts - self.r0, self.coeffs)
 
     def ts_frequency_cm1(self, reduced_mass: float) -> float:
         """Barrier-top frequency sqrt(|V''(r_ts)| / mu) in cm^-1."""
@@ -421,9 +423,10 @@ class ModelSystem:
             if ref.shape != (3 * n,) or not np.all(np.isfinite(ref)):
                 raise ValueError("reference_positions must be a flat 3N array of finite numbers")
             try:
-                finite = np.isfinite(potential_energy(self, ref)) and np.isfinite(forces(self, ref)).all()
+                with np.errstate(all="ignore"):  # an overflow is named below, not warned about
+                    finite = np.isfinite(potential_energy(self, ref)) and np.isfinite(forces(self, ref)).all()
             except GeometryError as exc:
-                raise ValueError(f"reference_positions: {exc.rows[0]}") from None
+                raise ValueError(f"reference_positions: {exc}") from None
             if not finite:
                 raise ValueError(f"reference_positions: energy or forces not finite at {failure_reasons(self, ref[None])[0]}")
             object.__setattr__(self, "reference_positions", ref)
@@ -458,13 +461,9 @@ class ModelSystem:
 class GeometryError(ValueError):
     """Coordinates the bonded potential cannot be evaluated at.
 
-    `rows` maps each offending row of the batch (0 for a flat input) to the
-    reason `failure_reasons` gives for it.
+    The message is the reason `failure_reasons` gives: the reason alone for a
+    flat input, and "row k: reason" for each offending row k of a batch.
     """
-
-    def __init__(self, rows: dict):
-        self.rows = rows
-        super().__init__("; ".join(f"row {k}: {why}" for k, why in rows.items()))
 
 
 def _geometry(system: ModelSystem, positions, flat: bool = False):
@@ -484,7 +483,9 @@ def _geometry(system: ModelSystem, positions, flat: bool = False):
     if np.isfinite(x).all() and r.min(initial=np.inf) >= 1e-12 and r.max(initial=0.0) < np.inf:
         return d, r
     bad = ~(np.isfinite(x).all(axis=1) & (r >= 1e-12).all(axis=1) & (r < np.inf).all(axis=1))
-    raise GeometryError(dict(zip(np.flatnonzero(bad).tolist(), failure_reasons(system, x[bad]))))
+    why = failure_reasons(system, x[bad])
+    rows = "; ".join(f"row {k}: {w}" for k, w in zip(np.flatnonzero(bad).tolist(), why))
+    raise GeometryError(why[0] if np.ndim(positions) == 1 else rows)
 
 
 def failure_reasons(system: ModelSystem, x: np.ndarray) -> List[str]:
@@ -583,8 +584,7 @@ def _well_shape_valid(coeffs, t, r0):
     """Single barrier, monotone walls, and a usable outer inflection."""
     c2, c3, c4, c5, c6 = coeffs
     # stationary points of the polynomial: roots of V'(x)/x beside x = 0
-    dcoef = [6 * c6, 5 * c5, 4 * c4, 3 * c3, 2 * c2]
-    roots = np.roots(dcoef)
+    roots = np.roots(_d1_coeffs(coeffs)[::-1])
     real = roots[np.abs(roots.imag) < 1e-9].real
     inner_floor = -(r0 - 0.2)
     for x in real:
@@ -600,8 +600,7 @@ def _well_shape_valid(coeffs, t, r0):
     if beyond.size == 0:
         return None
     x_tail = float(beyond[0])
-    d1 = sum(n * c * x_tail ** (n - 1) for n, c in zip(range(2, 7), coeffs))
-    if d1 >= 0:
+    if _poly_d1(x_tail, _d1_coeffs(coeffs)) >= 0:
         return None  # outer branch must still descend at the join
     return x_tail
 
@@ -658,9 +657,7 @@ def calibrate_reactive_bond(
                 continue
             coeffs = (c2, float(c3), float(c4), float(c5), float(c6))
             # re-evaluate the constraints before accepting
-            v = sum(c * t**n for n, c in zip(range(2, 7), coeffs))
-            d1 = sum(n * c * t ** (n - 1) for n, c in zip(range(2, 7), coeffs))
-            d2 = sum(n * (n - 1) * c * t ** (n - 2) for n, c in zip(range(2, 7), coeffs))
+            v, d1, d2 = _poly(t, coeffs), _poly_d1(t, _d1_coeffs(coeffs)), _poly_d2(t, coeffs)
             scale = max(abs(barrier), abs(curvature_min), 1.0)
             residual = max(abs(v - barrier), abs(d1), abs(d2 - curvature_ts)) / scale
             last_residual = residual
@@ -669,15 +666,9 @@ def calibrate_reactive_bond(
             x_tail = _well_shape_valid(coeffs, t, r0)
             if x_tail is None:
                 continue
-            tail_value = sum(c * x_tail**n for n, c in zip(range(2, 7), coeffs))
-            tail_slope = sum(n * c * x_tail ** (n - 1) for n, c in zip(range(2, 7), coeffs))
             return ReactiveWell(
-                r0=r0,
-                r_ts=r_ts,
-                coeffs=coeffs,
-                x_tail=x_tail,
-                tail_value=float(tail_value),
-                tail_slope=float(tail_slope),
+                r0=r0, r_ts=r_ts, coeffs=coeffs, x_tail=x_tail,
+                tail_value=_poly(x_tail, coeffs), tail_slope=_poly_d1(x_tail, _d1_coeffs(coeffs)),
             )
     except OverflowError:  # a Python float power of the targets is out of range
         last_residual = "out of floating-point range"
@@ -709,6 +700,17 @@ PTA_TS_CM1 = 86.0
 PTA_BARRIER_EV = 0.35
 # well curvature (hartree/bohr^2) that puts the Si-C stretch mode at PTA_MODE_CM1
 _PTA_CURVATURE_MIN = 0.18036179093914953
+#: the Si-C well `calibrate_reactive_bond` gives for these targets and the barrier-top curvature of
+#: PTA_TS_CM1 at the Si-C reduced mass, stated because its LAPACK calls vary in the last bits by host
+_PTA_WELL = ReactiveWell(
+    r0=_PTA_R0["sic"], r_ts=_PTA_R_TS,
+    coeffs=tuple(map(float.fromhex, (
+        "0x1.716185cc40ca9p-4", "-0x1.168736526ec02p-3", "0x1.0c4cfa5c8de14p-4", "-0x1.bed26089cd0f2p-8", "0x0p+0"
+    ))),
+    x_tail=float.fromhex("0x1.ea446811a605bp-1"),
+    tail_value=float.fromhex("0x1.a5781ab65e556p-7"),
+    tail_slope=float.fromhex("-0x1.2ae28babb18p-17"),
+)
 _PTA_G3 = {
     (PTA_BOND_SIF, PTA_BOND_SIC): 8.0e-4,
     (PTA_BOND_SIC, PTA_BOND_CC): 8.0e-4,
@@ -740,21 +742,15 @@ _PTA_PARTICLES = tuple(
 def build_pta_surrogate() -> ModelSystem:
     """Six-bead F-Si(-Me)-C-C-Ph chain tuned to the headline observables.
 
-    The reactive Si-C bond is calibrated to the barrier PTA_BARRIER_EV, the
-    barrier-top frequency PTA_TS_CM1 and the well curvature
-    _PTA_CURVATURE_MIN, which puts the most Si-C-stretch-like normal mode
-    within 0.5 cm^-1 of PTA_MODE_CM1.
+    The reactive Si-C bond is the stated well _PTA_WELL, calibrated to the
+    barrier PTA_BARRIER_EV, the barrier-top frequency PTA_TS_CM1 and the well
+    curvature _PTA_CURVATURE_MIN, which puts the most Si-C-stretch-like normal
+    mode within 0.5 cm^-1 of PTA_MODE_CM1.
     """
-    # the barrier top depends on the Si-C reduced mass, so ask the bare particle set
-    bare = ModelSystem(_PTA_PARTICLES, (), (), DipoleModel(np.array(_PTA_CHARGES)))
-    curvature_ts = -bare.reduced_mass(PTA_SI, PTA_C1) * (PTA_TS_CM1 / CM1_PER_HARTREE) ** 2
-    well = calibrate_reactive_bond(
-        PTA_BARRIER_EV / EV_PER_HARTREE, _PTA_R0["sic"], _PTA_R_TS, _PTA_CURVATURE_MIN, curvature_ts
-    )
     bonds = (
         HarmonicBond(PTA_F, PTA_SI, _PTA_K["sif"], _PTA_R0["sif"]),
         HarmonicBond(PTA_ME, PTA_SI, _PTA_K["sime"], _PTA_R0["sime"]),
-        ReactiveBond(PTA_SI, PTA_C1, well),
+        ReactiveBond(PTA_SI, PTA_C1, _PTA_WELL),
         HarmonicBond(PTA_C1, PTA_C2, _PTA_K["cc"], _PTA_R0["cc"]),
         HarmonicBond(PTA_C2, PTA_PH, _PTA_K["cph"], _PTA_R0["cph"]),
     )
@@ -762,7 +758,7 @@ def build_pta_surrogate() -> ModelSystem:
         particles=_PTA_PARTICLES,
         bonds=bonds,
         couplings=tuple(CouplingTerm(a, b, g) for (a, b), g in _PTA_G3.items()),
-        dipole=bare.dipole,
+        dipole=DipoleModel(np.array(_PTA_CHARGES)),
         reactive_bond_index=PTA_BOND_SIC,
         reference_positions=_pta_reference_positions(),
     )

@@ -7,6 +7,9 @@ that fails must not disturb the others.
 
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,3 +279,34 @@ def test_propagation_starts_no_process(tmp_path, monkeypatch):
     assert main(["scan", "--config", str(cfg), "--out", str(tmp_path / "b"), "--threads", "1"]) == 0
     name = "resonance_scan.csv"
     assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def kernel_probe():
+    """The surrogate's well and a short mixed-mode batch of its trajectories, as named arrays."""
+    system = model.build_pta_surrogate()
+    w = system.reactive_bond.well
+    modes = mixed_modes()
+    rows = propagate_batch(system, modes, launch(system, 5, len(modes)), fs_to_au(0.5), 300, stride=3)
+    out = {"well": np.array([w.r0, w.r_ts, *w.coeffs, w.x_tail, w.tail_value, w.tail_slope])}
+    for name in ("times", "positions", "velocities", "photon_q", "photon_p", "epot", "ekin", "ecav", "dipole"):
+        out[name] = np.stack([getattr(traj, name) for traj, _ in rows])
+    return out
+
+
+def test_surrogate_and_its_dynamics_do_not_depend_on_the_blas_kernel(tmp_path):
+    # OpenBLAS picks its kernel for the CPU at run time, and Prescott is a generic one any x86-64 CPU runs;
+    # its LAPACK differs from the others in the last bits, so nothing on this path may go through it
+    tests = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH", "")])
+    code = f"import numpy as np, test_batch; np.savez({str(tmp_path / 'probe.npz')!r}, **test_batch.kernel_probe())"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_CORETYPE": "Prescott"},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    there = np.load(tmp_path / "probe.npz")
+    for name, here in kernel_probe().items():
+        assert np.array_equal(there[name], here), name

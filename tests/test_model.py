@@ -268,6 +268,31 @@ def test_calibration_rejects_degenerate_targets():
         calibrate_reactive_bond(BARRIER_HA, 3.6, 1e300, 0.26, -2e-3)
 
 
+def ulps(a, b):
+    return abs(a - b) / np.spacing(abs(b)) if b else abs(a)
+
+
+def test_stated_surrogate_well_is_the_calibration_at_its_targets(surrogate):
+    assert surrogate.reactive_bond.well == model._PTA_WELL
+    mu = surrogate.reduced_mass(model.PTA_SI, model.PTA_C1)
+    well = calibrate_reactive_bond(
+        model.PTA_BARRIER_EV / EV_PER_HARTREE,
+        model._PTA_R0["sic"],
+        model._PTA_R_TS,
+        model._PTA_CURVATURE_MIN,
+        -mu * (model.PTA_TS_CM1 / CM1_PER_HARTREE) ** 2,
+    )
+    stated = model._PTA_WELL
+    assert (well.r0, well.r_ts) == (stated.r0, stated.r_ts)
+    # 0 ulps on the AVX-512 OpenBLAS kernel the literals were taken on; the LAPACK solve and roots of the
+    # generic kernels (Haswell, Prescott) put c4 1, c5 9 and x_tail 2 ulps away
+    assert all(ulps(a, b) <= bound for a, b, bound in zip(well.coeffs, stated.coeffs, (0, 0, 4, 16, 0)))
+    assert ulps(well.x_tail, stated.x_tail) <= 4
+    # Horner form against the power sums the literal came from: 4 ulps; the slope is a sum with cancellation
+    assert ulps(well.tail_value, stated.tail_value) <= 8
+    assert well.tail_slope == pytest.approx(stated.tail_slope, rel=1e-9)
+
+
 def test_reactive_well_is_c2_at_the_tail_join():
     well = calibrate_reactive_bond(BARRIER_HA, 3.6, 4.55, 0.26, -2.351e-3)
     r_join = well.r0 + well.x_tail
