@@ -286,38 +286,40 @@ def _spectrum_tag(lam: float) -> str:
 
 
 def cmd_spectrum(config: RunConfig, system: ModelSystem, outdir: Path, threads: int) -> int:
-    modes = _analysis.system_normal_modes(system)
-    pol = np.asarray(config.cavity.polarization)
-    lam_list = config.spectrum.lambda_list_au
-    if lam_list is None:
-        # one entry at zero coupling, where both would be the bare spectrum
-        lam_list = tuple(dict.fromkeys((0.0, config.cavity.lambda_au)))
-    broadening = config.spectrum.broadening_cm1
-    bond = None if system.reactive_bond_index is None else (system.reactive_bond.i, system.reactive_bond.j)
-    for lam in lam_list:
-        cav = dataclasses.replace(config.cavity, lambda_au=lam).mode()
-        tag = _spectrum_tag(lam)
-        eff = modes if cav is None else _analysis.polariton_modes(modes, cav)
-        lines, grid, curve = _analysis.ir_spectrum(eff, pol, broadening)
-        if bond is not None:
-            if cav is None:
-                weights = _analysis.sic_weighted_spectrum(modes, bond)
-            else:
-                weights = _analysis.polariton_sic_weights(eff, modes, bond)
-            # ir_spectrum keeps the modes above NEAR_ZERO_CM1, in order: one line each
-            for ln, w in zip(lines, weights[eff.frequencies_cm1 > _analysis.NEAR_ZERO_CM1]):
-                ln.si_c_weight = float(w)
-        table = np.array([[ln.frequency_cm1, ln.strength, ln.si_c_weight] for ln in lines])
-        write_csv(
-            outdir / f"spectrum_lines_{tag}.csv",
-            ["frequency_cm1", "strength_au", "si_c_weight"],
-            table.reshape(-1, 3),
-        )
-        write_csv(
-            outdir / f"spectrum_curve_{tag}.csv",
-            ["frequency_cm1", "intensity_au"],
-            np.column_stack((grid, curve)),
-        )
+    # arithmetic past floating-point range raises at once, rather than warning and failing later
+    with np.errstate(over="raise", invalid="raise"):
+        modes = _analysis.system_normal_modes(system)
+        pol = np.asarray(config.cavity.polarization)
+        lam_list = config.spectrum.lambda_list_au
+        if lam_list is None:
+            # one entry at zero coupling, where both would be the bare spectrum
+            lam_list = tuple(dict.fromkeys((0.0, config.cavity.lambda_au)))
+        broadening = config.spectrum.broadening_cm1
+        bond = None if system.reactive_bond_index is None else (system.reactive_bond.i, system.reactive_bond.j)
+        for lam in lam_list:
+            cav = dataclasses.replace(config.cavity, lambda_au=lam).mode()
+            tag = _spectrum_tag(lam)
+            eff = modes if cav is None else _analysis.polariton_modes(modes, cav)
+            lines, grid, curve = _analysis.ir_spectrum(eff, pol, broadening)
+            if bond is not None:
+                if cav is None:
+                    weights = _analysis.sic_weighted_spectrum(modes, bond)
+                else:
+                    weights = _analysis.polariton_sic_weights(eff, modes, bond)
+                # ir_spectrum keeps the modes above NEAR_ZERO_CM1, in order: one line each
+                for ln, w in zip(lines, weights[eff.frequencies_cm1 > _analysis.NEAR_ZERO_CM1]):
+                    ln.si_c_weight = float(w)
+            table = np.array([[ln.frequency_cm1, ln.strength, ln.si_c_weight] for ln in lines])
+            write_csv(
+                outdir / f"spectrum_lines_{tag}.csv",
+                ["frequency_cm1", "strength_au", "si_c_weight"],
+                table.reshape(-1, 3),
+            )
+            write_csv(
+                outdir / f"spectrum_curve_{tag}.csv",
+                ["frequency_cm1", "intensity_au"],
+                np.column_stack((grid, curve)),
+            )
     return 0
 
 

@@ -191,58 +191,48 @@ def _parse_system(block: dict) -> dict:
     return json.loads(json.dumps(block))
 
 
-def _entry(where: str, build, *args):
-    """build(*args), with its rejection of the values prefixed by the config entry `where`."""
+def _entry(where: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with its rejection of the values prefixed by the config entry `where`."""
     try:
-        return build(*args)
+        return build(*args, **kwargs)
     except CalibrationError as exc:
         raise CalibrationError(f"{where}: {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 
+def _bond(raw, where: str):
+    """An inline bond: the fields of a harmonic bond, or the calibration targets of the reactive bond."""
+    kind = raw.get("kind") if isinstance(raw, dict) else None
+    if kind == "harmonic":
+        return _block({k: v for k, v in raw.items() if k != "kind"}, where, HarmonicBond, i=_integer, j=_integer)
+    if kind != "reactive":
+        raise ConfigError(f"{where} must be a mapping of kind 'harmonic' or 'reactive', got {raw!r}")
+    keys = {"kind", "i", "j", "r0", "r_ts", "barrier_ev", "curvature_min", "curvature_ts"}
+    _require_keys(raw, keys, keys, where)
+    num = lambda key: _real(raw[key], f"{where}.{key}")  # noqa: E731
+    targets = (num(key) for key in ("r0", "r_ts", "curvature_min", "curvature_ts"))
+    well = _entry(where, calibrate_reactive_bond, num("barrier_ev") / EV_PER_HARTREE, *targets)
+    return _entry(where, ReactiveBond, _integer(raw["i"], f"{where}.i"), _integer(raw["j"], f"{where}.j"), well)
+
+
 def _build_inline(system_block: dict) -> ModelSystem:
-    particles = []
-    for k, p in enumerate(system_block["particles"]):
-        _require_keys(p, {"label", "mass_amu", "charge"}, {"label", "mass_amu", "charge"}, f"particles[{k}]")
-        mass, charge = (_real(p[key], f"particles[{k}].{key}") for key in ("mass_amu", "charge"))
-        particles.append(_entry(f"particles[{k}]", Particle, str(p["label"]), mass, charge))
-    bonds = []
-    reactive_index = None
-    for k, b in enumerate(system_block["bonds"]):
-        num = lambda key: _real(b[key], f"bonds[{k}].{key}")  # noqa: E731
-        kind = b.get("kind")
-        if kind == "harmonic":
-            _require_keys(b, {"kind", "i", "j", "k", "r0"}, {"kind", "i", "j", "k", "r0"}, f"bonds[{k}]")
-            i, j = _integer(b["i"], f"bonds[{k}].i"), _integer(b["j"], f"bonds[{k}].j")
-            bonds.append(_entry(f"bonds[{k}]", HarmonicBond, i, j, num("k"), num("r0")))
-        elif kind == "reactive":
-            keys = {"kind", "i", "j", "r0", "r_ts", "barrier_ev", "curvature_min", "curvature_ts"}
-            _require_keys(b, keys, keys, f"bonds[{k}]")
-            well = _entry(
-                f"bonds[{k}]",
-                calibrate_reactive_bond,
-                num("barrier_ev") / EV_PER_HARTREE,
-                *(num(key) for key in ("r0", "r_ts", "curvature_min", "curvature_ts")),
-            )
-            if reactive_index is not None:
-                raise ConfigError("only one reactive bond is supported")
-            reactive_index = k
-            i, j = _integer(b["i"], f"bonds[{k}].i"), _integer(b["j"], f"bonds[{k}].j")
-            bonds.append(_entry(f"bonds[{k}]", ReactiveBond, i, j, well))
-        else:
-            raise ConfigError(f"bonds[{k}]: kind must be 'harmonic' or 'reactive'")
-    couplings = []
-    for k, c in enumerate(system_block.get("couplings", [])):
-        _require_keys(c, {"bond_a", "bond_b", "g3"}, {"bond_a", "bond_b", "g3"}, f"couplings[{k}]")
-        a, b = (_integer(c[key], f"couplings[{k}].{key}") for key in ("bond_a", "bond_b"))
-        couplings.append(_entry(f"couplings[{k}]", CouplingTerm, a, b, _real(c["g3"], f"couplings[{k}].g3")))
+    particles = _list_of(lambda raw, where: _block(raw, where, Particle, label=_text))(
+        system_block["particles"], "particles"
+    )
+    bonds = _list_of(_bond)(system_block["bonds"], "bonds")
+    reactive = [k for k, b in enumerate(bonds) if isinstance(b, ReactiveBond)]
+    if len(reactive) > 1:
+        raise ConfigError("only one reactive bond is supported")
+    couplings = _list_of(lambda raw, where: _block(raw, where, CouplingTerm, bond_a=_integer, bond_b=_integer))(
+        system_block.get("couplings", []), "couplings"
+    )
     return ModelSystem(
-        particles=tuple(particles),
-        bonds=tuple(bonds),
-        couplings=tuple(couplings),
+        particles=particles,
+        bonds=bonds,
+        couplings=couplings,
         dipole=DipoleModel(np.array([p.charge for p in particles]), system_block.get("d_extra")),
-        reactive_bond_index=reactive_index,
+        reactive_bond_index=reactive[0] if reactive else None,
         reference_positions=np.asarray(system_block["positions_bohr"], dtype=float).reshape(-1),
     )
 
@@ -296,22 +286,6 @@ def _real(raw, where: str) -> float:
     return value
 
 
-def _positive(raw, where: str) -> float:
-    """A finite number above 0."""
-    value = _real(raw, where)
-    if not value > 0:
-        raise ConfigError(f"{where} must be positive, got {value!r}")
-    return value
-
-
-def _non_negative(raw, where: str) -> float:
-    """A finite number of at least 0."""
-    value = _real(raw, where)
-    if value < 0:
-        raise ConfigError(f"{where} must be non-negative, got {value!r}")
-    return value
-
-
 def _list_of(parse, length: Optional[int] = None):
     """A YAML list (of exactly `length` entries if given) read entry by entry.
 
@@ -331,6 +305,25 @@ def _optional(parse):
     return lambda raw, where: None if raw is None else parse(raw, where)
 
 
+def _checked(parse, test, rule: str):
+    """`parse`, then `test` on its value; a value that fails the test is an error stating `rule`."""
+
+    def parse_checked(raw, where: str):
+        value = parse(raw, where)
+        if not test(value):
+            raise ConfigError(f"{where} {rule}, got {value!r}")
+        return value
+
+    return parse_checked
+
+
+_positive = _checked(_real, lambda x: x > 0, "must be positive")
+_non_negative = _checked(_real, lambda x: x >= 0, "must be non-negative")
+_count = lambda low: _checked(_integer, lambda n: n >= low, f"must be >= {low}")  # noqa: E731
+_non_empty = lambda parse: _checked(parse, bool, "must not be empty")  # noqa: E731
+_text = lambda raw, where: str(raw)  # noqa: E731
+
+
 def _polarization(raw, where: str) -> tuple:
     pol = np.asarray(_list_of(_real, 3)(raw, where))
     with np.errstate(over="ignore"):  # an overflowing length is rejected below
@@ -341,18 +334,19 @@ def _polarization(raw, where: str) -> tuple:
 
 
 def _block(raw, name: str, cls, **parsers):
-    """Read the config block `raw` (a mapping, or None) into the dataclass `cls`.
+    """Read the config block or inline entry `raw` (a mapping, or None) into the dataclass `cls`.
 
     The keys are the fields of `cls`, and those without a default are
     required. Absent keys take the field default; a present key goes through
-    its parser in `parsers` (by field name), `_real` if it has none.
+    its parser in `parsers` (by field name), `_real` if it has none. A value
+    that `cls` itself rejects is an error naming `name`.
     """
     block = {} if raw is None else raw
     if not isinstance(block, dict):
         raise ConfigError(f"{name} must be a mapping, got {raw!r}")
     required = {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
     _require_keys(block, {f.name for f in fields(cls)}, required, name)
-    return cls(**{k: parsers.get(k, _real)(v, f"{name}.{k}") for k, v in block.items()})
+    return _entry(name, cls, **{k: parsers.get(k, _real)(v, f"{name}.{k}") for k, v in block.items()})
 
 
 def _parse_blocks(raw) -> RunConfig:
@@ -364,31 +358,23 @@ def _parse_blocks(raw) -> RunConfig:
     system_block = _parse_system(raw["system"])
     cavity = _parse_cavity(raw["cavity"])
 
-    dynamics = _block(raw.get("dynamics"), "dynamics", DynamicsConfig, dt_fs=_positive, stride=_integer)
+    dynamics = _block(raw.get("dynamics"), "dynamics", DynamicsConfig, dt_fs=_positive, stride=_count(1))
     # the step count indexes a range of frames, so it must fit a Py_ssize_t
     if not 1 <= dynamics.duration_fs / dynamics.dt_fs < np.iinfo(np.intp).max:
         raise ConfigError(f"dynamics.duration_fs / dt_fs must be at least 1 and below {np.iinfo(np.intp).max}")
-    if dynamics.stride < 1:
-        raise ConfigError("stride must be >= 1")
 
     ensemble = _block(
         raw.get("ensemble"),
         "ensemble",
         EnsembleConfig,
         temperature_K=_non_negative,
-        n_trajectories=_integer,
+        n_trajectories=_count(1),
         seed=_integer,
         resample_T_K=_optional(_non_negative),
-        window_fs=_list_of(_real, 2),
+        window_fs=_checked(_list_of(_real, 2), lambda w: 0 <= w[0] < w[1], "must be an increasing pair from 0 fs"),
         aim=_optional(_list_of(_integer, 2)),
         launch=lambda block, where: _block(block, where, LaunchConfig),
     )
-    if ensemble.n_trajectories < 1:
-        raise ConfigError("n_trajectories must be >= 1")
-    if not ensemble.window_fs[0] < ensemble.window_fs[1]:
-        raise ConfigError("window_fs must be an increasing pair")
-    if ensemble.window_fs[0] < 0:
-        raise ConfigError("ensemble.window_fs must not start before 0 fs")
     n_steps, stride = dynamics.n_steps(), dynamics.stride
     last_frame_fs = n_steps // stride * stride * dynamics.dt_fs
     if ensemble.window_fs[1] > last_frame_fs + TIME_TOL_FS:
@@ -404,44 +390,35 @@ def _parse_blocks(raw) -> RunConfig:
         raw.get("outputs"),
         "outputs",
         OutputsConfig,
-        directory=lambda raw, where: str(raw),
-        formats=_list_of(lambda raw, where: raw),
+        directory=_text,
+        formats=_non_empty(
+            _list_of(_checked(lambda raw, where: raw, lambda f: f in ("csv", "json"), "must be csv or json"))
+        ),
     )
-    for f in outputs.formats:
-        if f not in ("csv", "json"):
-            raise ConfigError(f"unknown output format {f!r}")
-    if not outputs.formats:
-        raise ConfigError("outputs.formats must not be empty")
 
     spectrum = _block(
         raw.get("spectrum"), "spectrum", SpectrumConfig,
-        lambda_list_au=_optional(_list_of(_non_negative)), broadening_cm1=_positive,
+        lambda_list_au=_optional(_non_empty(_list_of(_non_negative))), broadening_cm1=_positive,
     )
-    if spectrum.lambda_list_au == ():
-        raise ConfigError("spectrum.lambda_list_au must not be empty")
 
     scan = _block(
         raw.get("scan"),
         "scan",
         ScanConfig,
-        omega_list_cm1=_optional(_list_of(_positive)),
-        ratio_list=_optional(_list_of(_non_negative)),
+        omega_list_cm1=_optional(_non_empty(_list_of(_positive))),
+        ratio_list=_optional(_non_empty(_list_of(_non_negative))),
     )
     if scan.omega_list_cm1 is not None and scan.ratio_list is not None:
         raise ConfigError("scan block takes omega_list_cm1 or ratio_list, not both")
-    if scan.omega_list_cm1 == () or scan.ratio_list == ():
-        raise ConfigError("scan lists must not be empty")
 
     analyze = _block(
         raw.get("analyze"),
         "analyze",
         AnalyzeConfig,
-        runs=_list_of(lambda raw, where: str(raw)),
-        correlation_window=_integer,
+        runs=_list_of(_text),
+        correlation_window=_count(2),
         bonds=_list_of(_list_of(_integer, 2)),
     )
-    if analyze.correlation_window < 2:
-        raise ConfigError("analyze.correlation_window must be >= 2")
 
     return RunConfig(system_block, cavity, dynamics, ensemble, outputs, spectrum, scan, analyze)
 

@@ -581,17 +581,23 @@ def test_find_transition_state_builds_normal_modes_once(surrogate, monkeypatch):
 
 
 def test_surrogate_normal_mode_frequencies_are_pinned(surrogate):
-    # bit for bit: the spectrum and occupation outputs read these modes, so a change of Hessian shows
-    # here. Values from numpy 2.4.6 with OpenBLAS 0.3.31 (`SkylakeX` kernel); another LAPACK build or
-    # kernel may move the last bits.
-    want = [
+    # the spectrum and occupation outputs read these modes, so a change of Hessian must show here. Values
+    # from numpy 2.4.6 with OpenBLAS 0.3.31 (`SkylakeX` kernel). On its `Haswell` and `Prescott` kernels,
+    # eigh moved the vibrational modes by at most 6.6e-15 relative and the near-zero rigid-body modes by
+    # at most 2.3e-7 cm^-1; replacing the force-difference Hessian by the energy stencil moves the 856 mode
+    # by 3.3e-4 cm^-1 and the near-zero modes by up to 0.65 cm^-1.
+    want = np.array([
         -0.0015590205824845915, -0.0010622045990379592, -3.2740722160309655e-05, 0.004720509498048898,
         0.005117139524020286, 0.007735252153407687, 0.00859166156733524, 0.014842539671197311,
         0.016872345094583747, 0.018825845428204303, 0.019889839732422632, 0.06583111140342807,
         0.06583645334498794, 287.217345180666, 520.4832527578054, 679.9877142065922,
         856.0683921383171, 2175.322540196088,
-    ]
-    assert system_normal_modes(surrogate).frequencies_cm1.tolist() == want
+    ])
+    got = system_normal_modes(surrogate).frequencies_cm1
+    vibrational = np.abs(want) > 1.0
+    assert got.shape == want.shape and vibrational.sum() == 5
+    np.testing.assert_allclose(got[vibrational], want[vibrational], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got[~vibrational], want[~vibrational], rtol=0, atol=1e-5)
 
 
 # --- bond weights ----------------------------------------------------------------

@@ -216,6 +216,55 @@ cavity:
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("bonds",), [1.0], "bonds[0] must be a mapping of kind 'harmonic' or 'reactive', got 1.0"),
+        (("bonds", 0, "kind"), "morse", "bonds[0] must be a mapping of kind 'harmonic' or 'reactive', got {"),
+        (("bonds",), "abc", "bonds must be a list, got 'abc'"),
+        (("particles", 0), None, "missing key(s) in particles[0]: ['charge', 'label', 'mass_amu']"),
+        (("couplings",), {"x": 1}, "couplings must be a list, got {'x': 1}"),
+        (("couplings",), [[0, 1]], "couplings[0] must be a mapping, got [0, 1]"),
+    ],
+)
+def test_inline_entries_must_be_mappings_in_lists(path, value, message):
+    config = yaml.safe_load(TWO_BEADS + "cavity:\n  omega_c_cm1: 500.0\n  lambda_au: 0.0\n")
+    node = config["system"]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ConfigError) as info:
+        parse_config(yaml.safe_dump(config)).build_system()
+    assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "block, message",
+    [
+        ("dynamics:\n  stride: 0\n", "dynamics.stride must be >= 1, got 0"),
+        ("ensemble:\n  n_trajectories: 0\n", "ensemble.n_trajectories must be >= 1, got 0"),
+        (
+            "ensemble:\n  window_fs: [-10.0, 40.0]\n",
+            "ensemble.window_fs must be an increasing pair from 0 fs, got (-10.0, 40.0)",
+        ),
+        (
+            "ensemble:\n  window_fs: [40.0, 10.0]\n",
+            "ensemble.window_fs must be an increasing pair from 0 fs, got (40.0, 10.0)",
+        ),
+        ("outputs:\n  formats: [csv, xml]\n", "outputs.formats[1] must be csv or json, got 'xml'"),
+        ("outputs:\n  formats: []\n", "outputs.formats must not be empty, got ()"),
+        ("spectrum:\n  lambda_list_au: []\n", "spectrum.lambda_list_au must not be empty, got ()"),
+        ("scan:\n  omega_list_cm1: []\n", "scan.omega_list_cm1 must not be empty, got ()"),
+        ("scan:\n  ratio_list: []\n", "scan.ratio_list must not be empty, got ()"),
+        ("analyze:\n  correlation_window: 1\n", "analyze.correlation_window must be >= 2, got 1"),
+    ],
+)
+def test_a_value_outside_its_field_names_the_field(block, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(MINIMAL + block)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("command", ["run", "ensemble"])
 def test_cli_coincident_aim_fails_cleanly(tmp_path, capsys, command):
     cfg = short_config(tmp_path)
@@ -961,22 +1010,24 @@ def test_cli_run_too_large_to_store_fails_at_once(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, old, new, message",
     [
-        ("spectrum", "outputs:", "spectrum:\n  broadening_cm1: 1.0e+300\noutputs:", "numerics failed: OverflowError"),
-        ("spectrum", "outputs:", "spectrum:\n  lambda_list_au: [1.0e+300]\noutputs:", "numerics failed: LinAlgError"),
+        ("spectrum", "outputs:", "spectrum:\n  broadening_cm1: 1.0e+300\noutputs:", "numerics failed: FloatingPointError"),
+        ("spectrum", "outputs:", "spectrum:\n  lambda_list_au: [1.0e+300]\noutputs:", "numerics failed: FloatingPointError"),
         ("spectrum", "charge: -0.5", "charge: 1.0e+300", "numerics failed: OverflowError"),
         ("calibrate", "r_ts: 4.5", "r_ts: 1.0e+300", "bonds[0]: no valid double-well shape for targets"),
         ("calibrate", "curvature_min: 0.2", "curvature_min: 1.0", "bonds[0]: no valid double-well shape for targets"),
     ],
     ids=["broadening", "coupling", "charge", "barrier-position", "stiff-well"],
 )
-def test_cli_numerics_out_of_range_fail_cleanly(tmp_path, capsys, command, old, new, message):
+def test_cli_numerics_out_of_range_fail_cleanly(tmp_path, capsys, recwarn, command, old, new, message):
     cfg = short_config(tmp_path)
     text = cfg.read_text().replace(BUILTIN, THREE_BEADS)
     assert old in text
     cfg.write_text(text.replace(old, new, 1))
     assert main([command, "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {message}") and "Traceback" not in err
+    # the error line alone: no traceback, and no numpy warning ahead of it
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert [str(w.message) for w in recwarn] == []
     assert not (tmp_path / "out" / "calibration.json").exists()
 
 
@@ -1052,9 +1103,9 @@ def small_runs(tmp_path_factory):
 
 
 def config_leaves(node, path=()):
-    """Key paths of every value in `node` that is not a mapping, list entries included."""
+    """Key paths of every value in `node` that is not a mapping, and of every list entry."""
     for key, value in node.items() if isinstance(node, dict) else enumerate(node):
-        if not isinstance(value, dict):
+        if not isinstance(value, dict) or isinstance(node, list):
             yield path + (key,)
         if isinstance(value, (dict, list)):
             yield from config_leaves(value, path + (key,))
@@ -1072,24 +1123,40 @@ FAR_FROM_REST = yaml.safe_load(
 )["system"]
 
 
+#: SMALL_CONFIG, and the same config with THREE_BEADS and one coupling as its inline system
+CONFIGS = {
+    "builtin": SMALL_CONFIG,
+    "inline": {
+        **SMALL_CONFIG,
+        "system": yaml.safe_load(THREE_BEADS + "  couplings:\n    - {bond_a: 0, bond_b: 1, g3: 0.001}\n")["system"],
+    },
+}
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
-    path=st.sampled_from(list(config_leaves(SMALL_CONFIG))),
+    case=st.sampled_from([(name, path) for name, config in CONFIGS.items() for path in config_leaves(config)]),
     value=st.sampled_from(BAD_VALUES),
     command=st.sampled_from(list(cli.COMMANDS)),
 )
-@example(path=("ensemble", "resample_T_K"), value=-20.0, command="run")
-@example(path=("scan", "omega_list_cm1", 1), value=0.0, command="scan")
-@example(path=("scan",), value={"ratio_list": [1.0, -0.5]}, command="scan")
-@example(path=("dynamics", "duration_fs"), value=1e10, command="ensemble")
-@example(path=("dynamics", "duration_fs"), value=1e10, command="scan")
-@example(path=("analyze", "runs", 1), value="abc", command="analyze")
-@example(path=("dynamics", "dt_fs"), value=1e-300, command="spectrum")
-@example(path=("cavity", "polarization", 0), value=1e300, command="run")
-@example(path=("ensemble", "launch", "sic_displacement_bohr"), value=10**30, command="scan")
-@example(path=("system",), value=FAR_FROM_REST, command="spectrum")
-def test_every_bad_input_ends_in_an_error_line(small_runs, path, value, command):
-    config = copy.deepcopy(SMALL_CONFIG)
+@example(case=("builtin", ("ensemble", "resample_T_K")), value=-20.0, command="run")
+@example(case=("builtin", ("scan", "omega_list_cm1", 1)), value=0.0, command="scan")
+@example(case=("builtin", ("scan",)), value={"ratio_list": [1.0, -0.5]}, command="scan")
+@example(case=("builtin", ("dynamics", "duration_fs")), value=1e10, command="ensemble")
+@example(case=("builtin", ("dynamics", "duration_fs")), value=1e10, command="scan")
+@example(case=("builtin", ("analyze", "runs", 1)), value="abc", command="analyze")
+@example(case=("builtin", ("dynamics", "dt_fs")), value=1e-300, command="spectrum")
+@example(case=("builtin", ("cavity", "polarization", 0)), value=1e300, command="run")
+@example(case=("builtin", ("ensemble", "launch", "sic_displacement_bohr")), value=10**30, command="scan")
+@example(case=("builtin", ("system",)), value=FAR_FROM_REST, command="spectrum")
+@example(case=("inline", ("system", "bonds")), value=[1.0], command="run")
+@example(case=("inline", ("system", "bonds", 0)), value=None, command="run")
+@example(case=("inline", ("system", "bonds")), value="abc", command="spectrum")
+@example(case=("inline", ("system", "particles", 0)), value=None, command="model-check")
+@example(case=("inline", ("system", "couplings")), value={"x": 1}, command="calibrate")
+def test_every_bad_input_ends_in_an_error_line(small_runs, case, value, command):
+    name, path = case
+    config = copy.deepcopy(CONFIGS[name])
     node = config
     for key in path[:-1]:
         node = node[key]
