@@ -2,10 +2,10 @@
 
 One structured config file drives every command. Required blocks are
 `system` and `cavity`; every other key falls back to the default on its
-dataclass field below, the one place a default is written. Unknown keys
-and non-finite numbers are rejected. File-facing quantities use cm^-1 /
-fs / Angstrom / eV / K; the resolved config (with the coupling strength in
-atomic units) lands in the manifest of every output directory.
+dataclass field below, the one place a default and its parser are written.
+Unknown keys and non-finite numbers are rejected. File-facing quantities
+use cm^-1 / fs / Angstrom / eV / K; the resolved config (with the coupling
+strength in atomic units) lands in the manifest of every output directory.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .model import (
     calibrate_reactive_bond,
     pta_launch_positions,
 )
-from .units import CM1_PER_HARTREE, EV_PER_HARTREE, UNIT_TABLE, fs_to_au
+from .units import CM1_PER_HARTREE, EV_PER_HARTREE, UNIT_TABLE, au_to_fs, fs_to_au
 
 
 class ConfigError(ValueError):
@@ -51,210 +51,6 @@ def _require_keys(block: dict, allowed: set, required: set, where: str):
     missing = required - set(block)
     if missing:
         raise ConfigError(f"missing key(s) in {where}: {sorted(missing)}")
-
-
-@dataclass
-class CavityConfig:
-    omega_c_cm1: float
-    # exactly one of lambda_au / ratio is given; parsing resolves the other
-    lambda_au: Optional[float] = None
-    ratio: Optional[float] = None
-    polarization: Tuple[float, float, float] = (1.0, 0.0, 0.0)
-    bilinear: bool = True
-    self_polarization: bool = True
-
-    def mode(self) -> Optional[CavityMode]:
-        if self.lambda_au == 0.0:
-            return None
-        return CavityMode(
-            omega_c=self.omega_c_cm1 / CM1_PER_HARTREE,
-            lambda_mag=self.lambda_au,
-            polarization=np.asarray(self.polarization, dtype=float),
-            bilinear_on=self.bilinear,
-            self_polarization_on=self.self_polarization,
-        )
-
-
-@dataclass
-class DynamicsConfig:
-    dt_fs: float = 0.25
-    duration_fs: float = 1000.0
-    stride: int = 4
-
-    def n_steps(self) -> int:
-        return int(round(self.duration_fs / self.dt_fs))
-
-
-@dataclass
-class LaunchConfig:
-    sic_displacement_bohr: float = PTA_LAUNCH_SIC_BOHR
-    sif_stretch_bohr: float = PTA_LAUNCH_SIF_BOHR
-
-
-@dataclass
-class EnsembleConfig:
-    temperature_K: float = 300.0
-    n_trajectories: int = 16
-    seed: int = 2026
-    resample_T_K: Optional[float] = None
-    window_fs: Tuple[float, float] = (0.0, 700.0)
-    aim: Optional[Tuple[int, int]] = (0, 1)
-    launch: LaunchConfig = field(default_factory=LaunchConfig)
-
-
-@dataclass
-class OutputsConfig:
-    directory: str = "out"
-    formats: Tuple[str, ...] = ("csv", "json")
-
-
-@dataclass
-class SpectrumConfig:
-    lambda_list_au: Optional[Tuple[float, ...]] = None
-    broadening_cm1: float = 30.0
-
-
-@dataclass
-class ScanConfig:
-    omega_list_cm1: Optional[Tuple[float, ...]] = None
-    ratio_list: Optional[Tuple[float, ...]] = None
-
-
-@dataclass
-class AnalyzeConfig:
-    runs: Tuple[str, ...] = ()
-    correlation_window: int = 64
-    bonds: Tuple[Tuple[int, int], ...] = ((1, 3), (1, 0))
-
-
-@dataclass
-class RunConfig:
-    system_block: dict
-    cavity: CavityConfig
-    dynamics: DynamicsConfig
-    ensemble: EnsembleConfig
-    outputs: OutputsConfig
-    spectrum: SpectrumConfig
-    scan: ScanConfig
-    analyze: AnalyzeConfig
-
-    def build_system(self) -> ModelSystem:
-        """Instantiate the system block's ModelSystem.
-
-        Every value an inline system's model classes reject is a ConfigError;
-        one raised for a single particle, bond or coupling names that entry.
-        """
-        if self.system_block.get("builtin") == "pta_surrogate":
-            return build_pta_surrogate()
-        try:
-            return _build_inline(self.system_block)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from None
-
-    def launch_positions(self, system: ModelSystem) -> np.ndarray:
-        if self.system_block.get("builtin") == "pta_surrogate":
-            lc = self.ensemble.launch
-            return _entry("ensemble.launch", pta_launch_positions, system, lc.sic_displacement_bohr, lc.sif_stretch_bohr)
-        return system.reference_positions.copy()
-
-    def resolved_dict(self) -> dict:
-        d = {f.name: asdict(getattr(self, f.name)) for f in fields(self)[1:]}
-        return json.loads(json.dumps({"system": self.system_block, **d}, sort_keys=True))
-
-
-def _parse_cavity(raw) -> CavityConfig:
-    cavity = _block(
-        raw, "cavity", CavityConfig, omega_c_cm1=_positive, lambda_au=_non_negative, ratio=_non_negative,
-        polarization=_polarization, bilinear=_flag, self_polarization=_flag,
-    )
-    if (cavity.lambda_au is None) == (cavity.ratio is None):
-        raise ConfigError("cavity block needs exactly one of lambda_au / ratio")
-    omega = cavity.omega_c_cm1 / CM1_PER_HARTREE
-    if cavity.ratio is None:
-        cavity.ratio = float(coupling_ratio(cavity.lambda_au, omega))
-    else:
-        cavity.lambda_au = float(lambda_for_ratio(cavity.ratio, omega))
-    return cavity
-
-
-def _parse_system(block: dict) -> dict:
-    allowed = {"builtin", "particles", "positions_bohr", "bonds", "couplings", "d_extra"}
-    _require_keys(block, allowed, set(), "system")
-    if "builtin" in block:
-        if block["builtin"] != "pta_surrogate":
-            raise ConfigError(f"unknown builtin system {block['builtin']!r}")
-        extra = set(block) - {"builtin"}
-        if extra:
-            raise ConfigError(f"builtin system takes no extra keys, got {sorted(extra)}")
-        return {"builtin": "pta_surrogate"}
-    _require_keys(block, allowed, {"particles", "positions_bohr", "bonds"}, "system")
-    return json.loads(json.dumps(block))
-
-
-def _entry(where: str, build, *args, **kwargs):
-    """build(*args, **kwargs), with its rejection of the values prefixed by the config entry `where`."""
-    try:
-        return build(*args, **kwargs)
-    except CalibrationError as exc:
-        raise CalibrationError(f"{where}: {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-
-
-def _bond(raw, where: str):
-    """An inline bond: the fields of a harmonic bond, or the calibration targets of the reactive bond."""
-    kind = raw.get("kind") if isinstance(raw, dict) else None
-    if kind == "harmonic":
-        return _block({k: v for k, v in raw.items() if k != "kind"}, where, HarmonicBond, i=_integer, j=_integer)
-    if kind != "reactive":
-        raise ConfigError(f"{where} must be a mapping of kind 'harmonic' or 'reactive', got {raw!r}")
-    keys = {"kind", "i", "j", "r0", "r_ts", "barrier_ev", "curvature_min", "curvature_ts"}
-    _require_keys(raw, keys, keys, where)
-    num = lambda key: _real(raw[key], f"{where}.{key}")  # noqa: E731
-    targets = (num(key) for key in ("r0", "r_ts", "curvature_min", "curvature_ts"))
-    well = _entry(where, calibrate_reactive_bond, num("barrier_ev") / EV_PER_HARTREE, *targets)
-    return _entry(where, ReactiveBond, _integer(raw["i"], f"{where}.i"), _integer(raw["j"], f"{where}.j"), well)
-
-
-def _build_inline(system_block: dict) -> ModelSystem:
-    particles = _list_of(lambda raw, where: _block(raw, where, Particle, label=_text))(
-        system_block["particles"], "particles"
-    )
-    bonds = _list_of(_bond)(system_block["bonds"], "bonds")
-    reactive = [k for k, b in enumerate(bonds) if isinstance(b, ReactiveBond)]
-    if len(reactive) > 1:
-        raise ConfigError("only one reactive bond is supported")
-    couplings = _list_of(lambda raw, where: _block(raw, where, CouplingTerm, bond_a=_integer, bond_b=_integer))(
-        system_block.get("couplings", []), "couplings"
-    )
-    return ModelSystem(
-        particles=particles,
-        bonds=bonds,
-        couplings=couplings,
-        dipole=DipoleModel(np.array([p.charge for p in particles]), system_block.get("d_extra")),
-        reactive_bond_index=reactive[0] if reactive else None,
-        reference_positions=np.asarray(system_block["positions_bohr"], dtype=float).reshape(-1),
-    )
-
-
-def parse_config(text: str) -> RunConfig:
-    """Parse and validate a YAML run configuration."""
-    try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        if mark is not None:
-            raise ConfigError(
-                f"config syntax error at line {mark.line + 1}, column {mark.column + 1}: {exc}"
-            ) from None
-        raise ConfigError(f"config syntax error: {exc}") from None
-    try:
-        return _parse_blocks(raw)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        # a value of the wrong type, such as `n_trajectories: x`
-        raise ConfigError(f"invalid config value: {exc}") from None
 
 
 def _flag(raw, where: str) -> bool:
@@ -337,90 +133,262 @@ def _block(raw, name: str, cls, **parsers):
     """Read the config block or inline entry `raw` (a mapping, or None) into the dataclass `cls`.
 
     The keys are the fields of `cls`, and those without a default are
-    required. Absent keys take the field default; a present key goes through
-    its parser in `parsers` (by field name), `_real` if it has none. A value
-    that `cls` itself rejects is an error naming `name`.
+    required. Absent keys take the field default. A present key goes through
+    its parser in `parsers` (by field name) if given, else the one on its
+    field (see `_field`), else `_real`. A value that `cls` itself rejects is
+    an error naming `name`.
     """
     block = {} if raw is None else raw
     if not isinstance(block, dict):
         raise ConfigError(f"{name} must be a mapping, got {raw!r}")
-    required = {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
-    _require_keys(block, {f.name for f in fields(cls)}, required, name)
-    return _entry(name, cls, **{k: parsers.get(k, _real)(v, f"{name}.{k}") for k, v in block.items()})
+    spec = {f.name: f for f in fields(cls)}
+    required = {k for k, f in spec.items() if f.default is MISSING and f.default_factory is MISSING}
+    _require_keys(block, set(spec), required, name)
+    parse = lambda k: parsers.get(k) or spec[k].metadata.get("parse", _real)  # noqa: E731
+    return _entry(name, cls, **{k: parse(k)(v, f"{name}.{k}") for k, v in block.items()})
+
+
+def _field(default, parse):
+    """A config field: its default (MISSING if the key is required) and the parser of its YAML value."""
+    return field(default=default, metadata={"parse": parse})
+
+
+def _block_field(cls):
+    """A config field holding the block `cls`, read by `_block`; absent, it takes the defaults of `cls`."""
+    return field(default_factory=cls, metadata={"parse": lambda raw, where: _block(raw, where, cls)})
+
+
+@dataclass
+class CavityConfig:
+    omega_c_cm1: float = _field(MISSING, _positive)
+    # exactly one of lambda_au / ratio is given; parsing resolves the other
+    lambda_au: Optional[float] = _field(None, _non_negative)
+    ratio: Optional[float] = _field(None, _non_negative)
+    polarization: Tuple[float, float, float] = _field((1.0, 0.0, 0.0), _polarization)
+    bilinear: bool = _field(True, _flag)
+    self_polarization: bool = _field(True, _flag)
+
+    def mode(self) -> Optional[CavityMode]:
+        if self.lambda_au == 0.0:
+            return None
+        return CavityMode(
+            omega_c=self.omega_c_cm1 / CM1_PER_HARTREE,
+            lambda_mag=self.lambda_au,
+            polarization=np.asarray(self.polarization, dtype=float),
+            bilinear_on=self.bilinear,
+            self_polarization_on=self.self_polarization,
+        )
+
+
+@dataclass
+class DynamicsConfig:
+    dt_fs: float = _field(0.25, _positive)
+    duration_fs: float = 1000.0
+    stride: int = _field(4, _count(1))
+
+    def n_steps(self) -> int:
+        return int(round(self.duration_fs / self.dt_fs))
+
+
+@dataclass
+class LaunchConfig:
+    sic_displacement_bohr: float = PTA_LAUNCH_SIC_BOHR
+    sif_stretch_bohr: float = PTA_LAUNCH_SIF_BOHR
+
+
+@dataclass
+class EnsembleConfig:
+    temperature_K: float = _field(300.0, _non_negative)
+    n_trajectories: int = _field(16, _count(1))
+    seed: int = _field(2026, _integer)
+    resample_T_K: Optional[float] = _field(None, _optional(_non_negative))
+    window_fs: Tuple[float, float] = _field(
+        (0.0, 700.0), _checked(_list_of(_real, 2), lambda w: 0 <= w[0] < w[1], "must be an increasing pair from 0 fs")
+    )
+    aim: Optional[Tuple[int, int]] = _field((0, 1), _optional(_list_of(_integer, 2)))
+    launch: LaunchConfig = _block_field(LaunchConfig)
+
+
+@dataclass
+class OutputsConfig:
+    directory: str = _field("out", _text)
+    formats: Tuple[str, ...] = _field(
+        ("csv", "json"),
+        _non_empty(_list_of(_checked(lambda raw, where: raw, lambda f: f in ("csv", "json"), "must be csv or json"))),
+    )
+
+
+@dataclass
+class SpectrumConfig:
+    lambda_list_au: Optional[Tuple[float, ...]] = _field(None, _optional(_non_empty(_list_of(_non_negative))))
+    broadening_cm1: float = _field(30.0, _positive)
+
+
+@dataclass
+class ScanConfig:
+    omega_list_cm1: Optional[Tuple[float, ...]] = _field(None, _optional(_non_empty(_list_of(_positive))))
+    ratio_list: Optional[Tuple[float, ...]] = _field(None, _optional(_non_empty(_list_of(_non_negative))))
+
+
+@dataclass
+class AnalyzeConfig:
+    runs: Tuple[str, ...] = _field((), _list_of(_text))
+    correlation_window: int = _field(64, _count(2))
+    bonds: Tuple[Tuple[int, int], ...] = _field(((1, 3), (1, 0)), _list_of(_list_of(_integer, 2)))
+
+
+@dataclass
+class RunConfig:
+    system_block: dict
+    cavity: CavityConfig = _block_field(CavityConfig)
+    dynamics: DynamicsConfig = _block_field(DynamicsConfig)
+    ensemble: EnsembleConfig = _block_field(EnsembleConfig)
+    outputs: OutputsConfig = _block_field(OutputsConfig)
+    spectrum: SpectrumConfig = _block_field(SpectrumConfig)
+    scan: ScanConfig = _block_field(ScanConfig)
+    analyze: AnalyzeConfig = _block_field(AnalyzeConfig)
+
+    def build_system(self) -> ModelSystem:
+        """Instantiate the system block's ModelSystem.
+
+        Every value an inline system's model classes reject is a ConfigError;
+        one raised for a single particle, bond or coupling names that entry.
+        """
+        if self.system_block.get("builtin") == "pta_surrogate":
+            return build_pta_surrogate()
+        try:
+            return _build_inline(self.system_block)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from None
+
+    def launch_positions(self, system: ModelSystem) -> np.ndarray:
+        if self.system_block.get("builtin") == "pta_surrogate":
+            lc = self.ensemble.launch
+            return _entry("ensemble.launch", pta_launch_positions, system, lc.sic_displacement_bohr, lc.sif_stretch_bohr)
+        return system.reference_positions.copy()
+
+    def resolved_dict(self) -> dict:
+        d = {f.name: asdict(getattr(self, f.name)) for f in fields(self)[1:]}
+        return json.loads(json.dumps({"system": self.system_block, **d}, sort_keys=True))
+
+
+def _parse_system(block: dict) -> dict:
+    allowed = {"builtin", "particles", "positions_bohr", "bonds", "couplings", "d_extra"}
+    _require_keys(block, allowed, set(), "system")
+    if "builtin" in block:
+        if block["builtin"] != "pta_surrogate":
+            raise ConfigError(f"unknown builtin system {block['builtin']!r}")
+        extra = set(block) - {"builtin"}
+        if extra:
+            raise ConfigError(f"builtin system takes no extra keys, got {sorted(extra)}")
+        return {"builtin": "pta_surrogate"}
+    _require_keys(block, allowed, {"particles", "positions_bohr", "bonds"}, "system")
+    return json.loads(json.dumps(block))
+
+
+def _entry(where: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with its rejection of the values prefixed by the config entry `where`."""
+    try:
+        return build(*args, **kwargs)
+    except CalibrationError as exc:
+        raise CalibrationError(f"{where}: {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _bond(raw, where: str):
+    """An inline bond: the fields of a harmonic bond, or the calibration targets of the reactive bond."""
+    kind = raw.get("kind") if isinstance(raw, dict) else None
+    if kind == "harmonic":
+        return _block({k: v for k, v in raw.items() if k != "kind"}, where, HarmonicBond, i=_integer, j=_integer)
+    if kind != "reactive":
+        raise ConfigError(f"{where} must be a mapping of kind 'harmonic' or 'reactive', got {raw!r}")
+    keys = {"kind", "i", "j", "r0", "r_ts", "barrier_ev", "curvature_min", "curvature_ts"}
+    _require_keys(raw, keys, keys, where)
+    num = lambda key: _real(raw[key], f"{where}.{key}")  # noqa: E731
+    targets = (num(key) for key in ("r0", "r_ts", "curvature_min", "curvature_ts"))
+    well = _entry(where, calibrate_reactive_bond, num("barrier_ev") / EV_PER_HARTREE, *targets)
+    return _entry(where, ReactiveBond, _integer(raw["i"], f"{where}.i"), _integer(raw["j"], f"{where}.j"), well)
+
+
+def _build_inline(system_block: dict) -> ModelSystem:
+    particles = _list_of(lambda raw, where: _block(raw, where, Particle, label=_text))(
+        system_block["particles"], "particles"
+    )
+    bonds = _list_of(_bond)(system_block["bonds"], "bonds")
+    reactive = [k for k, b in enumerate(bonds) if isinstance(b, ReactiveBond)]
+    if len(reactive) > 1:
+        raise ConfigError("only one reactive bond is supported")
+    couplings = _list_of(lambda raw, where: _block(raw, where, CouplingTerm, bond_a=_integer, bond_b=_integer))(
+        system_block.get("couplings", []), "couplings"
+    )
+    positions = _list_of(_list_of(_real, 3), len(particles))(system_block["positions_bohr"], "positions_bohr")
+    return ModelSystem(
+        particles=particles,
+        bonds=bonds,
+        couplings=couplings,
+        dipole=DipoleModel(np.array([p.charge for p in particles]), system_block.get("d_extra")),
+        reactive_bond_index=reactive[0] if reactive else None,
+        reference_positions=np.array(positions, dtype=float).reshape(-1),
+    )
+
+
+def parse_config(text: str) -> RunConfig:
+    """Parse and validate a YAML run configuration."""
+    try:
+        raw = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        if mark is not None:
+            raise ConfigError(
+                f"config syntax error at line {mark.line + 1}, column {mark.column + 1}: {exc}"
+            ) from None
+        raise ConfigError(f"config syntax error: {exc}") from None
+    try:
+        return _parse_blocks(raw)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        # a value of the wrong type, such as `n_trajectories: x`
+        raise ConfigError(f"invalid config value: {exc}") from None
 
 
 def _parse_blocks(raw) -> RunConfig:
+    """Read every block by the parser on its `RunConfig` field, then check the rules across fields."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping of blocks")
-    top_allowed = {"system"} | {f.name for f in fields(RunConfig)[1:]}
-    _require_keys(raw, top_allowed, {"system", "cavity"}, "config")
-
+    blocks = fields(RunConfig)[1:]
+    _require_keys(raw, {"system"} | {f.name for f in blocks}, {"system", "cavity"}, "config")
     system_block = _parse_system(raw["system"])
-    cavity = _parse_cavity(raw["cavity"])
+    parsed = {f.name: f.metadata["parse"](raw[f.name], f.name) for f in blocks if f.name in raw}
+    config = RunConfig(system_block, **parsed)
+    cavity, dynamics, ensemble = config.cavity, config.dynamics, config.ensemble
 
-    dynamics = _block(raw.get("dynamics"), "dynamics", DynamicsConfig, dt_fs=_positive, stride=_count(1))
+    if (cavity.lambda_au is None) == (cavity.ratio is None):
+        raise ConfigError("cavity block needs exactly one of lambda_au / ratio")
+    omega = cavity.omega_c_cm1 / CM1_PER_HARTREE
+    if cavity.ratio is None:
+        cavity.ratio = float(coupling_ratio(cavity.lambda_au, omega))
+    else:
+        cavity.lambda_au = float(lambda_for_ratio(cavity.ratio, omega))
+
     # the step count indexes a range of frames, so it must fit a Py_ssize_t
     if not 1 <= dynamics.duration_fs / dynamics.dt_fs < np.iinfo(np.intp).max:
         raise ConfigError(f"dynamics.duration_fs / dt_fs must be at least 1 and below {np.iinfo(np.intp).max}")
 
-    ensemble = _block(
-        raw.get("ensemble"),
-        "ensemble",
-        EnsembleConfig,
-        temperature_K=_non_negative,
-        n_trajectories=_count(1),
-        seed=_integer,
-        resample_T_K=_optional(_non_negative),
-        window_fs=_checked(_list_of(_real, 2), lambda w: 0 <= w[0] < w[1], "must be an increasing pair from 0 fs"),
-        aim=_optional(_list_of(_integer, 2)),
-        launch=lambda block, where: _block(block, where, LaunchConfig),
-    )
     n_steps, stride = dynamics.n_steps(), dynamics.stride
-    last_frame_fs = n_steps // stride * stride * dynamics.dt_fs
+    # the time the run records for its last frame (dynamics.frame_times), which may fall ulps short of duration_fs
+    last_frame_fs = au_to_fs(n_steps // stride * stride * fs_to_au(dynamics.dt_fs))
     if ensemble.window_fs[1] > last_frame_fs + TIME_TOL_FS:
-        raise ConfigError(
-            f"ensemble.window_fs ends after the last recorded frame, at {last_frame_fs:g} fs"
-        )
+        raise ConfigError(f"ensemble.window_fs ends after the last recorded frame, at {last_frame_fs!r} fs")
     if not window_frames(fs_to_au(dynamics.dt_fs), n_steps, stride, ensemble.window_fs):
         raise ConfigError(
             f"ensemble.window_fs holds no recorded frame; frames are {stride * dynamics.dt_fs:g} fs apart"
         )
 
-    outputs = _block(
-        raw.get("outputs"),
-        "outputs",
-        OutputsConfig,
-        directory=_text,
-        formats=_non_empty(
-            _list_of(_checked(lambda raw, where: raw, lambda f: f in ("csv", "json"), "must be csv or json"))
-        ),
-    )
-
-    spectrum = _block(
-        raw.get("spectrum"), "spectrum", SpectrumConfig,
-        lambda_list_au=_optional(_non_empty(_list_of(_non_negative))), broadening_cm1=_positive,
-    )
-
-    scan = _block(
-        raw.get("scan"),
-        "scan",
-        ScanConfig,
-        omega_list_cm1=_optional(_non_empty(_list_of(_positive))),
-        ratio_list=_optional(_non_empty(_list_of(_non_negative))),
-    )
-    if scan.omega_list_cm1 is not None and scan.ratio_list is not None:
+    if config.scan.omega_list_cm1 is not None and config.scan.ratio_list is not None:
         raise ConfigError("scan block takes omega_list_cm1 or ratio_list, not both")
-
-    analyze = _block(
-        raw.get("analyze"),
-        "analyze",
-        AnalyzeConfig,
-        runs=_list_of(_text),
-        correlation_window=_count(2),
-        bonds=_list_of(_list_of(_integer, 2)),
-    )
-
-    return RunConfig(system_block, cavity, dynamics, ensemble, outputs, spectrum, scan, analyze)
+    return config
 
 
 def config_hash(config: RunConfig) -> str:

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 from cavimd import cli
 from cavimd.cli import main, read_trajectory_csv, trajectory_header, write_csv, write_trajectory_csv
-from cavimd.config import ConfigError, parse_config
+from cavimd.config import ConfigError, RunConfig, parse_config
 from cavimd.dynamics import Trajectory
 from cavimd.units import ANGSTROM_PER_BOHR, AUT_PER_FS, CM1_PER_HARTREE, EV_PER_HARTREE
 
@@ -158,8 +159,16 @@ cavity:
     assert system.reactive_bond_index is None
     with pytest.raises(ConfigError, match=r"bonds\[0\]\.r0 must be a finite number"):
         parse_config(text.replace("r0: 2.0", "r0: .nan")).build_system()
-    with pytest.raises(ConfigError, match="reference_positions must be a flat 3N array of finite numbers"):
-        parse_config(text.replace("[2.0, 0.0, 0.0]]", "[.nan, 0.0, 0.0]]")).build_system()
+    positions = "[[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]"
+    for bad, message in [
+        ("[[0.0, 0.0, 0.0], [.nan, 0.0, 0.0]]", "positions_bohr[1][0] must be a finite number, got nan"),
+        ("[[0.0, 0.0, 0.0], [3.5]]", "positions_bohr[1] must be a list of 3 entries, got [3.5]"),
+        ("[[abc, 0.0, 0.0], [2.0, 0.0, 0.0]]", "positions_bohr[0][0] must be a finite number, got 'abc'"),
+        ("[[0.0, 0.0, 0.0]]", "positions_bohr must be a list of 2 entries, got [[0.0, 0.0, 0.0]]"),
+    ]:
+        with pytest.raises(ConfigError) as info:
+            parse_config(text.replace(positions, bad)).build_system()
+        assert str(info.value) == message
     d_extra = "  d_extra: [[.nan, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]]\n"
     with pytest.raises(ConfigError, match="d_extra must be finite"):
         parse_config(text.replace("  bonds:\n", d_extra + "  bonds:\n")).build_system()
@@ -257,12 +266,66 @@ def test_inline_entries_must_be_mappings_in_lists(path, value, message):
         ("scan:\n  omega_list_cm1: []\n", "scan.omega_list_cm1 must not be empty, got ()"),
         ("scan:\n  ratio_list: []\n", "scan.ratio_list must not be empty, got ()"),
         ("analyze:\n  correlation_window: 1\n", "analyze.correlation_window must be >= 2, got 1"),
+        # an indented line continues MINIMAL's last block, cavity
+        ("  lambda_au: -1.0\n", "cavity.lambda_au must be non-negative, got -1.0"),
+        ("  polarization: [0, 0, 0]\n", "cavity.polarization must be a non-zero 3-vector of finite length"),
+        ('  bilinear: "false"\n', "cavity.bilinear must be true or false, got 'false'"),
+        ("  self_polarization: 1\n", "cavity.self_polarization must be true or false, got 1"),
+        ("dynamics:\n  dt_fs: 0\n", "dynamics.dt_fs must be positive, got 0.0"),
+        ("dynamics:\n  duration_fs: .inf\n", "dynamics.duration_fs must be a finite number, got inf"),
+        ("ensemble:\n  temperature_K: -1.0\n", "ensemble.temperature_K must be non-negative, got -1.0"),
+        ("ensemble:\n  seed: 1.5\n", "ensemble.seed must be an integer, got 1.5"),
+        ("ensemble:\n  aim: [0]\n", "ensemble.aim must be a list of 2 entries, got [0]"),
+        (
+            "ensemble:\n  launch: {sic_displacement_bohr: .nan}\n",
+            "ensemble.launch.sic_displacement_bohr must be a finite number, got nan",
+        ),
+        ("ensemble:\n  launch: [0.6]\n", "ensemble.launch must be a mapping, got [0.6]"),
+        ("spectrum:\n  broadening_cm1: 0\n", "spectrum.broadening_cm1 must be positive, got 0.0"),
+        ("analyze:\n  runs: out_a\n", "analyze.runs must be a list, got 'out_a'"),
+        ("analyze:\n  bonds: [[1, 2.5]]\n", "analyze.bonds[0][1] must be an integer, got 2.5"),
     ],
 )
 def test_a_value_outside_its_field_names_the_field(block, message):
     with pytest.raises(ConfigError) as info:
         parse_config(MINIMAL + block)
     assert str(info.value) == message
+
+
+def _config_fields(cls):
+    for f in fields(cls):
+        yield cls, f
+        if f.default_factory is not MISSING:
+            yield from _config_fields(f.default_factory)
+
+
+def test_every_config_field_that_is_not_a_float_has_a_parser():
+    # `_block` reads a field without a parser with `_real`, which would turn an int or bool into a float
+    checked = list(_config_fields(RunConfig))[1:]  # the system block has its own reader
+    assert ("LaunchConfig", "sif_stretch_bohr") in {(cls.__name__, f.name) for cls, f in checked}
+    for cls, f in checked:
+        assert f.type == "float" or "parse" in f.metadata, f"{cls.__name__}.{f.name}"
+
+
+@pytest.mark.parametrize("command", ["ensemble", "scan"])
+def test_a_window_to_the_last_frame_is_checked_at_the_recorded_time(tmp_path, capsys, command):
+    # 100 steps of 230000 fs, where the run records the last frame a few ulps before duration_fs
+    system = THREE_BEADS
+    for mass in ("19.0", "12.0", "28.0"):
+        system = system.replace(f"mass_amu: {mass}", "mass_amu: 1.0e+30")
+    text = MINIMAL.replace(BUILTIN, system).replace("ratio: 1.132", "lambda_au: 0.0") + (
+        "dynamics: {dt_fs: 230000, duration_fs: 23000000, stride: 1}\n"
+        "ensemble: {n_trajectories: 2, aim: null, window_fs: [0, 23000000]}\n"
+        f"scan: {{omega_list_cm1: [856.0]}}\noutputs: {{directory: {tmp_path / 'out'}}}\n"
+    )
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: ensemble.window_fs ends after the last recorded frame, at 22999999.999999996 fs\n"
+    assert not (tmp_path / "out").exists()
+    cfg.write_text(text.replace("window_fs: [0, 23000000]", "window_fs: [0, 22999999.0]"))
+    assert main([command, "--config", str(cfg)]) == 0
 
 
 @pytest.mark.parametrize("command", ["run", "ensemble"])
