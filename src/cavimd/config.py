@@ -119,6 +119,11 @@ _count = lambda low: _checked(_integer, lambda n: n >= low, f"must be >= {low}")
 _non_empty = lambda parse: _checked(parse, bool, "must not be empty")  # noqa: E731
 _text = lambda raw, where: str(raw)  # noqa: E731
 
+# bounds past which a command's float64 arithmetic overflows: the spectrum squares ten times the
+# broadening (the top of its grid, past 1.3e153), and a line's strength grows as the cube of a charge
+_broadening = _checked(_positive, lambda b: b <= 1e150, "must be at most 1e+150")
+_charge = _checked(_real, lambda q: abs(q) <= 1e100, "must be at most 1e+100 in magnitude")
+
 
 def _polarization(raw, where: str) -> tuple:
     pol = np.asarray(_list_of(_real, 3)(raw, where))
@@ -221,7 +226,7 @@ class OutputsConfig:
 @dataclass
 class SpectrumConfig:
     lambda_list_au: Optional[Tuple[float, ...]] = _field(None, _optional(_non_empty(_list_of(_non_negative))))
-    broadening_cm1: float = _field(30.0, _positive)
+    broadening_cm1: float = _field(30.0, _broadening)
 
 
 @dataclass
@@ -312,7 +317,7 @@ def _bond(raw, where: str):
 
 
 def _build_inline(system_block: dict) -> ModelSystem:
-    particles = _list_of(lambda raw, where: _block(raw, where, Particle, label=_text))(
+    particles = _list_of(lambda raw, where: _block(raw, where, Particle, label=_text, charge=_charge))(
         system_block["particles"], "particles"
     )
     bonds = _list_of(_bond)(system_block["bonds"], "bonds")

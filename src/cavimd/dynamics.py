@@ -169,88 +169,33 @@ def propagate_batch(
     """Advance every (mode, state) row together with one array step.
 
     Returns, per row, what `propagate` returns for it, or the
-    IntegrationError that ended it. Every operation on a row is elementwise
-    or summed in a fixed order, so a row's trajectory does not depend on the
-    batch it runs in, and a failing row leaves the others untouched: it stays
-    in the batch, and its frames from the failure on are never read.
+    IntegrationError that ended it: `run_rows` with its frames kept.
     """
-    n_frames = _check_batch(system, modes, states, dt, n_steps, stride)
-    n_rows, n3 = len(states), 3 * system.n_particles
-    # one block per row, so each row's trajectory is a contiguous view
-    xs = np.empty((n_rows, n_frames, n3))
-    vs = np.empty((n_rows, n_frames, n3))
-    qs = np.empty((n_rows, n_frames))
-    ps = np.empty((n_rows, n_frames))
-
-    def record(frame, x, v, q, p):
-        xs[:, frame], vs[:, frame], qs[:, frame], ps[:, frame] = x, v, q, p
-
-    errors = _integrate(system, modes, states, dt, n_steps, stride, record)
-    times = frame_times(dt, n_steps, stride)
-    rb = None if system.reactive_bond_index is None else system.reactive_bond
-    outcomes: List[Union[Tuple[Trajectory, ReactionEvent], IntegrationError]] = []
-    for k, state in enumerate(states):
-        if k in errors:
-            outcomes.append(IntegrationError(errors[k]))
-            continue
-        with np.errstate(over="ignore", invalid="ignore"):
-            epot, ekin, ecav, mu = _frame_energies(system, modes[k], xs[k], vs[k], qs[k], ps[k])
-        traj = Trajectory(
-            dt=dt,
-            stride=stride,
-            times=state.time + times,
-            positions=xs[k],
-            velocities=vs[k],
-            photon_q=qs[k],
-            photon_p=ps[k],
-            epot=epot,
-            ekin=ekin,
-            ecav=ecav,
-            etot=epot + ekin + ecav,
-            dipole=mu,
-        )
-        if rb is None:
-            event = ReactionEvent(False, None, float("inf"))
-        else:
-            event, traj.dissociated = _observe(rb, traj.bond_series(rb.i, rb.j), traj.times)
-        outcomes.append((traj, event))
-    return outcomes
+    rows = run_rows(system, modes, states, dt, n_steps, stride, keep=True)
+    return [row if isinstance(row, IntegrationError) else (row[3], row[1]) for row in rows]
 
 
-def propagate_reactive_bond(
+def run_rows(
     system: ModelSystem,
     modes: Sequence[Optional[CavityMode]],
     states: Sequence[FullState],
     dt: float,
     n_steps: int,
     stride: int = 1,
-) -> List[Union[Tuple[np.ndarray, ReactionEvent, bool], IntegrationError]]:
-    """`propagate_batch` for what reaction statistics read: the reactive bond alone.
+    keep: bool = False,
+) -> List[Union[Tuple[Optional[np.ndarray], ReactionEvent, bool, Optional[Trajectory]], IntegrationError]]:
+    """The one batch runner: check the batch once, propagate it, watch the reactive bond.
 
     Per row: the reactive bond's length at every frame, its first crossing
-    of r_ts and its dissociation flag, or the IntegrationError that ended
-    it. Only that one length is stored per row and frame, computed as
-    `Trajectory.bond_series` computes it, so every value is bit for bit the
-    one `propagate_batch` gives for the row; no frame energies are evaluated.
+    of r_ts, its dissociation flag and, if `keep`, the `Trajectory`; or the
+    IntegrationError that ended the row. Without `keep` only that length is
+    stored per row and frame and no frame energies are evaluated; the values
+    are bit for bit the kept ones. With `keep` a system without a reactive
+    bond gets no length and never reacts. A row's outcome does not depend on
+    the batch it runs in: every operation on a row is elementwise or summed
+    in a fixed order, and a failing row stays in the batch, its later frames
+    never read.
     """
-    n_frames = _check_batch(system, modes, states, dt, n_steps, stride)
-    rb = system.reactive_bond
-    series = np.empty((len(states), n_frames))
-
-    # an energy-drift ledger can keep each row's running maximum here, still storing no frames
-    def record(frame, x, v, q, p):
-        series[:, frame] = bond_lengths(x, rb.i, rb.j)
-
-    errors = _integrate(system, modes, states, dt, n_steps, stride, record)
-    times = frame_times(dt, n_steps, stride)
-    return [
-        IntegrationError(errors[k]) if k in errors else (dist, *_observe(rb, dist, state.time + times))
-        for k, (dist, state) in enumerate(zip(series, states))
-    ]
-
-
-def _check_batch(system, modes, states, dt, n_steps, stride) -> int:
-    """Reject a batch `_integrate` cannot run; the number of frames it records."""
     if not dt > 0:
         raise ValueError("timestep must be positive")
     if n_steps < 1:
@@ -259,16 +204,57 @@ def _check_batch(system, modes, states, dt, n_steps, stride) -> int:
         raise ValueError("stride must be >= 1")
     if len(modes) != len(states) or not states:
         raise ValueError("need one mode per state and at least one state")
-    n3 = 3 * system.n_particles
+    n_rows, n3, n_frames = len(states), 3 * system.n_particles, n_steps // stride + 1
     for k, s in enumerate(states):
         if s.positions.shape != (n3,) or s.velocities.shape != (n3,):
             shapes = f"{s.positions.shape} and {s.velocities.shape}"
             raise ValueError(f"state {k}: positions and velocities have shapes {shapes}, expected 3N = {n3} each")
-    return n_steps // stride + 1
+    rb = None if keep and system.reactive_bond_index is None else system.reactive_bond
+    if keep:
+        # one block per row, so each row's trajectory is a contiguous view
+        xs = np.empty((n_rows, n_frames, n3))
+        vs = np.empty((n_rows, n_frames, n3))
+        qs = np.empty((n_rows, n_frames))
+        ps = np.empty((n_rows, n_frames))
+
+        def record(frame, x, v, q, p):
+            xs[:, frame], vs[:, frame], qs[:, frame], ps[:, frame] = x, v, q, p
+
+    else:
+        series = np.empty((n_rows, n_frames))
+
+        # an energy-drift ledger can keep each row's running maximum here, still storing no frames
+        def record(frame, x, v, q, p):
+            series[:, frame] = bond_lengths(x, rb.i, rb.j)
+
+    errors = _integrate(system, modes, states, dt, n_steps, stride, record)
+    times = frame_times(dt, n_steps, stride)
+    rows = []
+    for k, (mode, state) in enumerate(zip(modes, states)):
+        if k in errors:
+            rows.append(IntegrationError(errors[k]))
+            continue
+        t = state.time + times
+        if rb is None:
+            dist, event, dissociated = None, ReactionEvent(False, None, float("inf")), False
+        else:
+            dist = bond_lengths(xs[k], rb.i, rb.j) if keep else series[k]
+            event = _first_crossing(dist, t, rb.r_ts)
+            dissociated = bool(np.any(dist > DISSOCIATION_FACTOR * rb.r_ts))
+        traj = None
+        if keep:
+            with np.errstate(over="ignore", invalid="ignore"):
+                epot, ekin, ecav, mu = _frame_energies(system, mode, xs[k], vs[k], qs[k], ps[k])
+            traj = Trajectory(
+                dt=dt, stride=stride, times=t, positions=xs[k], velocities=vs[k], photon_q=qs[k], photon_p=ps[k],
+                epot=epot, ekin=ekin, ecav=ecav, etot=epot + ekin + ecav, dipole=mu, dissociated=dissociated,
+            )
+        rows.append((dist, event, dissociated, traj))
+    return rows
 
 
 def _integrate(system, modes, states, dt, n_steps, stride, record) -> Dict[int, str]:
-    """The one Verlet loop: advance a batch checked by `_check_batch`.
+    """The one Verlet loop: advance a batch checked by `run_rows`.
 
     Calls `record(frame, x, v, q, p)` with the whole batch at frame 0 and
     every `stride` steps. Returns, per failed row, why it failed. The loop
@@ -314,7 +300,7 @@ def _integrate(system, modes, states, dt, n_steps, stride, record) -> Dict[int, 
 
 
 def frame_times(dt: float, n_steps: int, stride: int) -> np.ndarray:
-    """Times (a.u., from t = 0) of the frames `propagate_batch` records."""
+    """Times (a.u., from t = 0) of the frames `run_rows` records."""
     return np.arange(n_steps // stride + 1) * stride * dt
 
 
@@ -340,12 +326,6 @@ def window_steps(dt: float, n_steps: int, stride: int, window_fs: Optional[Tuple
     if window_fs is None:
         return n_steps
     return min(n_steps, window_frames(dt, n_steps, stride, window_fs).stop * stride)
-
-
-def _observe(rb, dist: np.ndarray, times: np.ndarray) -> Tuple[ReactionEvent, bool]:
-    """First crossing of r_ts by the reactive bond `rb`'s series `dist`, and whether it dissociated."""
-    dissociated = bool(np.any(dist > DISSOCIATION_FACTOR * rb.r_ts))
-    return _first_crossing(dist, times, rb.r_ts), dissociated
 
 
 def detect_reaction(

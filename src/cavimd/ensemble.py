@@ -21,8 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .cavity import CavityMode, FullState, PhotonState, zero_field_init
-from .dynamics import TIME_TOL_FS, IntegrationError, ReactionEvent, Trajectory, frame_times
-from .dynamics import propagate_batch, propagate_reactive_bond
+from .dynamics import TIME_TOL_FS, IntegrationError, ReactionEvent, Trajectory, frame_times, run_rows
 from .dynamics import propagate  # noqa: F401  (bound here for wrappers such as perfbench/tracer.py)
 from .model import ModelSystem, dipole
 from .units import KB_HARTREE_PER_K, au_to_fs
@@ -320,41 +319,31 @@ def run_conditions(
     for mode, specs in conditions:
         rows += [(mode, state) for state in launch_states(system, mode, specs, positions)]
     modes, states = zip(*rows)
-    if keep_trajectories:
-        full = propagate_batch(system, modes, states, dt, n_steps, stride)
-        observed = [
-            o if isinstance(o, IntegrationError) else (o[0].bond_series(rb.i, rb.j), o[1], o[0].dissociated)
-            for o in full
-        ]
-    else:
-        observed = propagate_reactive_bond(system, modes, states, dt, n_steps, stride)
+    observed = run_rows(system, modes, states, dt, n_steps, stride, keep=keep_trajectories)
     times_fs = au_to_fs(frame_times(dt, n_steps, stride))
     results, start = [], 0
     for _, specs in conditions:
         chunk = slice(start, start + len(specs))
         start = chunk.stop
-        trajectories = None
-        if keep_trajectories:
-            trajectories = [o[0] for o in full[chunk] if not isinstance(o, IntegrationError)]
-        results.append(_ensemble_result(specs, observed[chunk], times_fs, rb, window_fs, trajectories))
+        results.append(_ensemble_result(specs, observed[chunk], times_fs, rb, window_fs))
     return results
 
 
-def _ensemble_result(specs, observed, times_fs, rb, window_fs, trajectories):
-    """One condition's result from each row's (bond series, event, dissociated) or IntegrationError."""
+def _ensemble_result(specs, observed, times_fs, rb, window_fs):
+    """One condition's result from each row's `run_rows` outcome."""
     records: List[TrajectoryRecord] = []
     series_rows = []
     series_index = []
+    kept = []
     for k, (spec, outcome) in enumerate(zip(specs, observed)):
         if isinstance(outcome, IntegrationError):
             records.append(TrajectoryRecord(k, spec.seed, None, None, error=str(outcome)))
             continue
-        series, event, dissociated = outcome
-        records.append(
-            TrajectoryRecord(k, spec.seed, event, float(series.mean()), dissociated=dissociated)
-        )
+        series, event, dissociated, trajectory = outcome
+        records.append(TrajectoryRecord(k, spec.seed, event, float(series.mean()), dissociated=dissociated))
         series_rows.append(series)
         series_index.append(k)
+        kept.append(trajectory)
     if not series_rows:
         raise IntegrationError(f"every trajectory in the batch failed (first: {records[0].error})")
     if window_fs is None:
@@ -368,7 +357,8 @@ def _ensemble_result(specs, observed, times_fs, rb, window_fs, trajectories):
         series_index=series_index,
         threshold_bohr=rb.r_ts,
         **vars(_window_statistics(times_fs, bond_series, events, window_fs)),
-        trajectories=trajectories,
+        # every finished row keeps its trajectory, or none does
+        trajectories=None if kept[0] is None else kept,
     )
 
 

@@ -30,7 +30,7 @@ from cavimd import model
 from cavimd.cavity import kinetic_energy
 from cavimd.cli import main
 from cavimd.dynamics import IntegrationError, propagate, propagate_batch
-from cavimd.ensemble import make_specs, resolve_velocities
+from cavimd.ensemble import make_specs, resolve_velocities, run_conditions
 from cavimd.model import _BondedTerms
 from cavimd.units import CM1_PER_HARTREE, fs_to_au
 
@@ -179,10 +179,15 @@ def test_rows_failing_at_different_steps_fail_as_they_do_alone(surrogate, monkey
     assert_same_trajectory(batch[2][0], finished[1][0])
 
 
-def test_batch_where_every_row_fails_stops_early(surrogate, monkeypatch):
+def count_force_calls(monkeypatch):
     calls = []
-    step = _BondedTerms.forces
-    monkeypatch.setattr(_BondedTerms, "forces", lambda self, *args: calls.append(1) or step(self, *args))
+    method = _BondedTerms.forces
+    monkeypatch.setattr(_BondedTerms, "forces", lambda self, *args: calls.append(1) or method(self, *args))
+    return calls
+
+
+def test_batch_where_every_row_fails_stops_early(surrogate, monkeypatch):
+    calls = count_force_calls(monkeypatch)
     states = launch(surrogate, 5, 2)
     for state in states:
         state.velocities[0] = 1e6
@@ -239,6 +244,52 @@ def test_step_evaluates_forces_once_and_energies_once_per_finished_row(surrogate
     finished = sum(not isinstance(outcome, IntegrationError) for outcome in batch)
     assert finished == len(modes) - 1
     assert calls == {"forces": n + 1, "energy": finished}
+
+
+#: a batch the runner cannot propagate: what replaces the good arguments, and the error it raises
+BAD_BATCHES = [
+    (dict(dt=0.0), "timestep must be positive"),
+    (dict(dt=-1.0), "timestep must be positive"),
+    (dict(n_steps=0), "n_steps must be >= 1"),
+    (dict(stride=0), "stride must be >= 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    BAD_BATCHES
+    + [
+        (dict(modes=mixed_modes()[:-1]), "need one mode per state and at least one state"),
+        (dict(modes=[], states=[]), "need one mode per state and at least one state"),
+    ],
+)
+def test_propagate_batch_rejects_a_bad_batch_before_any_force_call(surrogate, monkeypatch, bad, message):
+    calls = count_force_calls(monkeypatch)
+    modes = mixed_modes()
+    args = dict(modes=modes, states=launch(surrogate, 3, len(modes)), dt=fs_to_au(0.5), n_steps=10, stride=2)
+    with pytest.raises(ValueError, match=message):
+        propagate_batch(surrogate, **{**args, **bad})
+    assert calls == []
+
+
+@pytest.mark.parametrize("keep", [False, True])
+@pytest.mark.parametrize(
+    "bad, message",
+    BAD_BATCHES
+    + [
+        # modes and states always pair up here, one condition's mode to each of its specs
+        (dict(conditions=[]), "at least one condition is required"),
+        (dict(conditions=[(None, make_specs(3, 2, 300.0)), (None, [])]), "at least one sampling spec is required"),
+    ],
+)
+def test_run_conditions_rejects_a_bad_batch_before_any_force_call(surrogate, monkeypatch, keep, bad, message):
+    calls = count_force_calls(monkeypatch)
+    args = dict(conditions=[(None, make_specs(3, 2, 300.0, aim=(0, 1)))], dt=fs_to_au(0.5), n_steps=10, stride=2)
+    args = {**args, **bad}
+    conditions = args.pop("conditions")
+    with pytest.raises(ValueError, match=message):
+        run_conditions(surrogate, conditions, positions=pta_launch_positions(surrogate), keep_trajectories=keep, **args)
+    assert calls == []
 
 
 def _ensemble_config(path, scan=False):
