@@ -465,7 +465,9 @@ def find_transition_state(
     """Relaxed scan over the reactive bond length, then saddle refinement.
 
     Every stationary point comes from the one Newton solver `_newton`: all
-    other coordinates are minimized at each scanned bond length; the profile
+    other coordinates are minimized at each scanned bond length, each solve
+    from the previous relaxed geometry or, from the fourth point on, the
+    quadratic extrapolation of the last three; the profile
     maximum is refined by quadratic interpolation and unconstrained Newton
     steps (minimum-norm steps, so rigid-body directions stay untouched). The
     barrier is measured from the relaxed reactant minimum; omega_b comes
@@ -499,6 +501,10 @@ def find_transition_state(
     geoms = []
     x = np.asarray(start_positions, dtype=float)
     for k, r in enumerate(rs):
+        if k >= 3:
+            # the rs are evenly spaced, so this is the quadratic through the last three relaxed
+            # geometries, taken one step on (Allgower & Georg, Numerical Continuation Methods, ch. 2)
+            x = 3.0 * (geoms[-1] - geoms[-2]) + geoms[-3]
         energies[k], x, _ = solve(x, r)
         geoms.append(x)
     k = int(np.argmax(energies))

@@ -561,7 +561,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        config = parse_config(Path(args.config).read_text())
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{args.config}: config is not valid UTF-8: {exc}") from None
+        config = parse_config(text)
         if args.seed is not None:
             config.ensemble.seed = args.seed
         if args.out is not None:

@@ -120,9 +120,11 @@ _non_empty = lambda parse: _checked(parse, bool, "must not be empty")  # noqa: E
 _text = lambda raw, where: str(raw)  # noqa: E731
 
 # bounds past which a command's float64 arithmetic overflows: the spectrum squares ten times the
-# broadening (the top of its grid, past 1.3e153), and a line's strength grows as the cube of a charge
+# broadening (the top of its grid, past 1.3e153), a line's strength grows as the cube of a charge, and
+# a polariton's frequency, which the spectrum squares too, as a coupling times a dipole derivative
 _broadening = _checked(_positive, lambda b: b <= 1e150, "must be at most 1e+150")
 _charge = _checked(_real, lambda q: abs(q) <= 1e100, "must be at most 1e+100 in magnitude")
+_coupling = _checked(_non_negative, lambda lam: lam <= 1e100, "must be at most 1e+100")
 
 
 def _polarization(raw, where: str) -> tuple:
@@ -225,7 +227,7 @@ class OutputsConfig:
 
 @dataclass
 class SpectrumConfig:
-    lambda_list_au: Optional[Tuple[float, ...]] = _field(None, _optional(_non_empty(_list_of(_non_negative))))
+    lambda_list_au: Optional[Tuple[float, ...]] = _field(None, _optional(_non_empty(_list_of(_coupling))))
     broadening_cm1: float = _field(30.0, _broadening)
 
 
@@ -339,9 +341,14 @@ def _build_inline(system_block: dict) -> ModelSystem:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a YAML run configuration."""
+    """Parse and validate a YAML run configuration, with libyaml's loader where PyYAML has it.
+
+    Both loaders share SafeLoader's constructor and resolver; only a syntax error's wording differs.
+    """
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except UnicodeError as exc:  # libyaml cannot encode a lone surrogate to UTF-8
+        raise ConfigError(f"config is not valid UTF-8: {exc}") from None
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:

@@ -571,6 +571,27 @@ def test_find_transition_state_agrees_across_jittered_starts(surrogate):
     assert all(ts.gradient_norm < 1e-12 for ts in results)
 
 
+def test_find_transition_state_hessian_budget(surrogate, monkeypatch):
+    # each scan point from the fourth on starts from the quadratic extrapolation of the last three: 47
+    # Hessians, where starting from the previous relaxed geometry took 91
+    calls = []
+    real = analysis._model.fd_hessian
+    monkeypatch.setattr(analysis._model, "fd_hessian", lambda *a, **k: calls.append(1) or real(*a, **k))
+    find_transition_state(surrogate, 3.9, 5.1, 25)
+    assert len(calls) <= 55
+
+
+def test_find_transition_state_profile_matches_relaxation_from_previous_point(surrogate):
+    ts = find_transition_state(surrogate, 3.9, 5.1, 25)
+    b = surrogate.reactive_bond
+    x, want = surrogate.reference_positions, []
+    for r in ts.profile_r:
+        x, grad_norm = analysis._newton(surrogate, x, (b.i, b.j), r)
+        assert grad_norm < 1e-8
+        want.append(model.potential_energy(surrogate, x))
+    assert np.abs(ts.profile_energy - want).max() <= 1e-12
+
+
 def test_find_transition_state_builds_normal_modes_once(surrogate, monkeypatch):
     # every Newton step builds a Hessian; only the saddle's mode count diagonalizes one
     calls = []
