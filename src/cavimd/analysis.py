@@ -197,14 +197,13 @@ def td_spectrum(trajectory: Trajectory, polarization) -> Tuple[np.ndarray, np.nd
     s = trajectory.dipole @ eps
     s = s - s.mean()
     spec = np.fft.rfft(s * np.hanning(n))
-    dt_frame = trajectory.dt * trajectory.stride
-    freqs_cm1 = np.fft.rfftfreq(n, d=dt_frame) * 2.0 * np.pi * CM1_PER_HARTREE
+    freqs_cm1 = np.fft.rfftfreq(n, d=trajectory.times[1] - trajectory.times[0]) * 2.0 * np.pi * CM1_PER_HARTREE
     return freqs_cm1, np.abs(spec) ** 2
 
 
 def spectrum_bin_cm1(trajectory: Trajectory) -> float:
     """Frequency-bin width of td_spectrum for this record length."""
-    span = trajectory.dt * trajectory.stride * (trajectory.n_frames - 1)
+    span = (trajectory.times[1] - trajectory.times[0]) * (trajectory.n_frames - 1)
     return 2.0 * np.pi / span * CM1_PER_HARTREE
 
 

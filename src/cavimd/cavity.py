@@ -200,9 +200,10 @@ def cavity_energy(mode: CavityMode, photon: PhotonState, mu):
 
 
 def kinetic_energy(system: ModelSystem, velocities):
-    """0.5 m v^2 of flat velocities (a float), or per row of (B, 3N) velocities."""
+    """0.5 m v^2 of flat velocities (a float), or per row of (B, 3N) velocities, added left to right."""
     v = np.asarray(velocities, dtype=float)
-    return 0.5 * _model.row_sums(system.masses3 * (v * v))
+    e = 0.5 * sum((system.masses3 * (v * v)).T)  # from zero, column by column, whatever the batch
+    return float(e) if v.ndim == 1 else e
 
 
 def total_energy(system: ModelSystem, mode: CavityMode, state: FullState) -> float:

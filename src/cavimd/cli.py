@@ -34,6 +34,8 @@ from .units import (
     ANGSTROM_PER_BOHR,
     AUT_PER_FS,
     EV_PER_HARTREE,
+    UNIT_TABLE,
+    au_to_fs,
     fs_to_au,
 )
 
@@ -74,26 +76,31 @@ def write_json(path: Path, payload: dict) -> None:
 
 # --- trajectory file format -----------------------------------------------------
 
+def _trajectory_columns(system: ModelSystem):
+    """The trajectory file's columns in order: (Trajectory field, its names, factor from atomic units)."""
+    # times go through au_to_fs and fs_to_au; a field of one column holds one value per frame
+    per_particle = lambda *names: [n.format(p.label) for p in system.particles for n in names]  # noqa: E731
+    return (
+        ("times", ["time_fs"], None),
+        ("positions", per_particle("x_{}_A", "y_{}_A", "z_{}_A"), ANGSTROM_PER_BOHR),
+        ("velocities", per_particle("vx_{}_A_fs", "vy_{}_A_fs", "vz_{}_A_fs"), ANGSTROM_PER_BOHR * AUT_PER_FS),
+        ("photon_q", ["photon_q_au"], 1.0),
+        ("photon_p", ["photon_p_au"], 1.0),
+        ("epot", ["epot_eV"], EV_PER_HARTREE),
+        ("ekin", ["ekin_eV"], EV_PER_HARTREE),
+        ("ecav", ["ecav_eV"], EV_PER_HARTREE),
+        ("etot", ["etot_eV"], EV_PER_HARTREE),
+        ("dipole", ["mux_eA", "muy_eA", "muz_eA"], ANGSTROM_PER_BOHR),
+    )
+
+
 def trajectory_header(system: ModelSystem) -> List[str]:
-    cols = ["time_fs"]
-    for p in system.particles:
-        cols += [f"x_{p.label}_A", f"y_{p.label}_A", f"z_{p.label}_A"]
-    for p in system.particles:
-        cols += [f"vx_{p.label}_A_fs", f"vy_{p.label}_A_fs", f"vz_{p.label}_A_fs"]
-    cols += ["photon_q_au", "photon_p_au"]
-    cols += ["epot_eV", "ekin_eV", "ecav_eV", "etot_eV"]
-    cols += ["mux_eA", "muy_eA", "muz_eA"]
-    return cols
+    return [name for _, names, _ in _trajectory_columns(system) for name in names]
 
 
 def write_trajectory_csv(path: Path, system: ModelSystem, traj: Trajectory) -> None:
-    v_scale = ANGSTROM_PER_BOHR * AUT_PER_FS  # bohr/aut -> Angstrom/fs
-    energies = np.column_stack([traj.epot, traj.ekin, traj.ecav, traj.etot]) * EV_PER_HARTREE
-    matrix = np.column_stack(
-        [traj.times_fs, traj.positions * ANGSTROM_PER_BOHR, traj.velocities * v_scale]
-        + [traj.photon_q, traj.photon_p, energies, traj.dipole * ANGSTROM_PER_BOHR]
-    )
-    write_csv(path, trajectory_header(system), matrix)
+    cols = [au_to_fs(traj.times) if f is None else getattr(traj, k) * f for k, _, f in _trajectory_columns(system)]
+    write_csv(path, trajectory_header(system), np.column_stack(cols))
 
 
 def _write_trajectories(args) -> None:
@@ -144,19 +151,12 @@ def read_trajectory_csv(path: Path, system: ModelSystem) -> Trajectory:
         raise ConfigError(f"{path}: no frames after the header")
     if data.shape[1] != len(expected) or not np.isfinite(data).all():
         raise ConfigError(f"{path}: {_first_bad_line(path, len(expected))}")
-    n3 = 3 * system.n_particles
-    times = data[:, 0] * AUT_PER_FS
-    pos = data[:, 1 : 1 + n3] / ANGSTROM_PER_BOHR
-    vel = data[:, 1 + n3 : 1 + 2 * n3] / (ANGSTROM_PER_BOHR * AUT_PER_FS)
-    q = data[:, 1 + 2 * n3]
-    p = data[:, 2 + 2 * n3]
-    e = data[:, 3 + 2 * n3 : 7 + 2 * n3] / EV_PER_HARTREE
-    mu = data[:, 7 + 2 * n3 : 10 + 2 * n3] / ANGSTROM_PER_BOHR
-    dt_frame = times[1] - times[0] if times.size > 1 else 1.0
-    return Trajectory(
-        dt=dt_frame, stride=1, times=times, positions=pos, velocities=vel, photon_q=q, photon_p=p,
-        epot=e[:, 0], ekin=e[:, 1], ecav=e[:, 2], etot=e[:, 3], dipole=mu,
-    )
+    values, start = {}, 0
+    for field, names, factor in _trajectory_columns(system):
+        cols = data[:, start] if len(names) == 1 else data[:, start : start + len(names)]
+        values[field] = fs_to_au(cols) if factor is None else cols / factor
+        start += len(names)
+    return Trajectory(**values)
 
 
 # --- commands ---------------------------------------------------------------------
@@ -329,15 +329,34 @@ def _write_occupation_table(path: Path, times_fs, frequencies_cm1, values, photo
     write_csv(path, header, np.column_stack([times_fs, values, photon]))
 
 
+def _check_manifest(run: Path, system_block: dict) -> None:
+    """Reject a run that `run` or `ensemble` did not make on the system `system_block`, in these units."""
+    path = run / "manifest.json"
+    try:
+        manifest = json.loads(path.read_bytes())
+    except (OSError, ValueError) as exc:  # missing, or not JSON: an I/O error, as a missing run is
+        raise OSError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from None
+    manifest = manifest if isinstance(manifest, dict) else {}
+    resolved = manifest.get("resolved_config")
+    if manifest.get("command") not in ("run", "ensemble"):
+        raise ConfigError(f"{path}: command is {manifest.get('command')!r}, not run or ensemble")
+    if not isinstance(resolved, dict) or resolved.get("system") != system_block:
+        raise ConfigError(f"{path}: system differs from the analyze config's")
+    if manifest.get("unit_constants") != UNIT_TABLE:
+        raise ConfigError(f"{path}: unit_constants differ from this cavimd's")
+
+
 def cmd_analyze(config: RunConfig, system: ModelSystem, outdir: Path, threads: int) -> int:
     """Every run is read and checked before any table is written, so a bad run writes nothing."""
     modes = _analysis.system_normal_modes(system)
     bonds = config.analyze.bonds
     window = config.analyze.correlation_window
-    # every run's files first, so that a run without any fails before a file is read;
-    # _check_inputs keeps the run names, and so the output names, distinct
+    # every run's manifest and files first, so that a run of another system, or without
+    # files, fails before a file is read; _check_inputs keeps the run names, and so the
+    # output names, distinct
     runs = {}
     for run in config.analyze.runs:
+        _check_manifest(Path(run), config.resolved_dict()["system"])
         tdir = Path(run) / "trajectories"
         runs[Path(run).name] = files = sorted(tdir.glob("trajectory_*.csv"))
         if not files:

@@ -121,10 +121,12 @@ _text = lambda raw, where: str(raw)  # noqa: E731
 
 # bounds past which a command's float64 arithmetic overflows: the spectrum squares ten times the
 # broadening (the top of its grid, past 1.3e153), a line's strength grows as the cube of a charge, and
-# a polariton's frequency, which the spectrum squares too, as a coupling times a dipole derivative
+# a polariton's frequency, which the spectrum squares too, as a coupling times a dipole derivative or
+# as the cavity frequency, whose square is also the photon's stiffness
 _broadening = _checked(_positive, lambda b: b <= 1e150, "must be at most 1e+150")
 _charge = _checked(_real, lambda q: abs(q) <= 1e100, "must be at most 1e+100 in magnitude")
 _coupling = _checked(_non_negative, lambda lam: lam <= 1e100, "must be at most 1e+100")
+_frequency = _checked(_positive, lambda w: w <= 1e150, "must be at most 1e+150")
 
 
 def _polarization(raw, where: str) -> tuple:
@@ -167,9 +169,9 @@ def _block_field(cls):
 
 @dataclass
 class CavityConfig:
-    omega_c_cm1: float = _field(MISSING, _positive)
-    # exactly one of lambda_au / ratio is given; parsing resolves the other
-    lambda_au: Optional[float] = _field(None, _non_negative)
+    omega_c_cm1: float = _field(MISSING, _frequency)
+    # exactly one of lambda_au / ratio is given; parsing resolves the other, within the same bound
+    lambda_au: Optional[float] = _field(None, _coupling)
     ratio: Optional[float] = _field(None, _non_negative)
     polarization: Tuple[float, float, float] = _field((1.0, 0.0, 0.0), _polarization)
     bilinear: bool = _field(True, _flag)
@@ -233,7 +235,7 @@ class SpectrumConfig:
 
 @dataclass
 class ScanConfig:
-    omega_list_cm1: Optional[Tuple[float, ...]] = _field(None, _optional(_non_empty(_list_of(_positive))))
+    omega_list_cm1: Optional[Tuple[float, ...]] = _field(None, _optional(_non_empty(_list_of(_frequency))))
     ratio_list: Optional[Tuple[float, ...]] = _field(None, _optional(_non_empty(_list_of(_non_negative))))
 
 
@@ -382,7 +384,7 @@ def _parse_blocks(raw) -> RunConfig:
     if cavity.ratio is None:
         cavity.ratio = float(coupling_ratio(cavity.lambda_au, omega))
     else:
-        cavity.lambda_au = float(lambda_for_ratio(cavity.ratio, omega))
+        cavity.lambda_au = _coupling(float(lambda_for_ratio(cavity.ratio, omega)), "cavity.ratio's lambda_au")
 
     # the step count indexes a range of frames, so it must fit a Py_ssize_t
     if not 1 <= dynamics.duration_fs / dynamics.dt_fs < np.iinfo(np.intp).max:

@@ -47,8 +47,6 @@ class IntegrationError(RuntimeError):
 class Trajectory:
     """Recorded time series of one propagation (all values atomic units)."""
 
-    dt: float
-    stride: int
     times: np.ndarray
     positions: np.ndarray  # (frames, 3N)
     velocities: np.ndarray  # (frames, 3N)
@@ -246,7 +244,7 @@ def run_rows(
             with np.errstate(over="ignore", invalid="ignore"):
                 epot, ekin, ecav, mu = _frame_energies(system, mode, xs[k], vs[k], qs[k], ps[k])
             traj = Trajectory(
-                dt=dt, stride=stride, times=t, positions=xs[k], velocities=vs[k], photon_q=qs[k], photon_p=ps[k],
+                times=t, positions=xs[k], velocities=vs[k], photon_q=qs[k], photon_p=ps[k],
                 epot=epot, ekin=ekin, ecav=ecav, etot=epot + ekin + ecav, dipole=mu, dissociated=dissociated,
             )
         rows.append((dist, event, dissociated, traj))

@@ -535,13 +535,6 @@ def forces(system: ModelSystem, positions) -> np.ndarray:
     return f[0] if np.ndim(positions) == 1 else f
 
 
-def row_sums(a):
-    """Left-to-right sum of a flat array (a float), or of every row of a 2-D one."""
-    a = np.asarray(a, dtype=float)
-    sums = _OrderedSum(np.zeros(a.shape[-1]), 1)(a.reshape(-1, a.shape[-1]))[:, 0]
-    return float(sums[0]) if a.ndim == 1 else sums
-
-
 def dipole(system: ModelSystem, positions) -> np.ndarray:
     """Molecular dipole in e*bohr of flat positions, checked by `_geometry`."""
     x = np.asarray(positions, dtype=float)

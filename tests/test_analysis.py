@@ -275,8 +275,6 @@ def test_td_spectrum_constant_dipole_is_flat():
 
     zero = np.zeros(n)
     traj = Trajectory(
-        dt=10.0,
-        stride=1,
         times=np.arange(n) * 10.0,
         positions=np.zeros((n, 6)),
         velocities=np.zeros((n, 6)),
@@ -311,6 +309,19 @@ def test_td_spectrum_peak_matches_mode_frequency():
     freqs, power = td_spectrum(traj, EX)
     peak = freqs[np.argmax(power[1:]) + 1]
     assert abs(peak - f_mode) <= spectrum_bin_cm1(traj)
+
+
+@pytest.mark.parametrize("stride", [1, 3, 4])
+def test_td_spectrum_frame_spacing_is_the_step_times_the_stride(stride):
+    # the frame spacing comes from the recorded times; it is bit for bit the run's dt * stride
+    sys_ = make_diatomic(k=0.1, m_amu=10.0, q=0.3)
+    state = FullState(sys_.reference_positions + [0.01, 0, 0, 0, 0, 0], np.zeros(6), PhotonState(0, 0))
+    dt = fs_to_au(0.25)
+    traj, _ = propagate(sys_, None, state, dt, 300 * stride, stride)
+    n = traj.n_frames
+    freqs, _ = td_spectrum(traj, EX)
+    assert freqs.tobytes() == (np.fft.rfftfreq(n, d=dt * stride) * 2.0 * np.pi * CM1_PER_HARTREE).tobytes()
+    assert spectrum_bin_cm1(traj) == 2.0 * np.pi / (dt * stride * (n - 1)) * CM1_PER_HARTREE
 
 
 # --- occupations ---------------------------------------------------------------

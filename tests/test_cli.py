@@ -632,7 +632,7 @@ def test_trajectory_csv_format_is_pinned(tmp_path):
     col = lambda k: np.array([AWKWARD[(k + j) % len(AWKWARD)] for j in range(frames)])  # noqa: E731
     grid = lambda width, k: np.column_stack([col(k + c) for c in range(width)])  # noqa: E731
     traj = Trajectory(
-        dt=2.0, stride=1, times=np.arange(frames) * 41.0,
+        times=np.arange(frames) * 41.0,
         positions=grid(6, 0) * 1e-8, velocities=rng.standard_normal((frames, 6)),
         photon_q=col(1), photon_p=col(2),
         epot=col(3) * 1e-300, ekin=np.full(frames, 1.0), ecav=col(5) * 1e-300, etot=col(6) * 1e-300,
@@ -989,6 +989,56 @@ def test_cli_analyze_missing_inputs_exit_code(tmp_path):
     assert main(["analyze", "--config", str(cfg)]) == 3
 
 
+def test_cli_analyze_rejects_a_run_of_another_system(tmp_path, capsys):
+    # a three-bead ensemble, analyzed under a config whose third bead is heavier and stiffer: the
+    # occupations would be projections on the other system's modes, so the run's manifest is checked
+    run = tmp_path / "run"
+    cfg = short_config(tmp_path, extra=f"analyze:\n  runs: [{run}]\n  bonds: []\n")
+    cfg.write_text(cfg.read_text().replace(BUILTIN, THREE_BEADS))
+    assert main(["ensemble", "--config", str(cfg), "--out", str(run)]) == 0
+    other = tmp_path / "other.yaml"
+    other.write_text(cfg.read_text().replace("mass_amu: 28.0", "mass_amu: 280.0").replace("k: 0.2", "k: 0.9"))
+    capsys.readouterr()
+    assert main(["analyze", "--config", str(other), "--out", str(tmp_path / "ana")]) == 1
+    assert capsys.readouterr().err == f"error: {run / 'manifest.json'}: system differs from the analyze config's\n"
+    assert list((tmp_path / "ana").iterdir()) == []
+    # the system the run was made with passes, with another seed, count and cavity
+    cfg.write_text(cfg.read_text().replace("seed: 11", "seed: 4").replace("ratio: 1.132", "ratio: 0.5"))
+    assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "ana"), "--seed", "3"]) == 0
+
+
+@pytest.mark.parametrize(
+    "damage, code, message",
+    [
+        (lambda manifest: manifest.unlink(), 3, "No such file or directory"),
+        (lambda manifest: manifest.write_text("{"), 3, "Expecting property name"),
+        ("scan", 1, "command is 'scan', not run or ensemble"),
+        (
+            lambda manifest: manifest.write_text(
+                json.dumps({**json.loads(manifest.read_text()), "unit_constants": {"Angstrom per bohr": 0.5}})
+            ),
+            1,
+            "unit_constants differ from this cavimd's",
+        ),
+    ],
+    ids=["no-manifest", "not-json", "scan-output", "other-units"],
+)
+def test_cli_analyze_checks_each_run_manifest_first(tmp_path, capsys, monkeypatch, damage, code, message):
+    run = tmp_path / "run"
+    extra = f"analyze:\n  runs: [{run}]\n  correlation_window: 16\nscan:\n  omega_list_cm1: [856.0]\n"
+    cfg = short_config(tmp_path, extra=extra)
+    assert main(["scan" if damage == "scan" else "run", "--config", str(cfg), "--out", str(run)]) == 0
+    if callable(damage):
+        damage(run / "manifest.json")
+    reads = []
+    monkeypatch.setattr(cli, "read_trajectory_csv", lambda path, system: reads.append(path))
+    capsys.readouterr()
+    assert main(["analyze", "--config", str(cfg), "--out", str(tmp_path / "ana")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {run / 'manifest.json'}: {message}") and err.count("\n") == 1, err
+    assert reads == [] and list((tmp_path / "ana").iterdir()) == []
+
+
 @pytest.mark.parametrize("resample", ["", "  resample_T_K: 20.0\n"], ids=["base", "resample"])
 def test_cli_run_builds_one_sampling_spec(tmp_path, monkeypatch, resample):
     # run propagates trajectory 0 only, and spec 0 does not depend on the count, resampled or not
@@ -1167,8 +1217,31 @@ def test_cli_numerics_out_of_range_fail_cleanly(tmp_path, capsys, recwarn, comma
             "spectrum:\n  lambda_list_au: [0.0, 1.0e+300]\noutputs:",
             "spectrum.lambda_list_au[1] must be at most 1e+100, got 1e+300",
         ),
+        *[
+            (command, old, new, message)
+            for command in ("spectrum", "run")
+            for old, new, message in [
+                ("omega_c_cm1: 856.0", "omega_c_cm1: 1.0e+300", "cavity.omega_c_cm1 must be at most 1e+150, got 1e+300"),
+                ("ratio: 1.132", "lambda_au: 1.0e+300", "cavity.lambda_au must be at most 1e+100, got 1e+300"),
+                # the coupling that the ratio resolves to at 856 cm^-1, checked against lambda_au's bound
+                (
+                    "ratio: 1.132",
+                    "ratio: 1.0e+300",
+                    "cavity.ratio's lambda_au must be at most 1e+100, got 8.832013333881033e+298",
+                ),
+            ]
+        ],
+        (
+            "scan",
+            "outputs:",
+            "scan:\n  omega_list_cm1: [856.0, 1.0e+300]\noutputs:",
+            "scan.omega_list_cm1[1] must be at most 1e+150, got 1e+300",
+        ),
     ],
-    ids=["broadening", "charge", "coupling"],
+    ids=[
+        "broadening", "charge", "coupling", "spectrum-omega", "spectrum-lambda", "spectrum-ratio", "run-omega",
+        "run-lambda", "run-ratio", "scan-omega",
+    ],
 )
 def test_cli_values_that_would_overflow_stop_at_their_parser(tmp_path, capsys, recwarn, command, old, new, message):
     cfg = short_config(tmp_path)
@@ -1187,8 +1260,10 @@ def test_cli_values_that_would_overflow_stop_at_their_parser(tmp_path, capsys, r
         ("outputs:", "spectrum:\n  broadening_cm1: 1.0e+150\noutputs:"),
         ("charge: -0.5", "charge: -1.0e+100"),
         ("outputs:", "spectrum:\n  lambda_list_au: [1.0e+100]\noutputs:"),
+        ("omega_c_cm1: 856.0", "omega_c_cm1: 1.0e+150"),
+        ("ratio: 1.132", "lambda_au: 1.0e+100"),
     ],
-    ids=["broadening", "charge", "coupling"],
+    ids=["broadening", "charge", "coupling", "cavity-frequency", "cavity-coupling"],
 )
 def test_cli_spectrum_runs_at_each_bound(tmp_path, old, new):
     # each bound holds with every other value in its usual range; at two bounds at once the curve may overflow
@@ -1313,6 +1388,8 @@ CONFIGS = {
 @example(case=("builtin", ("analyze", "runs", 1)), value="abc", command="analyze")
 @example(case=("builtin", ("dynamics", "dt_fs")), value=1e-300, command="spectrum")
 @example(case=("builtin", ("cavity", "polarization", 0)), value=1e300, command="run")
+@example(case=("builtin", ("cavity", "omega_c_cm1")), value=1e300, command="run")
+@example(case=("inline", ("cavity", "ratio")), value=1e300, command="spectrum")
 @example(case=("builtin", ("ensemble", "launch", "sic_displacement_bohr")), value=10**30, command="scan")
 @example(case=("builtin", ("system",)), value=FAR_FROM_REST, command="spectrum")
 @example(case=("inline", ("system", "bonds")), value=[1.0], command="run")

@@ -232,8 +232,6 @@ def synthetic_linear_trajectory(r_start, rate, n_frames, dt_frame):
     positions[:, 0] = r_start + rate * times
     zero = np.zeros(n_frames)
     return Trajectory(
-        dt=dt_frame,
-        stride=1,
         times=times,
         positions=positions,
         velocities=np.zeros((n_frames, 6)),
