@@ -28,7 +28,6 @@ from .model import (
     PTA_LAUNCH_SIF_BOHR,
     CalibrationError,
     CouplingTerm,
-    DipoleModel,
     HarmonicBond,
     ModelSystem,
     Particle,
@@ -272,8 +271,8 @@ class RunConfig:
 
     def launch_positions(self, system: ModelSystem) -> np.ndarray:
         if self.system_block.get("builtin") == "pta_surrogate":
-            lc = self.ensemble.launch
-            return _entry("ensemble.launch", pta_launch_positions, system, lc.sic_displacement_bohr, lc.sif_stretch_bohr)
+            with np.errstate(over="ignore", invalid="ignore"):  # _geometry names the overflow of a far launch
+                return _entry("ensemble.launch", pta_launch_positions, system, **asdict(self.ensemble.launch))
         return system.reference_positions.copy()
 
     def resolved_dict(self) -> dict:
@@ -282,7 +281,7 @@ class RunConfig:
 
 
 def _parse_system(block: dict) -> dict:
-    allowed = {"builtin", "particles", "positions_bohr", "bonds", "couplings", "d_extra"}
+    allowed = {"builtin", "particles", "positions_bohr", "bonds", "couplings"}
     _require_keys(block, allowed, set(), "system")
     if "builtin" in block:
         if block["builtin"] != "pta_surrogate":
@@ -325,9 +324,6 @@ def _build_inline(system_block: dict) -> ModelSystem:
         system_block["particles"], "particles"
     )
     bonds = _list_of(_bond)(system_block["bonds"], "bonds")
-    reactive = [k for k, b in enumerate(bonds) if isinstance(b, ReactiveBond)]
-    if len(reactive) > 1:
-        raise ConfigError("only one reactive bond is supported")
     couplings = _list_of(lambda raw, where: _block(raw, where, CouplingTerm, bond_a=_integer, bond_b=_integer))(
         system_block.get("couplings", []), "couplings"
     )
@@ -336,8 +332,6 @@ def _build_inline(system_block: dict) -> ModelSystem:
         particles=particles,
         bonds=bonds,
         couplings=couplings,
-        dipole=DipoleModel(np.array([p.charge for p in particles]), system_block.get("d_extra")),
-        reactive_bond_index=reactive[0] if reactive else None,
         reference_positions=np.array(positions, dtype=float).reshape(-1),
     )
 
@@ -380,11 +374,10 @@ def _parse_blocks(raw) -> RunConfig:
 
     if (cavity.lambda_au is None) == (cavity.ratio is None):
         raise ConfigError("cavity block needs exactly one of lambda_au / ratio")
-    omega = cavity.omega_c_cm1 / CM1_PER_HARTREE
     if cavity.ratio is None:
-        cavity.ratio = float(coupling_ratio(cavity.lambda_au, omega))
+        cavity.ratio = float(coupling_ratio(cavity.lambda_au, cavity.omega_c_cm1 / CM1_PER_HARTREE))
     else:
-        cavity.lambda_au = _coupling(float(lambda_for_ratio(cavity.ratio, omega)), "cavity.ratio's lambda_au")
+        cavity.lambda_au = _resolved_coupling(cavity.ratio, cavity.omega_c_cm1, "cavity.ratio")
 
     # the step count indexes a range of frames, so it must fit a Py_ssize_t
     if not 1 <= dynamics.duration_fs / dynamics.dt_fs < np.iinfo(np.intp).max:
@@ -400,9 +393,20 @@ def _parse_blocks(raw) -> RunConfig:
             f"ensemble.window_fs holds no recorded frame; frames are {stride * dynamics.dt_fs:g} fs apart"
         )
 
-    if config.scan.omega_list_cm1 is not None and config.scan.ratio_list is not None:
+    scan = config.scan
+    if scan.omega_list_cm1 is not None and scan.ratio_list is not None:
         raise ConfigError("scan block takes omega_list_cm1 or ratio_list, not both")
+    for k, omega_cm1 in enumerate(scan.omega_list_cm1 or ()):
+        _resolved_coupling(cavity.ratio, omega_cm1, f"scan.omega_list_cm1[{k}]")
+    for k, ratio in enumerate(scan.ratio_list or ()):
+        _resolved_coupling(ratio, cavity.omega_c_cm1, f"scan.ratio_list[{k}]")
     return config
+
+
+def _resolved_coupling(ratio: float, omega_c_cm1: float, where: str) -> float:
+    """The coupling a ratio resolves to at a cavity frequency, within lambda_au's bound."""
+    with np.errstate(over="ignore"):  # an overflow to inf fails the bound
+        return _coupling(float(lambda_for_ratio(ratio, omega_c_cm1 / CM1_PER_HARTREE)), f"{where}'s lambda_au")
 
 
 def config_hash(config: RunConfig) -> str:

@@ -1,7 +1,7 @@
 """Molecular surrogate: particles, bonded potential, dipole model.
 
 The reactive complex is modelled as a short chain of point masses held
-together by pairwise bonded terms. One designated bond carries a
+together by pairwise bonded terms. At most one bond carries a
 double-well potential (bound minimum, barrier, near-flat dissociation
 shelf); every other bond is harmonic. Cubic bond-bond couplings feed
 vibrational energy between neighbouring bonds. The dipole is a
@@ -170,7 +170,7 @@ class ReactiveWell:
 
 @dataclass(frozen=True)
 class ReactiveBond:
-    """The designated breakable bond, backed by a ReactiveWell."""
+    """The breakable bond, backed by a ReactiveWell; a system has at most one."""
 
     i: int
     j: int
@@ -243,16 +243,10 @@ class _OrderedSum:
 
 @dataclass(frozen=True)
 class DipoleModel:
-    """Fixed-partial-charge dipole mu(R) = sum_i q_i R_i (+ optional linear correction).
-
-    `d_extra` is a constant 3 x 3N matrix added to the charge-block gradient.
-    Its per-particle 3x3 blocks must sum to zero so translating a neutral
-    system never changes mu.
-    """
+    """Fixed-partial-charge dipole mu(R) = sum_i q_i R_i."""
 
     charges: np.ndarray
-    d_extra: Optional[np.ndarray] = None
-    #: constant 3 x 3N gradient: q_i * I3 blocks plus d_extra
+    #: constant 3 x 3N gradient: q_i * I3 blocks
     gradient: np.ndarray = field(init=False, repr=False, compare=False)
     _columns: np.ndarray = field(init=False, repr=False, compare=False)
     _entries: np.ndarray = field(init=False, repr=False, compare=False)
@@ -260,19 +254,9 @@ class DipoleModel:
 
     def __post_init__(self):
         object.__setattr__(self, "charges", np.asarray(self.charges, dtype=float))
-        n = self.charges.size
-        grad = np.zeros((3, 3 * n))
+        grad = np.zeros((3, 3 * self.charges.size))
         for c in range(3):
             grad[c, c::3] = self.charges
-        if self.d_extra is not None:
-            d = np.asarray(self.d_extra, dtype=float)
-            if d.shape != (3, 3 * n):
-                raise ValueError(f"d_extra must be 3 x {3*n}, got {d.shape}")
-            block_sum = d.reshape(3, n, 3).sum(axis=1)
-            if not np.abs(block_sum).max() <= 1e-10:
-                raise ValueError("d_extra must be finite, with particle blocks that sum to zero")
-            object.__setattr__(self, "d_extra", d)
-            grad = grad + d
         object.__setattr__(self, "gradient", grad)
         # mu_c = sum_k gradient[c, k] x_k, one sum per Cartesian component over
         # the nonzero entries only: an exact zero product cannot change a sum
@@ -379,18 +363,19 @@ class _BondedTerms:
 
 @dataclass(frozen=True)
 class ModelSystem:
-    """Immutable bundle of particles, bonds, couplings and dipole model.
+    """Immutable bundle of particles, bonds and couplings.
 
-    Reactive systems designate their single double-well bond via
-    `reactive_bond_index`; purely harmonic utility systems leave it None.
+    The dipole model comes from the particles' charges and the reactive bond
+    index from the bonds: a reactive system has one double-well bond, a
+    purely harmonic utility system none (its index is None).
     """
 
     particles: tuple
     bonds: tuple
     couplings: tuple
-    dipole: DipoleModel
-    reactive_bond_index: Optional[int] = None
     reference_positions: Optional[np.ndarray] = None
+    dipole: DipoleModel = field(init=False, repr=False, compare=False)
+    reactive_bond_index: Optional[int] = field(init=False, repr=False, compare=False)
     terms: _BondedTerms = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -409,14 +394,10 @@ class ModelSystem:
             if not (0 <= c.bond_a < nb and 0 <= c.bond_b < nb):
                 raise ValueError("coupling bond index out of range")
         reactive = [k for k, b in enumerate(self.bonds) if b.kind == "reactive-double-well"]
-        designated = [] if self.reactive_bond_index is None else [self.reactive_bond_index]
-        if reactive != designated:
-            raise ValueError(
-                "exactly one reactive bond must exist and be the designated one "
-                f"(found {reactive}, designated {designated})"
-            )
-        if self.dipole.charges.size != n:
-            raise ValueError("dipole charge vector length must match particle count")
+        if len(reactive) > 1:
+            raise ValueError("only one reactive bond is supported")
+        object.__setattr__(self, "reactive_bond_index", reactive[0] if reactive else None)
+        object.__setattr__(self, "dipole", DipoleModel(np.array([p.charge for p in self.particles])))
         object.__setattr__(self, "terms", _BondedTerms.build(n, self.bonds, self.couplings))
         if self.reference_positions is not None:
             ref = np.asarray(self.reference_positions, dtype=float)
@@ -543,7 +524,7 @@ def dipole(system: ModelSystem, positions) -> np.ndarray:
 
 
 def dipole_gradient(system: ModelSystem) -> np.ndarray:
-    """Constant 3 x 3N dipole gradient: q_i * I3 blocks plus d_extra."""
+    """Constant 3 x 3N dipole gradient: q_i * I3 blocks."""
     return system.dipole.gradient.copy()
 
 
@@ -751,8 +732,6 @@ def build_pta_surrogate() -> ModelSystem:
         particles=_PTA_PARTICLES,
         bonds=bonds,
         couplings=tuple(CouplingTerm(a, b, g) for (a, b), g in _PTA_G3.items()),
-        dipole=DipoleModel(np.array(_PTA_CHARGES)),
-        reactive_bond_index=PTA_BOND_SIC,
         reference_positions=_pta_reference_positions(),
     )
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cavimd import build_pta_surrogate
-from cavimd.model import DipoleModel, HarmonicBond, ModelSystem, Particle
+from cavimd.model import HarmonicBond, ModelSystem, Particle
 
 
 @pytest.fixture(scope="session")
@@ -20,7 +20,6 @@ def diatomic():
         particles=particles,
         bonds=bonds,
         couplings=(),
-        dipole=DipoleModel(np.array([0.5, -0.5])),
         reference_positions=ref,
     )
 

@@ -30,7 +30,6 @@ from cavimd.analysis import (
     windowed_correlation,
 )
 from cavimd.model import (
-    DipoleModel,
     HarmonicBond,
     ModelSystem,
     Particle,
@@ -51,7 +50,6 @@ def make_diatomic(k=0.1, m_amu=2.0 / EMASS_PER_AMU, q=0.3):
         particles=particles,
         bonds=(HarmonicBond(0, 1, k, 2.0),),
         couplings=(),
-        dipole=DipoleModel(np.array([q, -q])),
         reference_positions=np.array([2.0, 0, 0, 0.0, 0, 0]),
     )
 
@@ -186,7 +184,6 @@ def test_ir_rotational_covariance():
         particles=particles,
         bonds=bonds,
         couplings=(),
-        dipole=DipoleModel(np.array([0.3, -0.5, 0.2])),
         reference_positions=ref,
     )
     from cavimd.model import dipole_gradient
@@ -360,7 +357,6 @@ def test_occupation_completeness_harmonic_chain():
         particles=particles,
         bonds=bonds,
         couplings=(),
-        dipole=DipoleModel(np.zeros(3)),
         reference_positions=ref,
     )
     nm = system_normal_modes(sys_)
@@ -504,8 +500,6 @@ def make_reactive_pair():
         particles=particles,
         bonds=(ReactiveBond(0, 1, well),),
         couplings=(),
-        dipole=DipoleModel(np.zeros(2)),
-        reactive_bond_index=0,
         reference_positions=np.array([0.0, 0, 0, 3.6, 0, 0]),
     )
 

@@ -14,7 +14,7 @@ from cavimd import (
     total_energy,
     zero_field_init,
 )
-from cavimd.model import DipoleModel, ModelSystem, Particle
+from cavimd.model import ModelSystem, Particle
 from cavimd.units import CM1_PER_HARTREE, EMASS_PER_AMU
 
 EX = np.array([1.0, 0.0, 0.0])
@@ -129,7 +129,6 @@ def charged_pair():
         particles=particles,
         bonds=(HarmonicBond(0, 1, 0.2, 2.0),),
         couplings=(),
-        dipole=DipoleModel(np.array([0.4, -0.9])),
         reference_positions=np.array([1.0, 0.2, -0.1, -1.0, 0.0, 0.3]),
     )
 
@@ -197,7 +196,6 @@ def test_total_energy_single_particle_kinetic():
         particles=(Particle("A", 1.0 / EMASS_PER_AMU, 0.0),),
         bonds=(),
         couplings=(),
-        dipole=DipoleModel(np.zeros(1)),
     )
     mode = CavityMode(omega_c=1.0, lambda_mag=0.0, polarization=EX)
     state = FullState(np.zeros(3), np.array([0.1, 0.0, 0.0]), PhotonState(0.0, 0.0))

@@ -197,6 +197,7 @@ cavity:
     system = cfg.build_system()
     assert system.n_particles == 2
     assert system.reactive_bond_index is None
+    assert np.array_equal(system.dipole.charges, [-0.5, 0.5])
     with pytest.raises(ConfigError, match=r"bonds\[0\]\.r0 must be a finite number"):
         parse_config(text.replace("r0: 2.0", "r0: .nan")).build_system()
     positions = "[[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]"
@@ -209,8 +210,8 @@ cavity:
         with pytest.raises(ConfigError) as info:
             parse_config(text.replace(positions, bad)).build_system()
         assert str(info.value) == message
-    d_extra = "  d_extra: [[.nan, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]]\n"
-    with pytest.raises(ConfigError, match="d_extra must be finite"):
+    d_extra = "  d_extra: [[0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]]\n"
+    with pytest.raises(ConfigError, match=r"unknown key\(s\) in system: \['d_extra'\]"):
         parse_config(text.replace("  bonds:\n", d_extra + "  bonds:\n")).build_system()
     for bad in ("abc", "[1, 2]"):
         with pytest.raises(ConfigError, match=r"particles\[0\]\.mass_amu must be a finite number"):
@@ -1155,17 +1156,46 @@ def test_cli_bad_input_fails_cleanly(tmp_path, monkeypatch, capsys, recwarn, old
             "ensemble:\n  launch: {sic_displacement_bohr: 1.0e+30}\nscan:\n  omega_list_cm1: [856.0]\n",
             "ensemble.launch: particles 3 and 4 are coincident",
         ),
+        # farther still, a bond's length overflows: named by the launch, with no warning ahead of it
+        (
+            "ensemble",
+            "ensemble:\n  launch: {sic_displacement_bohr: 1.0e+300}\n",
+            "ensemble.launch: non-finite distance between particles 1 and 3",
+        ),
+        (
+            "run",
+            "ensemble:\n  launch: {sif_stretch_bohr: 1.0e+300}\n",
+            "ensemble.launch: non-finite distance between particles 0 and 1",
+        ),
+        # the coupling that the entry's ratio resolves to at 856 cm^-1, checked against lambda_au's bound
+        (
+            "scan",
+            "scan:\n  ratio_list: [1.0, 1.0e+300]\n",
+            "scan.ratio_list[1]'s lambda_au must be at most 1e+100, got 8.832013333881033e+298",
+        ),
     ],
     ids=[
         "resample-negative", "omega-zero", "ratio-negative", "window-gap-ensemble", "window-gap-scan",
-        "too-many-steps", "launch-out-of-range",
+        "too-many-steps", "launch-out-of-range", "launch-overflow", "stretch-overflow", "ratio-list-lambda",
     ],
 )
-def test_cli_bad_scan_and_ensemble_entries_fail_cleanly(tmp_path, capsys, command, block, message):
+def test_cli_bad_scan_and_ensemble_entries_fail_cleanly(tmp_path, capsys, recwarn, command, block, message):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(MINIMAL + block + f"outputs:\n  directory: {tmp_path / 'out'}\n")
     assert main([command, "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+    assert [str(w.message) for w in recwarn] == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_two_reactive_bonds_fail_cleanly(tmp_path, capsys, recwarn):
+    harmonic = "{kind: harmonic, i: 1, j: 2, k: 0.2, r0: 3.5}"
+    reactive = "{kind: reactive, i: 1, j: 2, r0: 3.5, r_ts: 4.5, barrier_ev: 0.35, curvature_min: 0.2, curvature_ts: -0.01}"
+    cfg = short_config(tmp_path)
+    cfg.write_text(cfg.read_text().replace(BUILTIN, THREE_BEADS.replace(harmonic, reactive)))
+    assert main(["ensemble", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "error: only one reactive bond is supported\n"
+    assert [str(w.message) for w in recwarn] == []
     assert not (tmp_path / "out").exists()
 
 
@@ -1237,10 +1267,24 @@ def test_cli_numerics_out_of_range_fail_cleanly(tmp_path, capsys, recwarn, comma
             "scan:\n  omega_list_cm1: [856.0, 1.0e+300]\noutputs:",
             "scan.omega_list_cm1[1] must be at most 1e+150, got 1e+300",
         ),
+        # the coupling that the cavity's ratio resolves to at each scanned frequency
+        (
+            "scan",
+            "ratio: 1.132\n",
+            "ratio: 1.0e+40\nscan:\n  omega_list_cm1: [856.0, 1.0e+150]\n",
+            "scan.omega_list_cm1[1]'s lambda_au must be at most 1e+100, got 3.018720011167626e+112",
+        ),
+        # a ratio whose coupling overflows float64 at a high cavity frequency
+        (
+            "run",
+            "omega_c_cm1: 856.0\n  ratio: 1.132",
+            "omega_c_cm1: 1.0e+150\n  ratio: 1.0e+300",
+            "cavity.ratio's lambda_au must be a finite number, got inf",
+        ),
     ],
     ids=[
         "broadening", "charge", "coupling", "spectrum-omega", "spectrum-lambda", "spectrum-ratio", "run-omega",
-        "run-lambda", "run-ratio", "scan-omega",
+        "run-lambda", "run-ratio", "scan-omega", "scan-omega-lambda", "ratio-overflow",
     ],
 )
 def test_cli_values_that_would_overflow_stop_at_their_parser(tmp_path, capsys, recwarn, command, old, new, message):

@@ -10,7 +10,7 @@ from cavimd import (
     velocity_verlet_step,
 )
 from cavimd.dynamics import IntegrationError, Trajectory
-from cavimd.model import DipoleModel, HarmonicBond, ModelSystem, Particle, pta_launch_positions
+from cavimd.model import HarmonicBond, ModelSystem, Particle, pta_launch_positions
 from cavimd.ensemble import SamplingSpec, sample_velocities
 from cavimd.units import AUT_PER_FS, CM1_PER_HARTREE, EMASS_PER_AMU, fs_to_au
 
@@ -24,7 +24,6 @@ def sho_system(k=1.0, r0=2.0, m_au=1.0):
         particles=particles,
         bonds=(HarmonicBond(0, 1, k, r0),),
         couplings=(),
-        dipole=DipoleModel(np.zeros(2)),
         reference_positions=np.array([r0, 0, 0, 0.0, 0, 0]),
     )
 
@@ -35,7 +34,6 @@ def soft_pair():
         particles=particles,
         bonds=(HarmonicBond(0, 1, 0.0015, 2.0),),
         couplings=(),
-        dipole=DipoleModel(np.zeros(2)),
         reference_positions=np.array([2.0, 0, 0, 0.0, 0, 0]),
     )
 

@@ -5,7 +5,6 @@ from cavimd import model
 from cavimd.model import (
     CalibrationError,
     CouplingTerm,
-    DipoleModel,
     HarmonicBond,
     ModelSystem,
     Particle,
@@ -156,7 +155,6 @@ def test_dipole_values():
         particles=particles,
         bonds=(HarmonicBond(0, 1, 0.1, 2.0),),
         couplings=(),
-        dipole=DipoleModel(np.array([0.5, -0.5])),
     )
     x = np.array([1.0, 0, 0, -1.0, 0, 0])
     assert dipole(sys2, x) == pytest.approx([1.0, 0.0, 0.0])
@@ -165,7 +163,6 @@ def test_dipole_values():
         particles=(Particle("A", 1.0, 0.0), Particle("B", 1.0, 0.0)),
         bonds=(HarmonicBond(0, 1, 0.1, 2.0),),
         couplings=(),
-        dipole=DipoleModel(np.zeros(2)),
     )
     assert np.all(dipole(sys0, x) == 0.0)
 
@@ -199,39 +196,6 @@ def test_dipole_gradient_blocks_and_linearity(surrogate):
         xm[k] -= h
         col = (dipole(surrogate, xp) - dipole(surrogate, xm)) / (2 * h)
         assert np.allclose(col, grad[:, k], atol=1e-10)
-
-
-def test_valid_d_extra_enters_the_dipole(diatomic):
-    rng = np.random.default_rng(3)
-    blocks = rng.standard_normal((3, 2, 3))
-    d_extra = (blocks - blocks.mean(axis=1, keepdims=True)).reshape(3, 6)  # particle blocks sum to zero
-    system = ModelSystem(
-        particles=diatomic.particles,
-        bonds=diatomic.bonds,
-        couplings=(),
-        dipole=DipoleModel(diatomic.dipole.charges, d_extra),
-        reference_positions=diatomic.reference_positions,
-    )
-    grad = dipole_gradient(system)
-    assert np.array_equal(grad, dipole_gradient(diatomic) + d_extra)
-    xs = diatomic.reference_positions + 0.1 * rng.standard_normal((5, 6))
-    batch = system.dipole.value(xs)
-    for x, mu in zip(xs, batch):
-        assert np.array_equal(dipole(system, x), mu)
-        assert mu == pytest.approx(grad @ x, abs=1e-12)
-        # a neutral system with cancelling blocks: a rigid translation leaves the dipole unchanged
-        moved = (x.reshape(-1, 3) + rng.standard_normal(3)).reshape(-1)
-        assert dipole(system, moved) == pytest.approx(mu, abs=1e-12)
-
-
-def test_d_extra_blocks_must_cancel():
-    bad = np.zeros((3, 6))
-    bad[0, 0] = 1.0  # block sum is not zero
-    with pytest.raises(ValueError):
-        DipoleModel(np.zeros(2), bad)
-    bad[0, 0] = np.nan  # a NaN block sum is not zero either
-    with pytest.raises(ValueError):
-        DipoleModel(np.zeros(2), bad)
 
 
 def test_calibration_reproduces_all_constraints():
@@ -323,14 +287,18 @@ def test_surrogate_charge_and_ts_curvature(surrogate):
 
 
 def test_exactly_one_reactive_bond_enforced(surrogate):
-    with pytest.raises(ValueError):
+    assert surrogate.reactive_bond_index == model.PTA_BOND_SIC
+    assert np.array_equal(surrogate.dipole.charges, [p.charge for p in surrogate.particles])
+    with pytest.raises(ValueError, match="only one reactive bond is supported"):
         ModelSystem(
             particles=surrogate.particles,
-            bonds=surrogate.bonds,
+            bonds=surrogate.bonds + (surrogate.reactive_bond,),
             couplings=surrogate.couplings,
-            dipole=surrogate.dipole,
-            reactive_bond_index=None,  # reactive bond exists but is not designated
         )
+    # the dipole and the reactive bond are derived, never passed
+    for derived in ({"dipole": surrogate.dipole}, {"reactive_bond_index": model.PTA_BOND_SIC}):
+        with pytest.raises(TypeError):
+            ModelSystem(particles=surrogate.particles, bonds=surrogate.bonds, couplings=(), **derived)
 
 
 def test_launch_geometry_loads_the_reactive_bond(surrogate):
@@ -365,7 +333,6 @@ def test_coupling_term_energy_and_forces():
         particles=particles,
         bonds=bonds,
         couplings=(CouplingTerm(0, 1, 0.02),),
-        dipole=DipoleModel(np.zeros(3)),
     )
     x = np.array([2.3, 0, 0, 0.0, 0, 0, -2.1, 0, 0])
     a, b = 0.3, 0.1
