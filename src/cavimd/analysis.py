@@ -11,7 +11,7 @@ import numpy as np
 from . import model as _model
 from .cavity import CavityMode, CavityRows, lambda_for_ratio, projection, unit_polarization
 from .dynamics import TIME_TOL_FS, Trajectory, window_steps
-from .ensemble import SamplingSpec, run_conditions
+from .ensemble import Aggregates, SamplingSpec, run_conditions
 from .ensemble import run_ensemble  # noqa: F401  (bound here for wrappers such as perfbench/tracer.py)
 from .model import ModelSystem
 from .units import CM1_PER_HARTREE, EV_PER_HARTREE
@@ -585,16 +585,15 @@ def polariton_sic_weights(
 
 # --- scans ----------------------------------------------------------------------
 
-@dataclass
-class ScanRow:
+@dataclass(frozen=True)
+class ScanRow(Aggregates):
+    """One cavity condition of a scan and its window statistics."""
+
     kind: str  # "baseline" or "scan"
     omega_c_cm1: Optional[float]
     lambda_au: float
     ratio: float
     n: int  # trajectories that succeeded, the statistics' sample size
-    reaction_fraction: float
-    mean_bond_bohr: float
-    stderr_bond_bohr: float
 
 
 def resonance_scan(
@@ -649,12 +648,6 @@ def resonance_scan(
         window_fs=window_fs,
     )
     return [
-        ScanRow(
-            *row,
-            len(result.series_index),
-            result.reaction_fraction,
-            result.mean_bond_bohr,
-            result.stderr_bond_bohr,
-        )
-        for row, result in zip(rows, results)
+        ScanRow(r.reaction_fraction, r.mean_bond_bohr, r.stderr_bond_bohr, *row, len(r.series_index))
+        for row, r in zip(rows, results)
     ]

@@ -27,8 +27,8 @@ import numpy as np
 from . import analysis as _analysis
 from . import model as _model
 from .config import ConfigError, RunConfig, make_manifest, parse_config
-from .dynamics import TIME_TOL_FS, IntegrationError, Trajectory, propagate, window_steps
-from .ensemble import EnsembleResult, WorkerError, launch_states, make_specs, map_chunks, run_ensemble
+from .dynamics import TIME_TOL_FS, IntegrationError, Trajectory, frame_buffer_bytes, propagate, window_steps
+from .ensemble import Aggregates, EnsembleResult, WorkerError, launch_states, make_specs, map_chunks, run_ensemble
 from .model import CalibrationError, ModelSystem
 from .units import (
     ANGSTROM_PER_BOHR,
@@ -178,7 +178,7 @@ def _angstrom(bohr: Optional[float]) -> Optional[float]:
     return bohr * ANGSTROM_PER_BOHR if bohr is not None and np.isfinite(bohr) else None
 
 
-def _window_cells(stats) -> dict:
+def _window_cells(stats: Aggregates) -> dict:
     """A condition's window statistics, from an EnsembleResult or a ScanRow.
 
     The standard error is empty for a single trajectory, where it is NaN.
@@ -456,9 +456,9 @@ def cmd_model_check(config: RunConfig, system: ModelSystem, outdir: Path, thread
     f = _model.forces(system, xs)
     h = 1e-4
     step = h * np.eye(x0.size)
-    e_plus = _model.potential_energy(system, (xs[:, None, :] + step).reshape(-1, x0.size))
-    e_minus = _model.potential_energy(system, (xs[:, None, :] - step).reshape(-1, x0.size))
-    fd = -(e_plus - e_minus).reshape(f.shape) / (2 * h)
+    # the four-point difference: its O(h^4) truncation error stays below the tolerance on stiff systems
+    e = {k: _model.potential_energy(system, (xs[:, None, :] + k * step).reshape(-1, x0.size)) for k in (1, -1, 2, -2)}
+    fd = -(8 * (e[1] - e[-1]) - (e[2] - e[-2])).reshape(f.shape) / (12 * h)
     worst = float((np.abs(f - fd).max(axis=1) / np.abs(f).max(axis=1)).max())
     checks["force_fd_max_rel_err"] = worst
     checks["force_fd_ok"] = worst < 1e-6
@@ -520,17 +520,13 @@ def _check_inputs(command: str, config: RunConfig, system: ModelSystem) -> None:
         if not (0 <= i < n and 0 <= j < n) or i == j:
             raise ConfigError(f"{where} must name two different particles of 0..{n - 1}, got {[i, j]}")
     if command in ("run", "ensemble", "scan"):
-        # the frame buffers: per row and frame, a scan keeps one reactive-bond
-        # length up to its window's end, run and ensemble keep x and v (3N
-        # each), q and p
+        # a scan runs up to its window's end and keeps no whole frames
         rows = 1 if command == "run" else config.ensemble.n_trajectories
         n_steps, stride = config.dynamics.n_steps(), config.dynamics.stride
-        per_frame = 6 * system.n_particles + 2
         if command == "scan":
             rows *= len(config.scan.omega_list_cm1 or config.scan.ratio_list) + 1
             n_steps = window_steps(fs_to_au(config.dynamics.dt_fs), n_steps, stride, config.ensemble.window_fs)
-            per_frame = 1
-        size = rows * (n_steps // stride + 1) * per_frame * 8
+        size = frame_buffer_bytes(system, rows, n_steps, stride, keep=command != "scan")
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
         if size > memory:
             gib = f"{size / 2**30:.3g} GiB of frame buffers, more than the {memory / 2**30:.3g} GiB"

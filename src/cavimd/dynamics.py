@@ -186,9 +186,9 @@ def run_rows(
 
     Per row: the reactive bond's length at every frame, its first crossing
     of r_ts, its dissociation flag and, if `keep`, the `Trajectory`; or the
-    IntegrationError that ended the row. Without `keep` only that length is
-    stored per row and frame and no frame energies are evaluated; the values
-    are bit for bit the kept ones. With `keep` a system without a reactive
+    IntegrationError that ended the row. One recorder stores that length per
+    row and frame, and with `keep` also x, v, q and p; without `keep` no
+    frame energies are evaluated. With `keep` a system without a reactive
     bond gets no length and never reacts. A row's outcome does not depend on
     the batch it runs in: every operation on a row is elementwise or summed
     in a fixed order, and a failing row stays in the batch, its later frames
@@ -208,22 +208,18 @@ def run_rows(
             shapes = f"{s.positions.shape} and {s.velocities.shape}"
             raise ValueError(f"state {k}: positions and velocities have shapes {shapes}, expected 3N = {n3} each")
     rb = None if keep and system.reactive_bond_index is None else system.reactive_bond
+    series = None if rb is None else np.empty((n_rows, n_frames))
     if keep:
         # one block per row, so each row's trajectory is a contiguous view
-        xs = np.empty((n_rows, n_frames, n3))
-        vs = np.empty((n_rows, n_frames, n3))
-        qs = np.empty((n_rows, n_frames))
-        ps = np.empty((n_rows, n_frames))
+        xs, vs = np.empty((n_rows, n_frames, n3)), np.empty((n_rows, n_frames, n3))
+        qs, ps = np.empty((n_rows, n_frames)), np.empty((n_rows, n_frames))
 
-        def record(frame, x, v, q, p):
-            xs[:, frame], vs[:, frame], qs[:, frame], ps[:, frame] = x, v, q, p
-
-    else:
-        series = np.empty((n_rows, n_frames))
-
-        # an energy-drift ledger can keep each row's running maximum here, still storing no frames
-        def record(frame, x, v, q, p):
+    # an energy-drift ledger can keep each row's running maximum here, storing no more frames
+    def record(frame, x, v, q, p):
+        if rb is not None:
             series[:, frame] = bond_lengths(x, rb.i, rb.j)
+        if keep:
+            xs[:, frame], vs[:, frame], qs[:, frame], ps[:, frame] = x, v, q, p
 
     errors = _integrate(system, modes, states, dt, n_steps, stride, record)
     times = frame_times(dt, n_steps, stride)
@@ -236,7 +232,7 @@ def run_rows(
         if rb is None:
             dist, event, dissociated = None, ReactionEvent(False, None, float("inf")), False
         else:
-            dist = bond_lengths(xs[k], rb.i, rb.j) if keep else series[k]
+            dist = series[k]
             event = _first_crossing(dist, t, rb.r_ts)
             dissociated = bool(np.any(dist > DISSOCIATION_FACTOR * rb.r_ts))
         traj = None
@@ -249,6 +245,13 @@ def run_rows(
             )
         rows.append((dist, event, dissociated, traj))
     return rows
+
+
+def frame_buffer_bytes(system: ModelSystem, n_rows: int, n_steps: int, stride: int, keep: bool) -> int:
+    """Bytes of the float64 frame buffers `run_rows` allocates: per row and frame, the
+    reactive bond's length if the system has one and, with `keep`, x and v (3N each), q and p."""
+    per_frame = (system.reactive_bond_index is not None) + keep * (6 * system.n_particles + 2)
+    return 8 * n_rows * (n_steps // stride + 1) * per_frame
 
 
 def _integrate(system, modes, states, dt, n_steps, stride, record) -> Dict[int, str]:

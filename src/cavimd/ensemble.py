@@ -188,8 +188,17 @@ class TrajectoryRecord:
     error: Optional[str] = None
 
 
-@dataclass
-class EnsembleResult:
+@dataclass(frozen=True)
+class Aggregates:
+    """Windowed ensemble statistics: what every condition reports."""
+
+    reaction_fraction: float
+    mean_bond_bohr: float
+    stderr_bond_bohr: float
+
+
+@dataclass(frozen=True)
+class EnsembleResult(Aggregates):
     """Batch outcomes plus the reactive-bond series needed for window statistics."""
 
     records: List[TrajectoryRecord]
@@ -197,23 +206,11 @@ class EnsembleResult:
     bond_series: np.ndarray  # (n_ok, frames) reactive bond length, bohr
     series_index: List[int]  # record index per bond_series row
     threshold_bohr: float
-    reaction_fraction: float
-    mean_bond_bohr: float
-    stderr_bond_bohr: float
     trajectories: Optional[List[Trajectory]] = None
 
     @property
     def n_trajectories(self) -> int:
         return len(self.records)
-
-
-@dataclass(frozen=True)
-class Aggregates:
-    """Windowed ensemble statistics."""
-
-    reaction_fraction: float
-    mean_bond_bohr: float
-    stderr_bond_bohr: float
 
 
 def launch_states(

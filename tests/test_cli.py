@@ -1328,6 +1328,46 @@ def test_cli_failed_model_check_prints_an_error_line(tmp_path, capsys):
     assert json.loads(report.read_text())["passed"] is False
 
 
+#: THREE_BEADS bent to a right angle at the middle bead, with a cubic coupling of its two bonds
+RIGHT_ANGLE = THREE_BEADS.replace("[7.0, 0.0, 0.0]", "[3.5, 3.5, 0.0]") + (
+    "  couplings:\n    - {bond_a: 0, bond_b: 1, g3: 0.01}\n"
+)
+
+
+def test_model_check_passes_a_stiff_right_angle_system(tmp_path, capsys):
+    # the two-point force difference at h = 1e-4 read a relative error of 1.44e-6 here
+    cfg = short_config(tmp_path)
+    cfg.write_text(cfg.read_text().replace(BUILTIN, RIGHT_ANGLE))
+    assert main(["model-check", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == "PASS force_fd_ok\nPASS reference_is_stationary\n"
+    assert json.loads((tmp_path / "out" / "model_check.json").read_text())["force_fd_max_rel_err"] < 1e-9
+
+
+def test_model_check_fails_forces_scaled_by_one_part_in_1e5(tmp_path, monkeypatch, capsys):
+    forces = cli._model.forces
+    monkeypatch.setattr(cli._model, "forces", lambda *args: forces(*args) * (1 + 1e-5))
+    assert main(["model-check", "--config", str(short_config(tmp_path))]) == 2
+    assert capsys.readouterr().out == "FAIL force_fd_ok\nPASS reference_is_stationary\n"
+
+
+@pytest.mark.parametrize("short_by, code", [(1, 1), (0, 0)])
+def test_ensemble_size_check_counts_whole_frames_and_one_bond_length(tmp_path, monkeypatch, capsys, short_by, code):
+    # 3 trajectories x frames 0..50, each frame x and v (3N = 18 each), q, p and the Si-C length
+    size = 3 * 51 * (6 * 6 + 3) * 8
+    real_sysconf = os.sysconf
+
+    def sysconf(name):
+        return {"SC_PHYS_PAGES": size - short_by, "SC_PAGE_SIZE": 1}.get(name) or real_sysconf(name)
+
+    monkeypatch.setattr(os, "sysconf", sysconf)
+    assert main(["ensemble", "--config", str(short_config(tmp_path))]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: the run needs ") and "GiB of physical memory" in err
+    else:
+        assert err == "" and (tmp_path / "out" / "summary.json").exists()
+
+
 @pytest.mark.parametrize("short_by, code", [(1, 1), (0, 0)])
 def test_scan_size_check_counts_one_bond_length_per_row_and_frame(tmp_path, monkeypatch, capsys, short_by, code):
     # 3 trajectories x (baseline + 1 condition), frames 0..31 up to the first past the 30 fs window
