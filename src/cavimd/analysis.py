@@ -33,7 +33,8 @@ class NormalModes:
     `modes` holds orthonormal eigenvectors as columns (mass-weighted
     coordinates); `eigenvalues` are omega^2 in atomic units, with negative
     entries reported as negative cm^-1 in `frequencies_cm1` (imaginary
-    modes). `mode_dipole[j]` is d(mu)/dQ_j.
+    modes). `mode_dipole[j]` is d(mu)/dQ_j; `sic_projection[j]` is mode j's signed
+    overlap with the reactive-bond stretch (None without a reactive bond).
     """
 
     frequencies_cm1: np.ndarray
@@ -42,6 +43,7 @@ class NormalModes:
     mode_dipole: np.ndarray
     masses: Optional[np.ndarray] = None
     reference_positions: Optional[np.ndarray] = None
+    sic_projection: Optional[np.ndarray] = None
 
     @property
     def n_modes(self) -> int:
@@ -95,15 +97,13 @@ def normal_modes(
 
 
 def system_normal_modes(system: ModelSystem, positions: Optional[np.ndarray] = None) -> NormalModes:
-    """Normal modes of a system at `positions` (default: its reference geometry)."""
-    if positions is None:
-        positions = system.reference_positions
-    if positions is None:
-        raise ValueError("positions required (system has no reference geometry)")
+    """Normal modes of a system at `positions` (default: its reference geometry), Si-C overlaps included."""
+    positions = system.positions_or_reference(positions)
     hess = hessian(system, positions)
-    return normal_modes(
-        hess, system.masses, _model.dipole_gradient(system), reference_positions=positions
-    )
+    modes = normal_modes(hess, system.masses, _model.dipole_gradient(system), reference_positions=positions)
+    if system.reactive_bond_index is not None:
+        modes.sic_projection = _bond_projection_signed(modes, (system.reactive_bond.i, system.reactive_bond.j))
+    return modes
 
 
 # --- spectra ----------------------------------------------------------------
@@ -123,20 +123,21 @@ def ir_spectrum(
 ) -> Tuple[List[SpectrumLine], np.ndarray, np.ndarray]:
     """Stick spectrum along the polarization plus a Lorentzian-broadened curve.
 
-    Line strengths are 2 * omega_j * |eps . d_j|^2; zero-frequency modes are
-    excluded. The broadening parameter is the Lorentzian FWHM and each line
-    integrates to its strength over an unbounded frequency axis.
+    Line strengths are 2 * omega_j * |eps . d_j|^2, Si-C weights |sic_projection_j|
+    (0.0 without one); zero-frequency modes are excluded. The broadening parameter is
+    the Lorentzian FWHM and each line integrates to its strength over an unbounded axis.
     """
     eps = unit_polarization(polarization)
     if not broadening_cm1 > 0:
         raise ValueError("broadening must be positive")
+    weights = np.zeros(modes.n_modes) if modes.sic_projection is None else np.abs(modes.sic_projection)
     lines = []
-    for f, d in zip(modes.frequencies_cm1, modes.mode_dipole):
+    for f, d, w in zip(modes.frequencies_cm1, modes.mode_dipole, weights):
         if f <= NEAR_ZERO_CM1:
             continue
         omega_au = f / CM1_PER_HARTREE
         strength = 2.0 * omega_au * float(eps @ d) ** 2
-        lines.append(SpectrumLine(float(f), strength))
+        lines.append(SpectrumLine(float(f), strength, float(w)))
     if grid_cm1 is None:
         fmax = max((ln.frequency_cm1 for ln in lines), default=1000.0)
         grid_cm1 = np.linspace(0.0, 1.15 * fmax + 10 * broadening_cm1, 4001)
@@ -161,8 +162,8 @@ def polariton_modes(modes: NormalModes, mode: CavityMode) -> NormalModes:
     with dt_j = lambda (eps . d_j). A term switched off on the CavityMode
     has the zero coefficient that CavityRows gives it. For lambda = 0 the
     input modes plus the bare cavity line are recovered exactly. Mode-dipole
-    rows of the result are matter-part combinations of the bare ones, so
-    `ir_spectrum` applies unchanged.
+    rows and Si-C projections of the result are matter-part combinations of
+    the bare ones, so `ir_spectrum` applies unchanged.
     """
     n = modes.n_modes
     rows = CavityRows.of([mode])
@@ -181,6 +182,7 @@ def polariton_modes(modes: NormalModes, mode: CavityMode) -> NormalModes:
         eigenvalues=evals,
         modes=vecs,
         mode_dipole=mode_dip,
+        sic_projection=None if modes.sic_projection is None else modes.sic_projection @ vecs[:n, :],
     )
 
 
@@ -476,10 +478,7 @@ def find_transition_state(
     and its normal modes, built once, count the saddle's negative modes.
     """
     b = system.reactive_bond  # ValueError without one
-    if start_positions is None:
-        start_positions = system.reference_positions
-    if start_positions is None:
-        raise ValueError("start positions required")
+    start_positions = system.positions_or_reference(start_positions)
     if not 0 < r_min < np.inf:
         raise ValueError(f"r_min must be a positive finite bond length, got {r_min!r}")
     if not r_min < r_max < np.inf:

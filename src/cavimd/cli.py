@@ -258,16 +258,11 @@ def cmd_ensemble(config: RunConfig, system: ModelSystem, outdir: Path, threads: 
 
 def cmd_scan(config: RunConfig, system: ModelSystem, outdir: Path, threads: int) -> int:
     kwargs, specs = _ensemble_inputs(config, system, config.ensemble.n_trajectories)
-    if config.scan.omega_list_cm1 is not None:
-        conditions = [(w, config.cavity.ratio) for w in config.scan.omega_list_cm1]
-        name = "resonance_scan.csv"
-    else:
-        conditions = [(config.cavity.omega_c_cm1, r) for r in config.scan.ratio_list]
-        name = "coupling_scan.csv"
+    name = "resonance_scan.csv" if config.scan.omega_list_cm1 is not None else "coupling_scan.csv"
     rows = _analysis.resonance_scan(
         system,
         specs,
-        conditions,
+        [(omega_cm1, ratio) for _, omega_cm1, ratio in config.scan_conditions()],
         polarization=np.asarray(config.cavity.polarization),
         bilinear=config.cavity.bilinear,
         self_polarization=config.cavity.self_polarization,
@@ -295,20 +290,11 @@ def cmd_spectrum(config: RunConfig, system: ModelSystem, outdir: Path, threads: 
             # one entry at zero coupling, where both would be the bare spectrum
             lam_list = tuple(dict.fromkeys((0.0, config.cavity.lambda_au)))
         broadening = config.spectrum.broadening_cm1
-        bond = None if system.reactive_bond_index is None else (system.reactive_bond.i, system.reactive_bond.j)
         for lam in lam_list:
             cav = dataclasses.replace(config.cavity, lambda_au=lam).mode()
             tag = _spectrum_tag(lam)
             eff = modes if cav is None else _analysis.polariton_modes(modes, cav)
             lines, grid, curve = _analysis.ir_spectrum(eff, pol, broadening)
-            if bond is not None:
-                if cav is None:
-                    weights = _analysis.sic_weighted_spectrum(modes, bond)
-                else:
-                    weights = _analysis.polariton_sic_weights(eff, modes, bond)
-                # ir_spectrum keeps the modes above NEAR_ZERO_CM1, in order: one line each
-                for ln, w in zip(lines, weights[eff.frequencies_cm1 > _analysis.NEAR_ZERO_CM1]):
-                    ln.si_c_weight = float(w)
             table = np.array([[ln.frequency_cm1, ln.strength, ln.si_c_weight] for ln in lines])
             write_csv(
                 outdir / f"spectrum_lines_{tag}.csv",
@@ -412,14 +398,12 @@ def cmd_analyze(config: RunConfig, system: ModelSystem, outdir: Path, threads: i
             outdir / "occupation_difference.csv",
             diff.times_fs, diff.frequencies_cm1, diff.delta, diff.photon_delta,
         )
-        rb = system.reactive_bond
-        weights = _analysis.sic_weighted_spectrum(modes, (rb.i, rb.j))
         write_csv(
             outdir / "occupation_accumulated.csv",
             ["mode_cm1", "accumulated_fs", "si_c_weight"],
             [
                 [f, a, w]
-                for f, a, w in zip(diff.frequencies_cm1, diff.accumulated, weights)
+                for f, a, w in zip(diff.frequencies_cm1, diff.accumulated, np.abs(modes.sic_projection))
             ]
             + [["photon", diff.photon_accumulated, 0.0]],
         )
@@ -470,10 +454,9 @@ def cmd_model_check(config: RunConfig, system: ModelSystem, outdir: Path, thread
     checks["vibrational_modes_cm1"] = [float(f) for f in vib]
     if system.reactive_bond_index is not None:
         rb = system.reactive_bond
-        weights = _analysis.sic_weighted_spectrum(modes, (rb.i, rb.j))
         k = int(np.argmin(np.abs(modes.frequencies_cm1 - _model.PTA_MODE_CM1)))
         checks["mode_856_cm1"] = float(modes.frequencies_cm1[k])
-        checks["mode_856_sic_weight"] = float(weights[k])
+        checks["mode_856_sic_weight"] = float(abs(modes.sic_projection[k]))
         checks["ts_frequency_cm1"] = rb.well.ts_frequency_cm1(system.reduced_mass(rb.i, rb.j))
         checks["barrier_eV"] = rb.well.barrier * EV_PER_HARTREE
     ok = checks["force_fd_ok"] and checks["reference_is_stationary"]
@@ -500,7 +483,7 @@ def _check_inputs(command: str, config: RunConfig, system: ModelSystem) -> None:
     two_runs = command == "analyze" and len(config.analyze.runs) == 2
     if (command in ("ensemble", "scan", "calibrate") or two_runs) and system.reactive_bond_index is None:
         raise ConfigError(f"{command} requires a system with a reactive bond")
-    if command == "scan" and config.scan.omega_list_cm1 is None and config.scan.ratio_list is None:
+    if command == "scan" and not config.scan_conditions():
         raise ConfigError("scan command needs scan.omega_list_cm1 or scan.ratio_list")
     aim = config.ensemble.aim if command in ("run", "ensemble", "scan") else None
     pairs = [] if aim is None else [("ensemble.aim", aim)]
@@ -524,7 +507,7 @@ def _check_inputs(command: str, config: RunConfig, system: ModelSystem) -> None:
         rows = 1 if command == "run" else config.ensemble.n_trajectories
         n_steps, stride = config.dynamics.n_steps(), config.dynamics.stride
         if command == "scan":
-            rows *= len(config.scan.omega_list_cm1 or config.scan.ratio_list) + 1
+            rows *= len(config.scan_conditions()) + 1
             n_steps = window_steps(fs_to_au(config.dynamics.dt_fs), n_steps, stride, config.ensemble.window_fs)
         size = frame_buffer_bytes(system, rows, n_steps, stride, keep=command != "scan")
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")

@@ -275,6 +275,14 @@ class RunConfig:
                 return _entry("ensemble.launch", pta_launch_positions, system, **asdict(self.ensemble.launch))
         return system.reference_positions.copy()
 
+    def scan_conditions(self) -> list:
+        """Each scan condition as (config key, omega_c_cm1, ratio): the frequency list at the
+        cavity's ratio, or the ratio list at the cavity's frequency; none without either list."""
+        scan, cavity = self.scan, self.cavity
+        if scan.omega_list_cm1 is not None:
+            return [(f"scan.omega_list_cm1[{k}]", w, cavity.ratio) for k, w in enumerate(scan.omega_list_cm1)]
+        return [(f"scan.ratio_list[{k}]", cavity.omega_c_cm1, r) for k, r in enumerate(scan.ratio_list or ())]
+
     def resolved_dict(self) -> dict:
         d = {f.name: asdict(getattr(self, f.name)) for f in fields(self)[1:]}
         return json.loads(json.dumps({"system": self.system_block, **d}, sort_keys=True))
@@ -393,13 +401,10 @@ def _parse_blocks(raw) -> RunConfig:
             f"ensemble.window_fs holds no recorded frame; frames are {stride * dynamics.dt_fs:g} fs apart"
         )
 
-    scan = config.scan
-    if scan.omega_list_cm1 is not None and scan.ratio_list is not None:
+    if config.scan.omega_list_cm1 is not None and config.scan.ratio_list is not None:
         raise ConfigError("scan block takes omega_list_cm1 or ratio_list, not both")
-    for k, omega_cm1 in enumerate(scan.omega_list_cm1 or ()):
-        _resolved_coupling(cavity.ratio, omega_cm1, f"scan.omega_list_cm1[{k}]")
-    for k, ratio in enumerate(scan.ratio_list or ()):
-        _resolved_coupling(ratio, cavity.omega_c_cm1, f"scan.ratio_list[{k}]")
+    for key, omega_cm1, ratio in config.scan_conditions():
+        _resolved_coupling(ratio, omega_cm1, key)
     return config
 
 

@@ -248,10 +248,16 @@ def run_rows(
 
 
 def frame_buffer_bytes(system: ModelSystem, n_rows: int, n_steps: int, stride: int, keep: bool) -> int:
-    """Bytes of the float64 frame buffers `run_rows` allocates: per row and frame, the
-    reactive bond's length if the system has one and, with `keep`, x and v (3N each), q and p."""
-    per_frame = (system.reactive_bond_index is not None) + keep * (6 * system.n_particles + 2)
-    return 8 * n_rows * (n_steps // stride + 1) * per_frame
+    """Bytes of frame data a `run_rows` call, and the ensemble built from it, hold at their peak.
+
+    Per row and frame: the reactive bond's length if the system has one; with `keep` also x and v (3N
+    each), q, p, the time, four energies, the dipole and the length's stacked and windowed copies, and
+    once per frame one row's energy temporaries: the widest of the bond geometry, the bonded energies
+    and two products over 3N, the index tables its sums cache (3N + bonds + couplings) and 32 more."""
+    n3, nb, nc = 3 * system.n_particles, len(system.bonds), len(system.couplings)
+    bond = system.reactive_bond_index is not None
+    temporaries = max(14 * nb, 5 * nb + 6 * nc, 2 * n3) + n3 + nb + nc + 32
+    return 8 * (n_steps // stride + 1) * (n_rows * (bond + keep * (2 * n3 + 10 + 2 * bond)) + keep * temporaries)
 
 
 def _integrate(system, modes, states, dt, n_steps, stride, record) -> Dict[int, str]:

@@ -9,7 +9,7 @@ removed after every stage.
 Randomness comes from numpy's counter-based Philox generator keyed by the
 spec seed, so batches are reproducible across platforms and independent of
 execution order and of the batch a trajectory runs in. Helper `make_specs`
-derives per-trajectory seeds as base_seed XOR trajectory index.
+keys trajectory k by `stream_key(base_seed, k)`, unique per (seed, k) pair.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .model import ModelSystem, dipole
 from .units import KB_HARTREE_PER_K, au_to_fs
 
 #: identifier recorded in manifests so runs can be reproduced elsewhere
-RNG_ALGORITHM = "numpy.random.Philox (counter-based; stream key = seed XOR trajectory index)"
+RNG_ALGORITHM = "numpy.random.Philox (counter-based; two-word key = cavimd.ensemble.stream_key(seed, trajectory index))"
 
 class WorkerError(RuntimeError):
     """A worker process ended without returning its result."""
@@ -49,8 +49,17 @@ class SamplingSpec:
             raise ValueError("relative temperature must be non-negative")
 
 
+def stream_key(base_seed: int, k: int) -> int:
+    """Trajectory k's two-word Philox key packed as w0 | w1 << 64, one per (base_seed mod 2**64, k);
+    w1 is 0, and w0 is base_seed XOR k, exactly when base_seed = 1 (mod 16) and k < 16."""
+    s = base_seed % 2**64
+    return (s ^ (k & 15)) | (((s & 15) ^ 1) | ((k >> 4) << 4)) << 64
+
+
 def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed & 0xFFFFFFFFFFFFFFFF)))
+    """Philox keyed by the two words of `seed`; a key of one word w draws what Philox(key=w) draws."""
+    words = np.array([seed & 0xFFFFFFFFFFFFFFFF, (seed >> 64) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=words))
 
 
 def _remove_com(system: ModelSystem, v: np.ndarray) -> np.ndarray:
@@ -98,12 +107,8 @@ def sample_velocities(
     rng = _rng(spec.seed)
     v = _boltzmann_draw(system, spec.temperature_K, rng)
     if spec.aim is not None:
-        if positions is None:
-            positions = system.reference_positions
-        if positions is None:
-            raise ValueError("aiming requires positions")
         proj, target = spec.aim
-        pts = np.asarray(positions, dtype=float).reshape(-1, 3)
+        pts = np.asarray(system.positions_or_reference(positions), dtype=float).reshape(-1, 3)
         u = pts[target] - pts[proj]
         norm = np.linalg.norm(u)
         if norm < 1e-12:
@@ -143,7 +148,7 @@ def make_specs(
     aim: Optional[Tuple[int, int]] = None,
     resample_T_K: Optional[float] = None,
 ) -> List[SamplingSpec]:
-    """Per-trajectory specs with seeds base_seed XOR index.
+    """Per-trajectory specs, spec k seeded by `stream_key(base_seed, k)`.
 
     With `resample_T_K` set, spec 0 is the base draw at the bath
     temperature and every later spec resamples around it at the relative
@@ -151,11 +156,11 @@ def make_specs(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    specs = [SamplingSpec(temperature_K, base_seed ^ 0, aim=aim)]
-    for k in range(1, count):
-        resample = (0, resample_T_K) if resample_T_K is not None else None
-        specs.append(SamplingSpec(temperature_K, base_seed ^ k, aim=aim, resample=resample))
-    return specs
+    resample = (0, resample_T_K) if resample_T_K is not None else None
+    return [
+        SamplingSpec(temperature_K, stream_key(base_seed, k), aim=aim, resample=resample if k else None)
+        for k in range(count)
+    ]
 
 
 def resolve_velocities(

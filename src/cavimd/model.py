@@ -183,10 +183,6 @@ class ReactiveBond:
             raise ValueError("bond endpoints must differ")
 
     @property
-    def r0(self) -> float:
-        return self.well.r0
-
-    @property
     def r_ts(self) -> float:
         return self.well.r_ts
 
@@ -431,6 +427,12 @@ class ModelSystem:
         mi = self.particles[i].mass
         mj = self.particles[j].mass
         return mi * mj / (mi + mj)
+
+    def positions_or_reference(self, positions: Optional[np.ndarray] = None) -> np.ndarray:
+        """`positions` if given, else the reference geometry; ValueError without either."""
+        if positions is None and self.reference_positions is None:
+            raise ValueError("positions required (system has no reference geometry)")
+        return self.reference_positions if positions is None else positions
 
     @property
     def reactive_bond(self) -> ReactiveBond:

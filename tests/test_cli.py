@@ -453,7 +453,7 @@ def test_cli_scan_row_at_the_cavity_frequency_matches_the_ensemble_summary(tmp_p
     # the scan keeps only the reactive bond and stops at the window's end; the ensemble keeps every frame
     # to duration_fs; one of the four resonant trajectories reacts inside the window
     text = SHORT_RUN.replace("duration_fs: 50.0", "duration_fs: 200.0\n  dt_fs: 0.5")
-    text = text.replace("n_trajectories: 3", "n_trajectories: 4").replace("seed: 11", "seed: 24")
+    text = text.replace("n_trajectories: 3", "n_trajectories: 4").replace("seed: 11", "seed: 26")
     text = text.replace("window_fs: [0.0, 50.0]", "window_fs: [0.0, 150.0]").replace("PLACEHOLDER", str(tmp_path))
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(text + "scan:\n  omega_list_cm1: [43.0, 856.0]\n")
@@ -465,6 +465,29 @@ def test_cli_scan_row_at_the_cavity_frequency_matches_the_ensemble_summary(tmp_p
     assert summary["reaction_fraction"] == 0.25
     for key in ("reaction_fraction", "mean_sic_A", "stderr_sic_A"):
         assert row[key] == str(summary[key])
+
+
+@pytest.mark.parametrize(
+    "scan, expected",
+    [
+        ("{omega_list_cm1: [43.0, 856.0]}", [(f"scan.omega_list_cm1[{k}]", w, 1.132) for k, w in enumerate((43.0, 856.0))]),
+        ("{ratio_list: [0.0, 0.5]}", [("scan.ratio_list[0]", 856.0, 0.0), ("scan.ratio_list[1]", 856.0, 0.5)]),
+        ("{}", []),
+    ],
+)
+def test_scan_conditions_pair_each_list_entry_with_the_cavity(tmp_path, scan, expected):
+    config = parse_config(short_config(tmp_path, extra=f"scan: {scan}\n").read_text())
+    assert config.scan_conditions() == expected
+
+
+def test_cli_ensembles_at_seeds_1_2_and_17_differ(tmp_path):
+    # 1 and 2 differ in the index bits, where seed XOR index alone would give both one set of streams
+    cfg = short_config(tmp_path)
+    summaries = []
+    for seed in ("1", "2", "17"):
+        assert main(["ensemble", "--config", str(cfg), "--seed", seed, "--out", str(tmp_path / seed)]) == 0
+        summaries.append((tmp_path / seed / "summary.json").read_bytes())
+    assert len(set(summaries)) == 3
 
 
 def test_cli_spectrum_outputs(tmp_path):
@@ -1352,8 +1375,10 @@ def test_model_check_fails_forces_scaled_by_one_part_in_1e5(tmp_path, monkeypatc
 
 @pytest.mark.parametrize("short_by, code", [(1, 1), (0, 0)])
 def test_ensemble_size_check_counts_whole_frames_and_one_bond_length(tmp_path, monkeypatch, capsys, short_by, code):
-    # 3 trajectories x frames 0..50, each frame x and v (3N = 18 each), q, p and the Si-C length
-    size = 3 * 51 * (6 * 6 + 3) * 8
+    # frames 0..50 of 3 trajectories, each frame x and v (3N = 18 each), q, p, the time, 4 energies, the dipole
+    # and the Si-C length three times (recorded, stacked and windowed), and of one trajectory's energy
+    # temporaries: the bond geometry's 14 per bond (5 bonds), the index tables (18 + 5 + 4) and 32 more
+    size = 51 * (3 * (6 * 6 + 13) + 14 * 5 + 18 + 5 + 4 + 32) * 8
     real_sysconf = os.sysconf
 
     def sysconf(name):
@@ -1583,7 +1608,8 @@ def test_manifest_records_the_seed_that_ran(tmp_path):
     for path, flags in ((cfg, ["--seed", "5"]), (written, [])):
         assert main(["ensemble", "--config", str(path), "--out", str(out), *flags]) == 0
         rows = (out / "ensemble.csv").read_text().splitlines()[1:]
-        assert [row.split(",")[1] for row in rows] == ["5", "4"]
+        # each trajectory's packed stream key: 5 XOR k, and (5 XOR 1) in the second word
+        assert [row.split(",")[1] for row in rows] == [str((5 ^ k) | 4 << 64) for k in range(2)]
         manifests.append(json.loads((out / "manifest.json").read_text()))
     assert manifests[0]["resolved_config"]["ensemble"]["seed"] == 5
     assert manifests[0]["config_sha256"] == manifests[1]["config_sha256"]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavimd import (
     EnsembleResult,
@@ -107,9 +109,10 @@ def test_resample_determinism(surrogate):
     assert not np.array_equal(s1[0], s3[0])
 
 
-def test_make_specs_seeds_are_xor_of_base(surrogate):
+def test_make_specs_seeds_are_two_word_stream_keys(surrogate):
+    # 1000 = 8 (mod 16): the first word is 1000 XOR k, the second (8 XOR 1) while k < 16
     specs = make_specs(1000, 4, 300.0, aim=(0, 1), resample_T_K=20.0)
-    assert [s.seed for s in specs] == [1000 ^ k for k in range(4)]
+    assert [s.seed for s in specs] == [(1000 ^ k) | 9 << 64 for k in range(4)]
     assert specs[0].resample is None
     assert all(s.resample == (0, 20.0) for s in specs[1:])
 
@@ -266,8 +269,8 @@ def statistics_conditions(surrogate):
     from cavimd.cavity import CavityMode, lambda_for_ratio
     from cavimd.units import CM1_PER_HARTREE
 
-    # trajectory 2 reacts at 54.3 fs in free space
-    specs = make_specs(24, 3, 300.0, aim=(0, 1))
+    # trajectory 2 reacts at 54.3 fs in free space; its streams are keyed 24 XOR k
+    specs = [SamplingSpec(300.0, 24 ^ k, aim=(0, 1)) for k in range(3)]
     specs[0] = dataclasses.replace(specs[0], temperature_K=1e30)
     omega = 856.0 / CM1_PER_HARTREE
     mode = CavityMode(omega, lambda_for_ratio(1.132, omega), np.array([1.0, 0.0, 0.0]))
@@ -336,3 +339,61 @@ def test_default_scan_traces_under_4_mb(surrogate):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def test_stream_keys_of_seeds_one_mod_16_are_the_seed_xor_index():
+    # the keying the acceptance pins, the 20-seed pins and the benchmark seeds were drawn with
+    for seed in (1, 17, 305, 2**64 - 15):
+        assert [ensemble.stream_key(seed, k) for k in range(16)] == [seed ^ k for k in range(16)]
+    assert ensemble.stream_key(1, 16) >> 64 == 16
+    assert ensemble.stream_key(-15, 3) == ensemble.stream_key(2**64 - 15, 3)  # seeds are taken mod 2**64
+
+
+@pytest.mark.parametrize("word", [0, 1, 12345, 2**63 + 5, 2**64 - 1])
+def test_a_key_of_one_word_draws_what_a_one_word_philox_key_draws(word):
+    expected = np.random.Generator(np.random.Philox(key=np.uint64(word))).standard_normal(8)
+    assert ensemble._rng(word).standard_normal(8).tolist() == expected.tolist()
+
+
+def test_stream_keys_are_distinct_where_xor_keys_collided():
+    # seeds 0-63 share every XOR key among themselves, and so do the 64 seeds below 2**64; no key repeats here
+    seeds = [*range(64), *range(2**64 - 64, 2**64)]
+    keys = {ensemble.stream_key(seed, k) for seed in seeds for k in range(64)}
+    assert len(keys) == 128 * 64
+
+
+#: seeds near 0, at and above 2**63, and anywhere (taken mod 2**64); indices small or large
+SEEDS = st.integers(0, 64) | st.integers(2**63, 2**64 + 64) | st.integers(-(2**65), 2**66)
+INDICES = st.integers(0, 64) | st.integers(0, 2**20)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(SEEDS, INDICES), min_size=50, max_size=100))
+def test_no_two_seed_index_pairs_share_a_stream_key(pairs):
+    distinct = {(seed % 2**64, k) for seed, k in pairs}
+    assert len({ensemble.stream_key(seed, k) for seed, k in distinct}) == len(distinct)
+    assert {ensemble.stream_key(seed, k) for seed, k in pairs} == {ensemble.stream_key(s, k) for s, k in distinct}
+
+
+@pytest.mark.parametrize("rows", [1, 4, 16])
+def test_the_kept_run_size_check_counts_at_least_the_traced_peak(rows):
+    # the default config's 1,001 frames per row, on a system whose cached index tables are not built yet
+    import tracemalloc
+    from pathlib import Path
+
+    from cavimd.cli import _ensemble_inputs
+    from cavimd.config import parse_config
+    from cavimd.dynamics import frame_buffer_bytes
+
+    config = parse_config((Path(__file__).parents[1] / "configs" / "default.yaml").read_text())
+    system = config.build_system()
+    kwargs, specs = _ensemble_inputs(config, system, rows)
+    sample_velocities(system, SamplingSpec(300.0, 1))  # loads numpy.random's modules, which are not frame data
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run_ensemble(system, config.cavity.mode(), specs, keep_trajectories=True, **kwargs)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert frame_buffer_bytes(system, rows, kwargs["n_steps"], kwargs["stride"], keep=True) >= peak

@@ -340,3 +340,25 @@ def test_coupling_term_energy_and_forces():
     assert potential_energy(sys3, x) == pytest.approx(expected, rel=1e-12)
     fdv = fd_forces(sys3, x)
     assert np.abs(forces(sys3, x) - fdv).max() < 1e-8
+
+
+def test_an_omitted_geometry_is_the_reference_geometry(surrogate):
+    from cavimd.analysis import find_transition_state, system_normal_modes
+    from cavimd.ensemble import SamplingSpec, sample_velocities
+
+    x = surrogate.reference_positions + 0.1
+    assert surrogate.positions_or_reference(x) is x
+    assert surrogate.positions_or_reference() is surrogate.reference_positions
+    assert surrogate.positions_or_reference(None) is surrogate.reference_positions
+    bare = ModelSystem(surrogate.particles, surrogate.bonds, surrogate.couplings)
+    # every caller that defaults to the reference geometry fails the same way without one
+    for call in (
+        bare.positions_or_reference,
+        lambda: system_normal_modes(bare),
+        lambda: find_transition_state(bare, 3.9, 5.1),
+        lambda: sample_velocities(bare, SamplingSpec(300.0, 1, aim=(0, 1))),
+    ):
+        with pytest.raises(ValueError, match=r"^positions required \(system has no reference geometry\)$"):
+            call()
+    # given positions need no reference geometry
+    assert bare.positions_or_reference(x) is x
