@@ -258,11 +258,11 @@ def cmd_ensemble(config: RunConfig, system: ModelSystem, outdir: Path, threads: 
 
 def cmd_scan(config: RunConfig, system: ModelSystem, outdir: Path, threads: int) -> int:
     kwargs, specs = _ensemble_inputs(config, system, config.ensemble.n_trajectories)
-    name = "resonance_scan.csv" if config.scan.omega_list_cm1 is not None else "coupling_scan.csv"
+    name, conditions = config.scan_conditions()
     rows = _analysis.resonance_scan(
         system,
         specs,
-        [(omega_cm1, ratio) for _, omega_cm1, ratio in config.scan_conditions()],
+        [(omega_cm1, ratio) for _, omega_cm1, ratio in conditions],
         polarization=np.asarray(config.cavity.polarization),
         bilinear=config.cavity.bilinear,
         self_polarization=config.cavity.self_polarization,
@@ -271,7 +271,7 @@ def cmd_scan(config: RunConfig, system: ModelSystem, outdir: Path, threads: int)
     table = [
         [r.kind, r.omega_c_cm1, r.lambda_au, r.ratio, r.n, *_window_cells(r).values()] for r in rows
     ]
-    write_csv(outdir / name, ["kind", "omega_c_cm1", "lambda_au", "ratio", "n", *_window_cells(rows[0])], table)
+    write_csv(outdir / f"{name}.csv", ["kind", "omega_c_cm1", "lambda_au", "ratio", "n", *_window_cells(rows[0])], table)
     return 0
 
 
@@ -483,7 +483,7 @@ def _check_inputs(command: str, config: RunConfig, system: ModelSystem) -> None:
     two_runs = command == "analyze" and len(config.analyze.runs) == 2
     if (command in ("ensemble", "scan", "calibrate") or two_runs) and system.reactive_bond_index is None:
         raise ConfigError(f"{command} requires a system with a reactive bond")
-    if command == "scan" and not config.scan_conditions():
+    if command == "scan" and not config.scan_conditions()[1]:
         raise ConfigError("scan command needs scan.omega_list_cm1 or scan.ratio_list")
     aim = config.ensemble.aim if command in ("run", "ensemble", "scan") else None
     pairs = [] if aim is None else [("ensemble.aim", aim)]
@@ -507,7 +507,7 @@ def _check_inputs(command: str, config: RunConfig, system: ModelSystem) -> None:
         rows = 1 if command == "run" else config.ensemble.n_trajectories
         n_steps, stride = config.dynamics.n_steps(), config.dynamics.stride
         if command == "scan":
-            rows *= len(config.scan_conditions()) + 1
+            rows *= len(config.scan_conditions()[1]) + 1
             n_steps = window_steps(fs_to_au(config.dynamics.dt_fs), n_steps, stride, config.ensemble.window_fs)
         size = frame_buffer_bytes(system, rows, n_steps, stride, keep=command != "scan")
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")

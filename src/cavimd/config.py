@@ -275,13 +275,13 @@ class RunConfig:
                 return _entry("ensemble.launch", pta_launch_positions, system, **asdict(self.ensemble.launch))
         return system.reference_positions.copy()
 
-    def scan_conditions(self) -> list:
-        """Each scan condition as (config key, omega_c_cm1, ratio): the frequency list at the
-        cavity's ratio, or the ratio list at the cavity's frequency; none without either list."""
-        scan, cavity = self.scan, self.cavity
+    def scan_conditions(self) -> Tuple[str, list]:
+        """The scan's name and each condition as (config key, omega_c_cm1, ratio): a resonance scan of the
+        frequency list at the cavity's ratio, else a coupling scan of the ratio list at its frequency."""
+        scan, c = self.scan, self.cavity
         if scan.omega_list_cm1 is not None:
-            return [(f"scan.omega_list_cm1[{k}]", w, cavity.ratio) for k, w in enumerate(scan.omega_list_cm1)]
-        return [(f"scan.ratio_list[{k}]", cavity.omega_c_cm1, r) for k, r in enumerate(scan.ratio_list or ())]
+            return "resonance_scan", [(f"scan.omega_list_cm1[{k}]", w, c.ratio) for k, w in enumerate(scan.omega_list_cm1)]
+        return "coupling_scan", [(f"scan.ratio_list[{k}]", c.omega_c_cm1, r) for k, r in enumerate(scan.ratio_list or ())]
 
     def resolved_dict(self) -> dict:
         d = {f.name: asdict(getattr(self, f.name)) for f in fields(self)[1:]}
@@ -403,7 +403,7 @@ def _parse_blocks(raw) -> RunConfig:
 
     if config.scan.omega_list_cm1 is not None and config.scan.ratio_list is not None:
         raise ConfigError("scan block takes omega_list_cm1 or ratio_list, not both")
-    for key, omega_cm1, ratio in config.scan_conditions():
+    for key, omega_cm1, ratio in config.scan_conditions()[1]:
         _resolved_coupling(ratio, omega_cm1, key)
     return config
 

@@ -123,6 +123,19 @@ def _frame_energies(system: ModelSystem, mode: Optional[CavityMode], x, v, q, p)
     return epot, ekin, ecav, mu
 
 
+def frame_buffer_bytes(system: ModelSystem, n_rows: int, n_steps: int, stride: int, keep: bool) -> int:
+    """Bytes of frame data a `run_rows` call holds at its peak. Per row and frame: the reactive bond's
+    length if the system has one and, with `keep`, x and v (3N each), q, p, the time, four energies and
+    the dipole. With `keep` also, per frame, what `_frame_energies` holds on one row besides its results,
+    bounded by a sum: the index tables its ordered sums cache (one per coordinate, bond and coupling) and
+    each step's temporaries, the bond geometry's ends, vectors, squares and two partial sums (14 per
+    bond), the energy terms (4 per bond and coupling) and the dipole's or kinetic energy's products (3N each)."""
+    n3, nb, nc = 3 * system.n_particles, len(system.bonds), len(system.couplings)
+    scratch = (n3 + nb + nc) + 14 * nb + 4 * (nb + nc) + 3 * n3
+    per_row = (system.reactive_bond_index is not None) + keep * (2 * n3 + 10)
+    return 8 * (n_steps // stride + 1) * (n_rows * per_row + keep * scratch)
+
+
 def velocity_verlet_step(
     system: ModelSystem, mode: Optional[CavityMode], state: FullState, dt: float
 ) -> FullState:
@@ -169,8 +182,8 @@ def propagate_batch(
     Returns, per row, what `propagate` returns for it, or the
     IntegrationError that ended it: `run_rows` with its frames kept.
     """
-    rows = run_rows(system, modes, states, dt, n_steps, stride, keep=True)
-    return [row if isinstance(row, IntegrationError) else (row[3], row[1]) for row in rows]
+    _, rows = run_rows(system, modes, states, dt, n_steps, stride, keep=True)
+    return [row if isinstance(row, IntegrationError) else (row[2], row[0]) for row in rows]
 
 
 def run_rows(
@@ -181,18 +194,18 @@ def run_rows(
     n_steps: int,
     stride: int = 1,
     keep: bool = False,
-) -> List[Union[Tuple[Optional[np.ndarray], ReactionEvent, bool, Optional[Trajectory]], IntegrationError]]:
+) -> Tuple[Optional[np.ndarray], List[Union[Tuple[ReactionEvent, bool, Optional[Trajectory]], IntegrationError]]]:
     """The one batch runner: check the batch once, propagate it, watch the reactive bond.
 
-    Per row: the reactive bond's length at every frame, its first crossing
-    of r_ts, its dissociation flag and, if `keep`, the `Trajectory`; or the
-    IntegrationError that ended the row. One recorder stores that length per
-    row and frame, and with `keep` also x, v, q and p; without `keep` no
-    frame energies are evaluated. With `keep` a system without a reactive
-    bond gets no length and never reacts. A row's outcome does not depend on
-    the batch it runs in: every operation on a row is elementwise or summed
-    in a fixed order, and a failing row stays in the batch, its later frames
-    never read.
+    Returns the reactive bond's length per row and frame (None when no bond
+    is watched) and per row its first crossing of r_ts, its dissociation flag
+    and, if `keep`, the `Trajectory`, or the IntegrationError that ended it.
+    One recorder stores that length, and with `keep` also x, v, q and p;
+    without `keep` no frame energies are evaluated. With `keep` a system
+    without a reactive bond gets no length and never reacts. A row's outcome
+    does not depend on the batch it runs in: every operation on a row is
+    elementwise or summed in a fixed order, and a failing row stays in the
+    batch, its later frames never read.
     """
     if not dt > 0:
         raise ValueError("timestep must be positive")
@@ -208,7 +221,8 @@ def run_rows(
             shapes = f"{s.positions.shape} and {s.velocities.shape}"
             raise ValueError(f"state {k}: positions and velocities have shapes {shapes}, expected 3N = {n3} each")
     rb = None if keep and system.reactive_bond_index is None else system.reactive_bond
-    series = None if rb is None else np.empty((n_rows, n_frames))
+    # frame-major, so a window's mean adds each row's lengths frame by frame, in time order
+    series = None if rb is None else np.empty((n_frames, n_rows)).T
     if keep:
         # one block per row, so each row's trajectory is a contiguous view
         xs, vs = np.empty((n_rows, n_frames, n3)), np.empty((n_rows, n_frames, n3))
@@ -230,11 +244,10 @@ def run_rows(
             continue
         t = state.time + times
         if rb is None:
-            dist, event, dissociated = None, ReactionEvent(False, None, float("inf")), False
+            event, dissociated = ReactionEvent(False, None, float("inf")), False
         else:
-            dist = series[k]
-            event = _first_crossing(dist, t, rb.r_ts)
-            dissociated = bool(np.any(dist > DISSOCIATION_FACTOR * rb.r_ts))
+            event = _first_crossing(series[k], t, rb.r_ts)
+            dissociated = bool(np.any(series[k] > DISSOCIATION_FACTOR * rb.r_ts))
         traj = None
         if keep:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -243,21 +256,8 @@ def run_rows(
                 times=t, positions=xs[k], velocities=vs[k], photon_q=qs[k], photon_p=ps[k],
                 epot=epot, ekin=ekin, ecav=ecav, etot=epot + ekin + ecav, dipole=mu, dissociated=dissociated,
             )
-        rows.append((dist, event, dissociated, traj))
-    return rows
-
-
-def frame_buffer_bytes(system: ModelSystem, n_rows: int, n_steps: int, stride: int, keep: bool) -> int:
-    """Bytes of frame data a `run_rows` call, and the ensemble built from it, hold at their peak.
-
-    Per row and frame: the reactive bond's length if the system has one; with `keep` also x and v (3N
-    each), q, p, the time, four energies, the dipole and the length's stacked and windowed copies, and
-    once per frame one row's energy temporaries: the widest of the bond geometry, the bonded energies
-    and two products over 3N, the index tables its sums cache (3N + bonds + couplings) and 32 more."""
-    n3, nb, nc = 3 * system.n_particles, len(system.bonds), len(system.couplings)
-    bond = system.reactive_bond_index is not None
-    temporaries = max(14 * nb, 5 * nb + 6 * nc, 2 * n3) + n3 + nb + nc + 32
-    return 8 * (n_steps // stride + 1) * (n_rows * (bond + keep * (2 * n3 + 10 + 2 * bond)) + keep * temporaries)
+        rows.append((event, dissociated, traj))
+    return series, rows
 
 
 def _integrate(system, modes, states, dt, n_steps, stride, record) -> Dict[int, str]:

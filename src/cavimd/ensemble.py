@@ -57,8 +57,8 @@ def stream_key(base_seed: int, k: int) -> int:
 
 
 def _rng(seed: int) -> np.random.Generator:
-    """Philox keyed by the two words of `seed`; a key of one word w draws what Philox(key=w) draws."""
-    words = np.array([seed & 0xFFFFFFFFFFFFFFFF, (seed >> 64) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    """Philox keyed by the two words of `seed` mod 2**128; a seed 0 <= w < 2**64 draws what Philox(key=w) draws."""
+    words = np.array([seed % 2**64, seed % 2**128 >> 64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=words))
 
 
@@ -208,7 +208,7 @@ class EnsembleResult(Aggregates):
 
     records: List[TrajectoryRecord]
     times_fs: np.ndarray
-    bond_series: np.ndarray  # (n_ok, frames) reactive bond length, bohr
+    bond_series: np.ndarray  # (n_ok, frames) reactive bond length, bohr, stored frame-major
     series_index: List[int]  # record index per bond_series row
     threshold_bohr: float
     trajectories: Optional[List[Trajectory]] = None
@@ -321,36 +321,35 @@ def run_conditions(
     for mode, specs in conditions:
         rows += [(mode, state) for state in launch_states(system, mode, specs, positions)]
     modes, states = zip(*rows)
-    observed = run_rows(system, modes, states, dt, n_steps, stride, keep=keep_trajectories)
+    series, observed = run_rows(system, modes, states, dt, n_steps, stride, keep=keep_trajectories)
     times_fs = au_to_fs(frame_times(dt, n_steps, stride))
     results, start = [], 0
     for _, specs in conditions:
         chunk = slice(start, start + len(specs))
         start = chunk.stop
-        results.append(_ensemble_result(specs, observed[chunk], times_fs, rb, window_fs))
+        results.append(_ensemble_result(specs, observed[chunk], series[chunk], times_fs, rb, window_fs))
     return results
 
 
-def _ensemble_result(specs, observed, times_fs, rb, window_fs):
-    """One condition's result from each row's `run_rows` outcome."""
+def _ensemble_result(specs, observed, series, times_fs, rb, window_fs):
+    """One condition's result from its rows' `run_rows` outcomes and bond-length series."""
     records: List[TrajectoryRecord] = []
-    series_rows = []
-    series_index = []
-    kept = []
+    series_index, kept = [], []
     for k, (spec, outcome) in enumerate(zip(specs, observed)):
         if isinstance(outcome, IntegrationError):
             records.append(TrajectoryRecord(k, spec.seed, None, None, error=str(outcome)))
             continue
-        series, event, dissociated, trajectory = outcome
-        records.append(TrajectoryRecord(k, spec.seed, event, float(series.mean()), dissociated=dissociated))
-        series_rows.append(series)
+        event, dissociated, trajectory = outcome
+        records.append(TrajectoryRecord(k, spec.seed, event, float(series[k].mean()), dissociated=dissociated))
+        # finished rows move up over failed ones in place, so the series is never copied
+        series[len(series_index)] = series[k]
         series_index.append(k)
         kept.append(trajectory)
-    if not series_rows:
+    if not series_index:
         raise IntegrationError(f"every trajectory in the batch failed (first: {records[0].error})")
     if window_fs is None:
         window_fs = (float(times_fs[0]), float(times_fs[-1]))
-    bond_series = np.vstack(series_rows)
+    bond_series = series[: len(series_index)]
     events = [records[k].event for k in series_index]
     return EnsembleResult(
         records=records,
@@ -388,10 +387,11 @@ def _window_statistics(times, bond_series, events, window_fs) -> Aggregates:
         raise ValueError(
             f"window [{t0}, {t1}] fs outside trajectory span [{times[0]}, {times[-1]}] fs"
         )
-    mask = (times >= t0 - TIME_TOL_FS) & (times <= t1 + TIME_TOL_FS)
-    if mask.sum() < 1:
+    # the times increase, so the window's frames are one run of columns and a view
+    first, stop = np.searchsorted(times, t0 - TIME_TOL_FS), np.searchsorted(times, t1 + TIME_TOL_FS, "right")
+    if stop <= first:
         raise ValueError("window contains no frames")
-    per_traj = bond_series[:, mask].mean(axis=1)
+    per_traj = bond_series[:, first:stop].mean(axis=1)
     n = per_traj.size
     mean = float(per_traj.mean())
     stderr = float(per_traj.std(ddof=1) / np.sqrt(n)) if n > 1 else float("nan")

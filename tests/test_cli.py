@@ -470,9 +470,9 @@ def test_cli_scan_row_at_the_cavity_frequency_matches_the_ensemble_summary(tmp_p
 @pytest.mark.parametrize(
     "scan, expected",
     [
-        ("{omega_list_cm1: [43.0, 856.0]}", [(f"scan.omega_list_cm1[{k}]", w, 1.132) for k, w in enumerate((43.0, 856.0))]),
-        ("{ratio_list: [0.0, 0.5]}", [("scan.ratio_list[0]", 856.0, 0.0), ("scan.ratio_list[1]", 856.0, 0.5)]),
-        ("{}", []),
+        ("{omega_list_cm1: [43.0, 856.0]}", ("resonance_scan", [("scan.omega_list_cm1[0]", 43.0, 1.132), ("scan.omega_list_cm1[1]", 856.0, 1.132)])),
+        ("{ratio_list: [0.0, 0.5]}", ("coupling_scan", [("scan.ratio_list[0]", 856.0, 0.0), ("scan.ratio_list[1]", 856.0, 0.5)])),
+        ("{}", ("coupling_scan", [])),
     ],
 )
 def test_scan_conditions_pair_each_list_entry_with_the_cavity(tmp_path, scan, expected):
@@ -1376,9 +1376,9 @@ def test_model_check_fails_forces_scaled_by_one_part_in_1e5(tmp_path, monkeypatc
 @pytest.mark.parametrize("short_by, code", [(1, 1), (0, 0)])
 def test_ensemble_size_check_counts_whole_frames_and_one_bond_length(tmp_path, monkeypatch, capsys, short_by, code):
     # frames 0..50 of 3 trajectories, each frame x and v (3N = 18 each), q, p, the time, 4 energies, the dipole
-    # and the Si-C length three times (recorded, stacked and windowed), and of one trajectory's energy
-    # temporaries: the bond geometry's 14 per bond (5 bonds), the index tables (18 + 5 + 4) and 32 more
-    size = 51 * (3 * (6 * 6 + 13) + 14 * 5 + 18 + 5 + 4 + 32) * 8
+    # and the Si-C length, and one trajectory's energy scratch: the index tables (18 + 5 + 4), the bond
+    # geometry (14 per bond, 5 bonds), the energy terms (4 per bond and coupling, 4 couplings) and 3N products
+    size = 51 * (3 * (6 * 6 + 11) + 27 + 14 * 5 + 4 * 9 + 3 * 18) * 8
     real_sysconf = os.sysconf
 
     def sysconf(name):

@@ -355,6 +355,14 @@ def test_a_key_of_one_word_draws_what_a_one_word_philox_key_draws(word):
     assert ensemble._rng(word).standard_normal(8).tolist() == expected.tolist()
 
 
+def test_a_seed_draws_what_its_residue_mod_2_128_draws(surrogate):
+    # a negative seed keys both words by its residue, so -1 is not the one-word key 2**64 - 1
+    for seed in (-1, 5 - 2**64, 2**128 + 7):
+        draw = sample_velocities(surrogate, SamplingSpec(300.0, seed))
+        assert draw.tolist() == sample_velocities(surrogate, SamplingSpec(300.0, seed % 2**128)).tolist()
+    assert ensemble._rng(-1).standard_normal(4).tolist() != ensemble._rng(2**64 - 1).standard_normal(4).tolist()
+
+
 def test_stream_keys_are_distinct_where_xor_keys_collided():
     # seeds 0-63 share every XOR key among themselves, and so do the 64 seeds below 2**64; no key repeats here
     seeds = [*range(64), *range(2**64 - 64, 2**64)]
