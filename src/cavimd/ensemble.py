@@ -50,7 +50,7 @@ class SamplingSpec:
 
 
 def stream_key(base_seed: int, k: int) -> int:
-    """Trajectory k's two-word Philox key packed as w0 | w1 << 64, one per (base_seed mod 2**64, k);
+    """Trajectory k's two-word Philox key packed as w0 | w1 << 64, one per (base_seed mod 2**64, k < 2**68);
     w1 is 0, and w0 is base_seed XOR k, exactly when base_seed = 1 (mod 16) and k < 16."""
     s = base_seed % 2**64
     return (s ^ (k & 15)) | (((s & 15) ^ 1) | ((k >> 4) << 4)) << 64
